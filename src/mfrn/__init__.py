@@ -17,9 +17,7 @@ from .fvm import (
     density_diagnostics,
     llf_flux,
     project_initial,
-    semidiscrete_rhs,
     solve_transport,
-    ssprk3_step,
 )
 from .measures import (
     EmpiricalMeasure,
@@ -39,7 +37,6 @@ from .optim import (
     gauss_seidel_train,
     identity_closed_form,
     identity_w_root,
-    induced_cfl_number,
     reduced_cost,
     tilde_loss,
 )

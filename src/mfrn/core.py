@@ -233,7 +233,7 @@ class RunConfig:
     cfl: float              # advisory CFL number for the fixed-step transport solver
     domain: tuple[float, float]  # spatial interval [a, b]
     n_cells: int            # uniform cells over the domain
-    dimension: int          # state dimension (the grid solver requires 1)
+    dimension: int          # state dimension; only 1 is accepted
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
@@ -247,8 +247,8 @@ class RunConfig:
             raise ValueError("regularization weights must be >= 0")
         if self.max_armijo < 1:
             raise ValueError(f"max_armijo must be >= 1, got {self.max_armijo!r}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension!r}")
+        if self.dimension != 1:
+            raise ValueError(f"dimension must be 1 (the grid solver is 1-d), got {self.dimension!r}")
         a, b = self.domain
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError(f"domain must be a finite interval [a, b] with a < b, got {self.domain!r}")

@@ -167,13 +167,6 @@ def control_gradient(
     return g_w, g_b
 
 
-def induced_cfl_number(c: ControlPath, act: Activation, sgrid: Grid1D) -> float:
-    """Worst CFL number the controls can induce anywhere on the grid."""
-    args = np.outer(c.w, sgrid.edges) + c.b[:, None]
-    smax = float(np.max(np.abs(act.value(args))))
-    return smax * c.grid.dt / sgrid.dx
-
-
 def _projected(grad: np.ndarray) -> np.ndarray:
     out = grad.copy()
     out[0] = 0.0  # the admissible set pins the controls at t = 0
@@ -246,16 +239,17 @@ def _project_to_speed(
     return best[..., 0], best[..., 1]
 
 
-def _armijo(
+def armijo_search(
     c: ControlPath,
     grad: tuple[np.ndarray, np.ndarray],
     f0: DensityField,
     g: TargetMeasure,
     act: Activation,
     cfg: RunConfig,
-    current_cost: float | None = None,
+    current_cost: float,
 ) -> tuple[ControlPath, float, float]:
-    """Backtracking step returning (new controls, accepted rho, its cost).
+    """Backtracking step from c, whose cost is current_cost, returning
+    (new controls, accepted rho, their cost).
 
     Accepts the first step size with sufficient decrease; if none qualifies,
     falls back to the best-cost candidate that still improves on the current
@@ -269,8 +263,6 @@ def _armijo(
     """
     g_w = _projected(grad[0])
     g_b = _projected(grad[1])
-    if current_cost is None:
-        current_cost = reduced_cost(c, f0, g, act, cfg)
     sq_norm = _trapezoid(g_w**2 + g_b**2, c.grid.dt)
     if sq_norm == 0.0:
         return c, ARMIJO_RHO0, current_cost
@@ -304,18 +296,6 @@ def _armijo(
         cost, cand, rho = best
         return cand, rho, cost
     return c, 0.0, current_cost
-
-
-def armijo_search(
-    c: ControlPath,
-    grad: tuple[np.ndarray, np.ndarray],
-    f0: DensityField,
-    g: TargetMeasure,
-    act: Activation,
-    cfg: RunConfig,
-) -> tuple[ControlPath, float]:
-    new_c, rho, _ = _armijo(c, grad, f0, g, act, cfg)
-    return new_c, rho
 
 
 def gauss_seidel_train(
@@ -356,7 +336,7 @@ def gauss_seidel_train(
         g_w, g_b = control_gradient(c, f_traj, lam_traj, act, cfg)
         gw_hist.append(float(np.max(np.abs(_projected(g_w)))))
         gb_hist.append(float(np.max(np.abs(_projected(g_b)))))
-        new_c, rho, new_cost = _armijo(c, (g_w, g_b), f0, g, act, cfg, current_cost=cost)
+        new_c, rho, new_cost = armijo_search(c, (g_w, g_b), f0, g, act, cfg, cost)
         dist = new_c.c0_distance(c)
         denom = new_c.c0_norm()
         if dist == 0.0:

@@ -153,6 +153,15 @@ class TestRunFailures:
         assert f"{cfgp}:{1 + next(i for i, r in enumerate(line) if 'n_cells' in r)}:" in err
         assert "n_cells" in err
 
+    def test_unsupported_dimension_rejected(self, tmp_path, capsys):
+        data = scenario_to_config(build_test2())
+        data["run"]["dimension"] = 2
+        cfgp = tmp_path / "two_d.json"
+        cfgp.write_text(json.dumps(data, indent=2, sort_keys=True))
+        rc = cli.main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "dimension" in capsys.readouterr().err
+
     def test_malformed_json_rejected(self, tmp_path, capsys):
         cfgp = tmp_path / "broken.json"
         cfgp.write_text("{ this is not json")
@@ -307,7 +316,8 @@ def _declared_entry_point():
 
 def test_console_script_help():
     # Run the declared entry point as the installed setuptools wrapper would,
-    # against the package this suite imported, so no install is needed.
+    # and ``python -m mfrn``, against the package this suite imported, so no
+    # install is needed.
     module, func = _declared_entry_point()
     code = (f"import sys; sys.argv[0] = 'mfrn'; from {module} import {func}; "
             f"sys.exit({func}())")
@@ -315,7 +325,8 @@ def test_console_script_help():
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    runs = [([sys.executable, "-c", code, "--help"], env)]
+    runs = [([sys.executable, "-c", code, "--help"], env),
+            ([sys.executable, "-m", "mfrn", "--help"], env)]
     # An installed script is checked too, as it runs, wherever there is one.
     installed = shutil.which("mfrn")
     if installed:

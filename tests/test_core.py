@@ -151,6 +151,7 @@ class TestRunConfig:
         dict(dimension=0),
         dict(domain=(3.0, -2.0)),
         dict(domain=(0.0, np.inf)),
+        dict(dimension=2),
     ])
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ValueError):

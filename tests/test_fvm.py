@@ -16,9 +16,8 @@ from mfrn.fvm import (
     density_diagnostics,
     llf_flux,
     project_initial,
-    semidiscrete_rhs,
     solve_transport,
-    ssprk3_step,
+    _rhs,
     _ssp_rk3,
 )
 from mfrn.measures import variance, moments, wasserstein1
@@ -86,7 +85,7 @@ class TestSemidiscreteRhs:
     def test_constant_field_constant_speed_interior_zero(self):
         grid = Grid1D(-2.0, 3.0, 64)
         field = DensityField(grid, np.full(64, 1.0))
-        rhs = semidiscrete_rhs(field, constant_speed(0.7), t=0.0)
+        rhs, _ = _rhs(field.averages, grid, constant_speed(0.7).speed(grid.edges, 0.0))
         # zero-inflow ghosts perturb two cells per side; the interior is exact
         assert np.max(np.abs(rhs[2:-2])) <= 1e-13
         assert rhs.sum() <= 1e-13
@@ -99,7 +98,7 @@ class TestSemidiscreteRhs:
             anti = lambda x: -(2.0 / np.pi) * np.cos(0.5 * np.pi * x)
             exact_avg = (anti(grid.edges[1:]) - anti(grid.edges[:-1])) / grid.dx
             field = DensityField(grid, exact_avg)
-            rhs = semidiscrete_rhs(field, constant_speed(1.0), t=0.0)
+            rhs, _ = _rhs(field.averages, grid, constant_speed(1.0).speed(grid.edges, 0.0))
             point = lambda x: np.sin(0.5 * np.pi * x)
             exact_rhs = -(point(grid.edges[1:]) - point(grid.edges[:-1])) / grid.dx
             errs.append(np.max(np.abs(rhs - exact_rhs)[4:-4]))
@@ -132,8 +131,8 @@ class TestSemidiscreteRhs:
         grid = Grid1D(-2.0, 3.0, 100)
         field = project_initial(gaussian_density(0.3, 0.25), grid)
         for t in tg.nodes[::25]:
-            a = semidiscrete_rhs(field, rev, float(t))
-            b = semidiscrete_rhs(field, fwd, float(t))
+            a, _ = _rhs(field.averages, grid, rev.speed(grid.edges, float(t)))
+            b, _ = _rhs(field.averages, grid, fwd.speed(grid.edges, float(t)))
             assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
@@ -141,7 +140,8 @@ class TestStepper:
     def test_zero_speed_step_is_identity(self):
         grid = Grid1D(-2.0, 3.0, 100)
         field = project_initial(gaussian_density(0.3, 0.25), grid)
-        out = ssprk3_step(field, constant_speed(0.0), dt=1e-2)
+        one_step = TimeGrid.from_step(1e-2, 1e-2)
+        out = solve_transport(field, constant_speed(0.0), one_step, limit_positive=False)[-1]
         assert_allclose(out.averages, field.averages, rtol=1e-14)
         assert out.time == 1e-2
 
@@ -152,13 +152,14 @@ class TestStepper:
         drift = DriftSpec(
             ControlPath.constant(tg, w=0.3, b=0.1), Activation("tanh")
         )
-        out = ssprk3_step(field, drift, dt=1e-2)
+        one_step = TimeGrid.from_step(1e-2, 1e-2)
+        out = solve_transport(field, drift, one_step, limit_positive=False)[-1]
         assert abs(out.mass - field.mass) <= 1e-13
 
     def test_scalar_decay_single_step_value(self):
         dt = 0.1
         u = np.array([1.0])
-        out = _ssp_rk3(u, 0.0, dt, lambda v, t: -v)
+        out = _ssp_rk3(u, dt, lambda v, k: -v)
         want = 1.0 - dt + dt**2 / 2.0 - dt**3 / 6.0
         assert_allclose(out[0], want, rtol=1e-15)
 
@@ -167,7 +168,7 @@ class TestStepper:
         for dt in (0.1, 0.05, 0.025):
             u = np.array([1.0])
             for _ in range(round(1.0 / dt)):
-                u = _ssp_rk3(u, 0.0, dt, lambda v, t: -v)
+                u = _ssp_rk3(u, dt, lambda v, k: -v)
             errs.append(abs(u[0] - np.exp(-1.0)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 2.9)
@@ -250,6 +251,24 @@ class TestTransportSolve:
         second = solve_transport(lam0, rev, tg)
         for a, b in zip(first, second):
             assert np.array_equal(a.averages, b.averages)
+
+    def test_speeds_evaluated_once_per_stage(self, monkeypatch):
+        # three SSP-RK3 stages a step, each reading one speed array for both
+        # the CFL check and its flux
+        times = []
+        original = DriftSpec.speed
+
+        def counted(self, x, t):
+            times.append(t)
+            return original(self, x, t)
+
+        monkeypatch.setattr(DriftSpec, "speed", counted)
+        grid = Grid1D(-2.0, 3.0, 100)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        tg = TimeGrid.from_step(0.2, 1e-2)
+        drift = DriftSpec(ControlPath.constant(tg, w=0.3, b=0.1), Activation("tanh"))
+        solve_transport(f0, drift, tg)
+        assert len(times) == 3 * tg.n_steps
 
     def test_hard_cfl_bound_raises_with_speed(self):
         grid = Grid1D(-2.0, 3.0, 200)
