@@ -13,11 +13,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 
 import numpy as np
 
+from . import __version__
 from .fvm import CFLViolationError, DensityField
 from .optim import SolverDivergenceError
 from .scenarios import (
@@ -28,6 +30,7 @@ from .scenarios import (
     run_scenario,
     scenario_from_config,
     scenario_to_config,
+    worker_count,
 )
 
 EXIT_OK = 0
@@ -89,6 +92,12 @@ def _write_manifest(out_dir: str, sc: Scenario, config_raw: bytes,
         "config_sha256": hashlib.sha256(config_raw).hexdigest(),
         "out_dir": os.path.abspath(out_dir),
         "timings": timings or {},
+        "provenance": {
+            "mfrn": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "MFRN_THREADS": worker_count(),
+        },
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -220,7 +229,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_manifest(args.out, sc, raw, timings=None)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         report = run_scenario(sc)
     except (SolverDivergenceError, CFLViolationError) as e:
@@ -231,7 +240,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # image) is a config problem, found late
         print(f"{args.config}:1: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
 
     if isinstance(report, TrainingReport):
         _emit_training(args.out, report)

@@ -7,6 +7,7 @@ and the transport solver all read the same representation.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -115,9 +116,12 @@ class TimeGrid:
         n = round(t_final / dt)
         return cls(t_final=t_final, dt=dt, n_steps=n)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_final, self.n_steps + 1)
+        # built once per grid and read-only, since every control read uses it
+        nodes = np.linspace(0.0, self.t_final, self.n_steps + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ class ControlPath:
         cls, grid: TimeGrid, w_fn: Callable[[np.ndarray], np.ndarray],
         b_fn: Callable[[np.ndarray], np.ndarray],
     ) -> "ControlPath":
-        t = grid.nodes
+        t = grid.nodes.copy()  # w_fn = identity must not hand out the read-only nodes
         return cls(grid, np.asarray(w_fn(t), dtype=float), np.asarray(b_fn(t), dtype=float))
 
     @classmethod
@@ -166,7 +170,9 @@ class ControlPath:
         n = grid.n_steps + 1
         return cls(grid, np.full(n, float(w)), np.full(n, float(b)))
 
-    def _check_time(self, t) -> np.ndarray:
+    def _check_time(self, t):
+        if isinstance(t, float) and 0.0 <= t <= self.grid.t_final:
+            return t  # the solvers' case: a scalar time inside the domain
         t = np.asarray(t, dtype=float)
         slack = 1e-12 * max(1.0, self.grid.t_final)
         if np.any(t < -slack) or np.any(t > self.grid.t_final + slack):

@@ -14,6 +14,7 @@ stable), while exceeding the hard stability margin raises, naming the speed.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -67,9 +68,12 @@ class Grid1D:
     def centers(self) -> np.ndarray:
         return self.a + (np.arange(self.n_cells) + 0.5) * self.dx
 
-    @property
+    @functools.cached_property
     def edges(self) -> np.ndarray:
-        return self.a + np.arange(self.n_cells + 1) * self.dx
+        # built once per grid and read-only: every RK stage reads the speeds here
+        edges = self.a + np.arange(self.n_cells + 1) * self.dx
+        edges.flags.writeable = False
+        return edges
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Training of the control pair by adjoint gradients and backtracking descent.
 
-One outer iteration solves the forward transport under the current controls,
-solves the adjoint transport (same conservative solver, drift negated and
-controls read in reversed time), assembles the two gradient curves, and takes
-a backtracking step that re-pins the controls at t = 0.  The stopping rule is
-the relative change of the control pair between iterates in the max norm over
-time nodes.
+One outer iteration takes the forward transport under the current controls
+(solved once at the start, afterwards handed over by the line search that
+accepted them), solves the adjoint transport (same conservative solver, drift
+negated and controls read in reversed time), assembles the two gradient
+curves, and takes a backtracking step that re-pins the controls at t = 0.  The
+stopping rule is the relative change of the control pair between iterates in
+the max norm over time nodes.
 
 For unbounded activations a descent step can push the induced advection speeds
 past what the fixed time step tolerates; candidates are screened against the
@@ -130,9 +131,17 @@ def reduced_cost(
     g: TargetMeasure,
     act: Activation,
     cfg: RunConfig,
+    *,
+    trajectory: list[DensityField] | None = None,
 ) -> float:
-    """Terminal mean-field loss plus Tikhonov terms, via a fresh forward solve."""
+    """Terminal mean-field loss plus Tikhonov terms, via a fresh forward solve.
+
+    A list passed as trajectory receives the solve's snapshots, so a caller
+    that goes on with these controls need not solve them again.
+    """
     traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl)
+    if trajectory is not None:
+        trajectory.extend(traj)
     return _terminal_cost(traj[-1], g) + _regularization(c, cfg)
 
 
@@ -247,9 +256,11 @@ def armijo_search(
     act: Activation,
     cfg: RunConfig,
     current_cost: float,
-) -> tuple[ControlPath, float, float]:
-    """Backtracking step from c, whose cost is current_cost, returning
-    (new controls, accepted rho, their cost).
+    current_traj: list[DensityField],
+) -> tuple[ControlPath, float, float, list[DensityField]]:
+    """Backtracking step from c, whose cost and forward trajectory are
+    current_cost and current_traj, returning (new controls, accepted rho,
+    their cost, their forward trajectory).
 
     Accepts the first step size with sufficient decrease; if none qualifies,
     falls back to the best-cost candidate that still improves on the current
@@ -265,10 +276,10 @@ def armijo_search(
     g_b = _projected(grad[1])
     sq_norm = _trapezoid(g_w**2 + g_b**2, c.grid.dt)
     if sq_norm == 0.0:
-        return c, ARMIJO_RHO0, current_cost
+        return c, ARMIJO_RHO0, current_cost, current_traj
 
     speed_cap = cfg.cfl * f0.grid.dx / c.grid.dt
-    best: tuple[float, ControlPath, float] | None = None
+    best: tuple[float, ControlPath, float, list[DensityField]] | None = None
     rho = ARMIJO_RHO0
     for _ in range(cfg.max_armijo):
         w_c = c.w - rho * g_w
@@ -282,20 +293,21 @@ def armijo_search(
             g_w * (cand.w - c.w) + g_b * (cand.b - c.b), c.grid.dt
         )
         if inner < 0.0:
+            traj: list[DensityField] = []
             try:
-                cost = reduced_cost(cand, f0, g, act, cfg)
+                cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj)
             except CFLViolationError:
                 cost = math.inf
             if math.isfinite(cost):
                 if cost <= current_cost + ARMIJO_DECREASE * inner:
-                    return cand, rho, cost
+                    return cand, rho, cost, traj
                 if best is None or cost < best[0]:
-                    best = (cost, cand, rho)
+                    best = (cost, cand, rho, traj)
         rho *= ARMIJO_HALVING
     if best is not None and best[0] < current_cost:
-        cost, cand, rho = best
-        return cand, rho, cost
-    return c, 0.0, current_cost
+        cost, cand, rho, traj = best
+        return cand, rho, cost, traj
+    return c, 0.0, current_cost, current_traj
 
 
 def gauss_seidel_train(
@@ -322,10 +334,11 @@ def gauss_seidel_train(
     converged = False
     log.info("training start: Lipschitz budget of initial controls = %.6g", c.lipschitz_budget())
 
-    final_cost = math.nan
+    # the first iterate is solved here; every later one was solved by the
+    # line search that accepted it
+    f_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl)
+    cost = _terminal_cost(f_traj[-1], g) + _regularization(c, cfg)
     for k in range(max_outer):
-        f_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl)
-        cost = _terminal_cost(f_traj[-1], g) + _regularization(c, cfg)
         if not math.isfinite(cost):
             raise SolverDivergenceError(
                 f"non-finite cost {cost!r} at outer iteration {k} "
@@ -336,7 +349,9 @@ def gauss_seidel_train(
         g_w, g_b = control_gradient(c, f_traj, lam_traj, act, cfg)
         gw_hist.append(float(np.max(np.abs(_projected(g_w)))))
         gb_hist.append(float(np.max(np.abs(_projected(g_b)))))
-        new_c, rho, new_cost = armijo_search(c, (g_w, g_b), f0, g, act, cfg, cost)
+        new_c, rho, new_cost, new_traj = armijo_search(
+            c, (g_w, g_b), f0, g, act, cfg, cost, f_traj
+        )
         dist = new_c.c0_distance(c)
         denom = new_c.c0_norm()
         if dist == 0.0:
@@ -347,16 +362,15 @@ def gauss_seidel_train(
             e = dist / denom
         errors.append(e)
         rhos.append(rho)
-        c = new_c
-        final_cost = new_cost
+        c, cost, f_traj = new_c, new_cost, new_traj
         if e <= cfg.tol:
             converged = True
             break
-    costs.append(final_cost)
+    costs.append(cost)
     log.info(
         "training %s after %d iteration(s): cost %.8g, Lipschitz budget %.6g",
         "converged" if converged else "stopped at the iteration cap",
-        len(errors), final_cost, c.lipschitz_budget(),
+        len(errors), cost, c.lipschitz_budget(),
     )
     return OptimState(
         controls=c,

@@ -71,13 +71,15 @@ def _smooth_direction(rng, nodes, t_final):
     return out
 
 
-@pytest.fixture(scope="session")
-def gradient_probe():
-    """Worst relative gap, adjoint gradient vs central differences.
+def _probe(kind, seed):
+    """Worst gaps between the adjoint gradient and central differences over
+    eight smooth random directions drawn with the given seed.
 
-    One smooth base control, eight smooth random perturbation directions,
-    probed for each smooth activation.  Returns per-activation worst relative
-    errors plus the wall time of the whole probe.
+    Returns (relative, scaled): the relative gap |fd - an| / max(|fd|, |an|)
+    and the gap scaled by the gradient and direction sizes,
+    |fd - an| / (|g| |d|) with trapezoid L2 norms over time.  A direction
+    nearly orthogonal to the gradient makes fd and an small and the relative
+    gap ill-conditioned; the scaled gap measures the gradient's accuracy.
     """
     n_cells = 400
     cfg = RunConfig(gamma_w=1e-3, gamma_b=1e-3, tol=1e-4, max_armijo=10,
@@ -90,29 +92,53 @@ def gradient_probe():
         tg, lambda t: 0.3 * np.sin(np.pi * t), lambda t: 0.5 * t
     ).pinned()
     eps = 1e-5
+
+    def trapezoid(v):
+        return float(tg.dt * (v.sum() - 0.5 * (v[0] + v[-1])))
+
+    act = Activation(kind)
+    f_traj = solve_transport(f0, DriftSpec(base, act), tg, cfg.cfl)
+    lam0 = adjoint_initial(target, grid)
+    lam_traj = solve_transport(
+        lam0, DriftSpec(base, act, time_reversed=True), tg, cfg.cfl
+    )
+    gw, gb = control_gradient(base, f_traj, lam_traj, act, cfg)
+    g_norm = np.sqrt(trapezoid(gw**2 + gb**2))
+    rng = np.random.default_rng(seed)
+    worst_rel = worst_scaled = 0.0
+    for _ in range(8):
+        dw = _smooth_direction(rng, tg.nodes, tg.t_final)
+        db = _smooth_direction(rng, tg.nodes, tg.t_final)
+        cp = ControlPath(tg, base.w + eps * dw, base.b + eps * db)
+        cm = ControlPath(tg, base.w - eps * dw, base.b - eps * db)
+        fd = (reduced_cost(cp, f0, target, act, cfg)
+              - reduced_cost(cm, f0, target, act, cfg)) / (2 * eps)
+        an = trapezoid(gw * dw + gb * db)
+        gap = abs(fd - an)
+        worst_rel = max(worst_rel, gap / max(abs(fd), abs(an), 1e-14))
+        d_norm = np.sqrt(trapezoid(dw**2 + db**2))
+        worst_scaled = max(worst_scaled, float(gap / (g_norm * d_norm)))
+    return worst_rel, worst_scaled
+
+
+@pytest.fixture(scope="session")
+def gradient_probe_at():
+    """The criterion-6 probe for one activation and one direction seed."""
+    return _probe
+
+
+@pytest.fixture(scope="session")
+def gradient_probe():
+    """Worst relative gap, adjoint gradient vs central differences.
+
+    One smooth base control, eight smooth random perturbation directions
+    (seed 11), probed for each smooth activation.  Returns per-activation
+    worst relative gaps, the worst scaled gaps under "scaled", and the wall
+    time of the whole probe.
+    """
     t0 = time.monotonic()
-    worst = {}
+    worst = {"scaled": {}}
     for kind in ("identity", "tanh", "sigmoid"):
-        act = Activation(kind)
-        f_traj = solve_transport(f0, DriftSpec(base, act), tg, cfg.cfl)
-        lam0 = adjoint_initial(target, grid)
-        lam_traj = solve_transport(
-            lam0, DriftSpec(base, act, time_reversed=True), tg, cfg.cfl
-        )
-        gw, gb = control_gradient(base, f_traj, lam_traj, act, cfg)
-        rng = np.random.default_rng(11)
-        worst_rel = 0.0
-        for _ in range(8):
-            dw = _smooth_direction(rng, tg.nodes, tg.t_final)
-            db = _smooth_direction(rng, tg.nodes, tg.t_final)
-            cp = ControlPath(tg, base.w + eps * dw, base.b + eps * db)
-            cm = ControlPath(tg, base.w - eps * dw, base.b - eps * db)
-            fd = (reduced_cost(cp, f0, target, act, cfg)
-                  - reduced_cost(cm, f0, target, act, cfg)) / (2 * eps)
-            pair = gw * dw + gb * db
-            an = float(tg.dt * (pair.sum() - 0.5 * (pair[0] + pair[-1])))
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-14)
-            worst_rel = max(worst_rel, rel)
-        worst[kind] = worst_rel
+        worst[kind], worst["scaled"][kind] = _probe(kind, 11)
     worst["elapsed"] = time.monotonic() - t0
     return worst

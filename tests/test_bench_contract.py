@@ -1,0 +1,160 @@
+"""The package keeps every entry point the benchmark in ``bench/`` reads.
+
+The benchmark's tracer wraps public functions and methods of ``mfrn`` by name
+and reads call arguments by parameter name; its per-layer metrics are computed
+from those spans.  A renamed or privatised entry point, a renamed parameter,
+or a solver path that stops going through them makes the metrics go missing.
+These tests read the benchmark's sources as text (nothing there is imported
+or written) and check the package against them.
+"""
+
+import ast
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mfrn import optim
+from mfrn.core import Activation, ControlPath, RunConfig, TimeGrid
+from mfrn.fvm import DriftSpec, Grid1D, project_initial
+from mfrn.optim import TargetMeasure, gauss_seidel_train
+from mfrn.scenarios import gaussian_density
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _tree(name):
+    return ast.parse((BENCH / name).read_text())
+
+
+def _assigned(tree, name):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise KeyError(f"bench assigns no {name}")
+
+
+LAYERS = ast.literal_eval(_assigned(_tree("child.py"), "LAYERS"))
+_ENTRY = re.compile(rf"^(?:{'|'.join(LAYERS)})\.[A-Za-z_][\w.]*$")
+
+
+def _entry_points(*files):
+    """Every "<layer>.<name>" string in the files, except the metric names
+    (the keys of layers.METRICS, trace.overhead_s and f-string pieces)."""
+    found = set()
+    for name in files:
+        tree = _tree(name)
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                skip.update(map(id, ast.walk(node)))
+        if name == "layers.py":
+            skip.update(id(k) for k in _assigned(tree, "METRICS").keys)
+            skip.add(id(_assigned(tree, "OVERHEAD").elts[0]))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in skip and _ENTRY.match(node.value)):
+                found.add(node.value)
+    return sorted(found)
+
+
+def _attr_reads():
+    """tracer.ATTRS as {entry point: argument names its extractor reads}."""
+    tree = _tree("tracer.py")
+    keys = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            keys[fn.name] = {
+                n.slice.value for n in ast.walk(fn)
+                if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)
+            }
+    attrs = _assigned(tree, "ATTRS")
+    return {k.value: keys[v.id] for k, v in zip(attrs.keys, attrs.values)}
+
+
+ENTRY_POINTS = _entry_points("layers.py", "tracer.py")
+ATTR_READS = _attr_reads()
+
+
+def _resolve(qualname):
+    """The function a traced name wraps, checked the way the tracer finds it:
+    public, and defined in its layer's module or on a class defined there."""
+    layer, *path = qualname.split(".")
+    mod = importlib.import_module(f"mfrn.{layer}")
+    assert all(not part.startswith("_") for part in path), qualname
+    owner = mod
+    for part in path[:-1]:
+        owner = vars(owner)[part]
+        assert inspect.isclass(owner) and owner.__module__ == mod.__name__, qualname
+    obj = vars(owner)[path[-1]]
+    if isinstance(obj, (classmethod, staticmethod)):
+        obj = obj.__func__
+    assert inspect.isfunction(obj), f"{qualname} is not a function or method"
+    if owner is mod:
+        assert obj.__module__ == mod.__name__, f"{qualname} is imported, not defined there"
+    return obj
+
+
+def test_the_benchmark_names_its_entry_points():
+    # the metrics the benchmark reports rest on at least these
+    for name in ("fvm.solve_transport", "core.ControlPath.eval_w", "core.ControlPath.eval_b",
+                 "fvm.DriftSpec.speed", "fvm.llf_flux", "optim.gauss_seidel_train",
+                 "optim.reduced_cost", "optim.control_gradient", "particle.ode_integrate",
+                 "cli.main", "cli.load_config", "scenarios.run_scenario",
+                 "measures.wasserstein1", "measures.particles_to_density",
+                 "scenarios.sample_from_density", "scenarios.Scenario.target_field"):
+        assert name in ENTRY_POINTS, name
+    assert set(ATTR_READS) == {"fvm.solve_transport", "particle.ode_integrate"}
+
+
+@pytest.mark.parametrize("qualname", ENTRY_POINTS)
+def test_entry_point_is_public_in_the_package(qualname):
+    _resolve(qualname)
+
+
+@pytest.mark.parametrize("qualname", sorted(ATTR_READS))
+def test_traced_arguments_bind_by_name(qualname):
+    params = inspect.signature(_resolve(qualname)).parameters
+    for arg in ATTR_READS[qualname]:
+        assert arg in params, f"{qualname} has no parameter {arg!r}"
+        assert params[arg].kind in (params[arg].POSITIONAL_OR_KEYWORD,
+                                    params[arg].KEYWORD_ONLY), (qualname, arg)
+
+
+def test_training_goes_through_the_traced_entry_points(monkeypatch):
+    """Every solve stage reads the controls through DriftSpec.speed and
+    ControlPath.eval_w/eval_b, and every line-search trial is a reduced_cost
+    call made inside gauss_seidel_train."""
+    calls = {}
+
+    def count(owner, name, key):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(ControlPath, "eval_w", "eval_w")
+    count(ControlPath, "eval_b", "eval_b")
+    count(DriftSpec, "speed", "speed")
+    count(optim, "solve_transport", "solves")
+    count(optim, "reduced_cost", "trials")
+    grid = Grid1D(-2.0, 3.0, 40)
+    tg = TimeGrid.from_step(1.0, 5e-2)
+    f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+    cfg = RunConfig(gamma_w=1e-3, gamma_b=1e-3, tol=1e-4, max_armijo=10, cfl=0.45,
+                    domain=(-2.0, 3.0), n_cells=40, dimension=1)
+    state = gauss_seidel_train(f0, TargetMeasure(1.0, 1.01), ControlPath.zero(tg),
+                               Activation("tanh"), cfg, max_outer=3)
+    assert state.iteration == 3
+    assert calls["trials"] >= state.iteration
+    assert calls["speed"] == 3 * tg.n_steps * calls["solves"]
+    assert calls["eval_w"] == calls["eval_b"] == calls["speed"]
+    assert np.isfinite(state.cost_history).all()

@@ -5,14 +5,17 @@ import filecmp
 import hashlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import mfrn
 from mfrn import cli
 from mfrn.scenarios import (
     build_convergence_study,
@@ -21,6 +24,7 @@ from mfrn.scenarios import (
     build_test2,
     build_test3,
     scenario_to_config,
+    worker_count,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -99,6 +103,22 @@ class TestRun:
         assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
         assert manifest["config"] == scenario_to_config(build_test1("identity"))
         assert manifest["timings"]["total"] > 0.0
+
+    def test_manifest_records_provenance(self, t1_run, monkeypatch):
+        manifest = json.loads((t1_run / "manifest.json").read_text())
+        assert manifest["provenance"] == {
+            "mfrn": mfrn.__version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "MFRN_THREADS": worker_count(),
+        }
+        # the recorded thread count is the one the run used
+        monkeypatch.setenv("MFRN_THREADS", "3")
+        cfgp = write_config(build_convergence_study((10, 100)), t1_run.parent / "prov.json")
+        rc, out = cli_run(cfgp, t1_run.parent / "prov")
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["provenance"]["MFRN_THREADS"] == 3
 
     def test_summary_reflects_the_training_outcome(self, t1_run):
         summary = json.loads((t1_run / "summary.json").read_text())

@@ -71,6 +71,20 @@ class TestTimeGrid:
         assert nodes[0] == 0.0
         assert_allclose(nodes[-1], 0.5, rtol=1e-14)
 
+    def test_nodes_are_built_once_and_read_only(self):
+        tg = TimeGrid.from_step(0.5, 0.05)
+        nodes = tg.nodes
+        assert tg.nodes is nodes
+        assert np.array_equal(nodes, np.linspace(0.0, 0.5, 11))
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[1] = 0.0
+        # the cache is not a field: equality and hashing are unchanged
+        fresh = TimeGrid.from_step(0.5, 0.05)
+        assert fresh == tg and hash(fresh) == hash(tg)
+        # a path sampled from the nodes themselves does not inherit the flag
+        assert ControlPath.from_functions(tg, lambda t: t, lambda t: t).w.flags.writeable
+
 
 class TestControlPath:
     def test_constant_path_evaluates_everywhere(self):
@@ -93,6 +107,36 @@ class TestControlPath:
         c = ControlPath.from_functions(tg, lambda t: 0.0 * t, b_exact)
         t = tg.nodes[j]
         assert c.eval_b(t) == b_exact(t)
+
+    @pytest.mark.parametrize("kind", ["float", "float64", "0-d", "1-d"])
+    def test_evaluation_is_bitwise_independent_of_the_time_type(self, kind):
+        tg = TimeGrid.from_step(1.0, 1e-2)
+        c = ControlPath.from_functions(tg, lambda t: np.sin(3.0 * t), lambda t: t**3 - t)
+        times = [0.0, 0.123456789, 0.5, 0.98765, 1.0]
+        wrap = {"float": float, "float64": np.float64, "0-d": np.array,
+                "1-d": lambda t: np.array([t])}[kind]
+        nodes = np.linspace(0.0, 1.0, 101)
+        for t in times:
+            assert np.array_equal(c.eval_w(wrap(t)), np.interp(wrap(t), nodes, c.w))
+            assert np.array_equal(c.eval_b(wrap(t)), np.interp(wrap(t), nodes, c.b))
+            assert float(np.ravel(c.eval_w(wrap(t)))[0]) == float(c.eval_w(t))
+            assert float(np.ravel(c.eval_b(wrap(t)))[0]) == float(c.eval_b(t))
+
+    @pytest.mark.parametrize("t_final", [1.0, 2.0, 0.5])
+    def test_times_within_the_slack_clip_and_beyond_it_raise(self, t_final):
+        tg = TimeGrid.from_step(t_final, t_final / 10)
+        c = ControlPath.from_functions(tg, lambda t: 1.0 + t, lambda t: 2.0 - t)
+        slack = 1e-12 * max(1.0, t_final)
+        for t in (-0.5 * slack, np.float64(-0.5 * slack), np.array([-0.5 * slack])):
+            assert np.all(c.eval_w(t) == c.w[0]) and np.all(c.eval_b(t) == c.b[0])
+        for t in (t_final + 0.5 * slack, np.array([t_final + 0.5 * slack])):
+            assert np.all(c.eval_w(t) == c.w[-1]) and np.all(c.eval_b(t) == c.b[-1])
+        for t in (-2.0 * slack, t_final + 2.0 * slack, np.float64(t_final + 2.0 * slack),
+                  np.array([0.5 * t_final, t_final + 2.0 * slack])):
+            with pytest.raises(ValueError, match="outside control domain"):
+                c.eval_w(t)
+            with pytest.raises(ValueError, match="outside control domain"):
+                c.eval_b(t)
 
     def test_evaluation_outside_horizon_rejected(self):
         tg = TimeGrid.from_step(1.0, 0.1)

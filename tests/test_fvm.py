@@ -329,6 +329,17 @@ class TestContainers:
         assert_allclose(grid.edges[-1], 1.0)
         assert grid.edges.size == 11
 
+    def test_edges_are_built_once_and_read_only(self):
+        grid = Grid1D(-2.0, 3.0, 400)
+        edges = grid.edges
+        assert grid.edges is edges
+        assert np.array_equal(edges, -2.0 + np.arange(401) * grid.dx)
+        assert not edges.flags.writeable
+        with pytest.raises(ValueError):
+            edges[0] = 0.0
+        fresh = Grid1D(-2.0, 3.0, 400)
+        assert fresh == grid and hash(fresh) == hash(grid)
+
     def test_field_shape_checked(self):
         grid = Grid1D(0.0, 1.0, 10)
         with pytest.raises(ValueError, match="does not match"):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import optimize
 
+from mfrn import optim
 from mfrn.core import Activation, ControlPath, RunConfig, TimeGrid
 from mfrn.fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from mfrn.optim import (
@@ -148,6 +149,23 @@ class TestControlGradient:
     def test_adjoint_gradient_agrees_with_finite_differences(self, gradient_probe):
         for kind in ("identity", "tanh", "sigmoid"):
             assert gradient_probe[kind] <= 1e-3
+            assert gradient_probe["scaled"][kind] <= 1e-4
+
+    @pytest.mark.parametrize("seed", [13, 15])
+    def test_scaled_gap_is_small_for_every_direction_seed(self, gradient_probe_at, seed):
+        # these seeds draw directions nearly orthogonal to the tanh gradient,
+        # where the relative gap exceeds 1e-3; scaled by |g| |d| it stays small
+        _, scaled = gradient_probe_at("tanh", seed)
+        assert scaled <= 1e-4
+
+
+def assert_same_trajectory(traj, c, f0, act, cfg):
+    """traj is bitwise the forward solve of the controls c."""
+    fresh = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl)
+    assert len(traj) == len(fresh)
+    for got, want in zip(traj, fresh):
+        assert got.time == want.time
+        assert np.array_equal(got.averages, want.averages)
 
 
 class TestArmijo:
@@ -160,11 +178,15 @@ class TestArmijo:
         zeros = np.zeros(tg.n_steps + 1)
         cfg = make_cfg(n_cells=16)
         act = Activation("tanh")
-        cost0 = reduced_cost(c, f0, g, act, cfg)
-        new_c, rho, cost = armijo_search(c, (zeros, zeros), f0, g, act, cfg, cost0)
+        traj0 = []
+        cost0 = reduced_cost(c, f0, g, act, cfg, trajectory=traj0)
+        new_c, rho, cost, traj = armijo_search(
+            c, (zeros, zeros), f0, g, act, cfg, cost0, traj0
+        )
         assert rho == ARMIJO_RHO0
         assert cost == cost0
         assert np.array_equal(new_c.w, c.w) and np.array_equal(new_c.b, c.b)
+        assert_same_trajectory(traj, new_c, f0, act, cfg)
 
     def test_descent_step_lowers_the_cost(self):
         grid = Grid1D(-2.0, 3.0, 8)
@@ -180,11 +202,12 @@ class TestArmijo:
         )
         grad = control_gradient(c, f_traj, lam_traj, act, cfg)
         cost0 = reduced_cost(c, f0, g, act, cfg)
-        new_c, rho, cost = armijo_search(c, grad, f0, g, act, cfg, cost0)
+        new_c, rho, cost, traj = armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj)
         assert rho > 0.0
         assert cost == reduced_cost(new_c, f0, g, act, cfg)
         assert cost < cost0
         assert new_c.is_pinned
+        assert_same_trajectory(traj, new_c, f0, act, cfg)
 
 
 class TestTraining:
@@ -240,6 +263,41 @@ class TestTraining:
         start = max(state.grad_w_max_history[0], state.grad_b_max_history[0])
         end = max(state.grad_w_max_history[-1], state.grad_b_max_history[-1])
         assert start / end >= 10.0
+
+    def test_accepted_line_search_solve_is_reused(self, monkeypatch):
+        # forward solves: the first iterate's plus one per line-search trial;
+        # adjoint solves: one per iteration
+        solves = {False: 0, True: 0}
+        trials = 0
+        solve, cost = optim.solve_transport, optim.reduced_cost
+
+        def counted_solve(f0, drift, *args, **kwargs):
+            solves[drift.time_reversed] += 1
+            return solve(f0, drift, *args, **kwargs)
+
+        def counted_cost(*args, **kwargs):
+            nonlocal trials
+            trials += 1
+            return cost(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "solve_transport", counted_solve)
+        monkeypatch.setattr(optim, "reduced_cost", counted_cost)
+        grid = Grid1D(-2.0, 3.0, 40)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        g = TargetMeasure(1.0, 1.01)
+        cfg = make_cfg(n_cells=40)
+        act = Activation("identity")
+        state = gauss_seidel_train(
+            f0, g, ControlPath.zero(TimeGrid.from_step(1.0, 5e-2)), act, cfg, max_outer=8
+        )
+        # backtracking and a final rejected search both occur in this run
+        assert trials > state.iteration >= 3
+        assert 0.0 < np.min(state.rho_history[:-1]) < ARMIJO_RHO0
+        assert state.rho_history[-1] == 0.0
+        assert solves[False] == 1 + trials
+        assert solves[True] == state.iteration
+        monkeypatch.undo()
+        assert state.cost_history[-1] == reduced_cost(state.controls, f0, g, act, cfg)
 
     def test_nonfinite_cost_aborts(self):
         grid = Grid1D(-2.0, 3.0, 200)
