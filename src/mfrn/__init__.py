@@ -13,7 +13,6 @@ from .fvm import (
     DensityField,
     DriftSpec,
     Grid1D,
-    cweno3_reconstruct,
     density_diagnostics,
     llf_flux,
     project_initial,
@@ -43,7 +42,6 @@ from .optim import (
 from .particle import (
     ParticleEnsemble,
     ResNetConfig,
-    empirical_loss,
     ode_integrate,
     resnet_forward,
 )
@@ -65,7 +63,6 @@ from .scenarios import (
     sample_from_density,
     scenario_from_config,
     scenario_to_config,
-    verify_controllability_shift,
 )
 
 __version__ = "0.1.0"

@@ -8,14 +8,11 @@ and the transport solver all read the same representation.
 from __future__ import annotations
 
 import functools
-import logging
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 _ACTIVATION_KINDS = ("identity", "relu", "sigmoid", "tanh", "gcu")
 
@@ -113,8 +110,11 @@ class TimeGrid:
 
     @classmethod
     def from_step(cls, t_final: float, dt: float) -> "TimeGrid":
-        n = round(t_final / dt)
-        return cls(t_final=t_final, dt=dt, n_steps=n)
+        if not dt > 0:
+            raise ValueError(f"dt must be > 0, got {dt!r}")
+        if not 0 < t_final < math.inf:
+            raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
+        return cls(t_final=t_final, dt=dt, n_steps=round(t_final / dt))
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
@@ -197,10 +197,6 @@ class ControlPath:
         b[0] = 0.0
         return ControlPath(self.grid, w, b)
 
-    @property
-    def is_pinned(self) -> bool:
-        return self.w[0] == 0.0 and self.b[0] == 0.0
-
     def c0_norm(self) -> float:
         """Max over time nodes of max(|w|, |b|)."""
         return float(max(np.max(np.abs(self.w)), np.max(np.abs(self.b))))
@@ -249,8 +245,10 @@ class RunConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl!r}")
         if self.n_cells < 8:
             raise ValueError(f"n_cells must be >= 8, got {self.n_cells!r}")
-        if self.gamma_w < 0 or self.gamma_b < 0:
-            raise ValueError("regularization weights must be >= 0")
+        if self.gamma_w < 0:
+            raise ValueError(f"gamma_w must be >= 0, got {self.gamma_w!r}")
+        if self.gamma_b < 0:
+            raise ValueError(f"gamma_b must be >= 0, got {self.gamma_b!r}")
         if self.max_armijo < 1:
             raise ValueError(f"max_armijo must be >= 1, got {self.max_armijo!r}")
         if self.dimension != 1:

@@ -24,8 +24,7 @@ from .core import Activation, ControlPath, TimeGrid
 
 log = logging.getLogger(__name__)
 
-# Nonlinear weight parameters of the third-order central WENO reconstruction.
-CWENO_EPS = 1e-6
+# Nonlinear weight exponent of the third-order central WENO reconstruction.
 CWENO_POWER = 2
 # Ideal weights for (left linear, central parabola, right linear).
 _D_LEFT, _D_CENTER, _D_RIGHT = 0.25, 0.5, 0.25
@@ -106,6 +105,8 @@ class DensityField:
 class DriftSpec:
     """Advection speed act(w(t) x + b(t)), optionally time reversed.
 
+    This is the one velocity field of the package: the transport solver reads
+    it at the cell edges, the particle integrators at the particle states.
     With time_reversed the speed is -act(w(T-t) x + b(T-t)): the sign flip and
     the control reversal together turn the solver into the one for the
     adjoint transport equation.
@@ -116,18 +117,18 @@ class DriftSpec:
     time_reversed: bool = False
 
     def speed(self, x, t: float):
-        if self.time_reversed:
-            tau, sign = self.control.grid.t_final - t, -1.0
-        else:
-            tau, sign = t, 1.0
+        tau = self.control.grid.t_final - t if self.time_reversed else t
         w = float(self.control.eval_w(tau))
         b = float(self.control.eval_b(tau))
-        return sign * self.activation.value(w * np.asarray(x, dtype=float) + b)
+        v = self.activation.value(w * np.asarray(x, dtype=float) + b)
+        return -v if self.time_reversed else v
 
 
-def _cweno3_faces(a: np.ndarray, b: np.ndarray, c: np.ndarray, eps: float = CWENO_EPS):
+def _cweno3_faces(a: np.ndarray, b: np.ndarray, c: np.ndarray, eps: float):
     """Left and right face values of the CWENO3 reconstruction in the center
-    cell of each stencil (a, b, c) of consecutive cell averages."""
+    cell of each stencil (a, b, c) of consecutive cell averages.  The solver
+    passes eps = dx, so that smooth extrema keep the ideal weights under
+    refinement."""
     d_left = b - a
     d_right = c - b
     d2 = c - 2.0 * b + a
@@ -147,20 +148,6 @@ def _cweno3_faces(a: np.ndarray, b: np.ndarray, c: np.ndarray, eps: float = CWEN
     left = wl * (b - 0.5 * d_left) + wc * (pc_even - half_sum) + wr * (b - 0.5 * d_right)
     right = wl * (b + 0.5 * d_left) + wc * (pc_even + half_sum) + wr * (b + 0.5 * d_right)
     return left, right
-
-
-def cweno3_reconstruct(averages, eps: float = CWENO_EPS) -> tuple[float, float]:
-    """Face values (left, right) for one cell from its three-cell stencil.
-
-    The solver itself passes eps = dx so that smooth extrema keep the ideal
-    weights under refinement; the absolute default suits isolated stencils
-    with no mesh attached.
-    """
-    arr = np.asarray(averages, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"expected the 3 stencil averages, got shape {arr.shape}")
-    left, right = _cweno3_faces(arr[0:1], arr[1:2], arr[2:3], eps)
-    return float(left[0]), float(right[0])
 
 
 def llf_flux(u_minus, u_plus, speed):
@@ -247,8 +234,6 @@ def _advance(field: DensityField, drift: DriftSpec, dt: float, cfl: float,
              limit_positive: bool = False):
     """One SSP-RK3 step; returns (advanced field, step CFL number, mass that
     left through the boundary during the step)."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     t = field.time
     grid = field.grid
     # the one place a solve turns controls into speeds: one array per stage

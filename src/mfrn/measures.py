@@ -49,12 +49,6 @@ class EmpiricalMeasure:
         object.__setattr__(self, "locations", locs[order])
         object.__setattr__(self, "weights", w[order])
 
-    @classmethod
-    def from_ensemble(cls, ens: ParticleEnsemble) -> "EmpiricalMeasure":
-        if ens.dim != 1:
-            raise ValueError("empirical measures are one-dimensional here")
-        return cls(locations=ens.states[:, 0])
-
 
 class _Cdf:
     """Breakpoints plus left/right limit evaluation for a unit-mass CDF."""

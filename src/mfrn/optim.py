@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Activation, ControlPath, RunConfig, TimeGrid
+from .core import Activation, ControlPath, RunConfig
 from .fvm import (
     CFLViolationError,
     DensityField,
@@ -31,7 +31,7 @@ from .fvm import (
     project_initial,
     solve_transport,
 )
-from .measures import EmpiricalMeasure, moments
+from .measures import moments
 
 log = logging.getLogger(__name__)
 
@@ -75,10 +75,6 @@ class TargetMeasure:
     def from_density(cls, g: DensityField) -> "TargetMeasure":
         if abs(g.mass - 1.0) > 1e-8:
             raise ValueError(f"target density mass {g.mass!r} is not 1")
-        return cls(mean=moments(g, 1), second_moment=moments(g, 2))
-
-    @classmethod
-    def from_empirical(cls, g: EmpiricalMeasure) -> "TargetMeasure":
         return cls(mean=moments(g, 1), second_moment=moments(g, 2))
 
 

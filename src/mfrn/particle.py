@@ -1,20 +1,21 @@
 """Particle-level dynamics: the residual-network recursion and its ODE limit.
 
 A depth-L network with identity skip connection and shared scalar controls is
-the explicit Euler discretization of dx/dt = act(w(t) x + b(t)).  The Euler
-path of ``ode_integrate`` reuses the same update kernel as ``resnet_forward``
-so the two coincide bitwise when the step sizes match.
+the explicit Euler discretization of dx/dt = act(w(t) x + b(t)).  Every
+integrator here reads that velocity field from ``fvm.DriftSpec.speed``, the
+same field the transport solver advects with, so the Euler path of
+``ode_integrate`` and ``resnet_forward`` coincide bitwise when the step sizes
+match.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import Activation, ControlPath
+from .fvm import DriftSpec
 
 
 @dataclass(frozen=True)
@@ -32,22 +33,15 @@ class ResNetConfig:
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Paired samples (x_i, y_i), states and targets both (M, d)."""
+    """Particle states x_i as an (M, d) array."""
 
     states: np.ndarray
-    targets: np.ndarray
 
     def __post_init__(self) -> None:
         states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "targets", targets)
-        if states.ndim != 2 or targets.ndim != 2:
-            raise ValueError("states and targets must be 2-d arrays (M, d)")
-        if states.shape != targets.shape:
-            raise ValueError(
-                f"states {states.shape} and targets {targets.shape} must have equal shapes"
-            )
+        if states.ndim != 2:
+            raise ValueError("states must be a 2-d array (M, d)")
         if states.shape[0] < 1:
             raise ValueError("ensemble needs at least one particle")
 
@@ -60,22 +54,16 @@ class ParticleEnsemble:
         return self.states.shape[1]
 
 
-def _layer_update(x: np.ndarray, w: float, b: float, dt: float, act: Activation) -> np.ndarray:
-    return x + dt * act.value(w * x + b)
-
-
 def resnet_forward(x0: np.ndarray, c: ControlPath, cfg: ResNetConfig) -> np.ndarray:
     """Output of the depth-L recursion started at x0 (any array shape).
 
     Controls are read at the layer times kappa * dt for kappa = 0..L, which
     must lie inside the control path's domain.
     """
+    drift = DriftSpec(c, cfg.activation)
     x = np.asarray(x0, dtype=float).copy()
     for kappa in range(cfg.n_layers + 1):
-        t = kappa * cfg.dt
-        w = float(c.eval_w(t))
-        b = float(c.eval_b(t))
-        x = _layer_update(x, w, b, cfg.dt, cfg.activation)
+        x = x + cfg.dt * drift.speed(x, kappa * cfg.dt)
     return x
 
 
@@ -100,60 +88,22 @@ def ode_integrate(
     sizes; "rk4" is the classical fourth-order scheme.
     """
     n = _steps_for(t_final, dt)
+    drift = DriftSpec(c, act)
     x = ens.states.copy()
     if method == "euler":
         for k in range(n):
-            t = k * dt
-            x = _layer_update(x, float(c.eval_w(t)), float(c.eval_b(t)), dt, act)
+            x = x + dt * drift.speed(x, k * dt)
     elif method == "rk4":
         for k in range(n):
-            t = k * dt
-            x = _rk4_step(x, c, act, t, dt)
+            x = _rk4_step(x, drift, k * dt, dt)
     else:
         raise ValueError(f"unknown integrator {method!r}; expected 'euler' or 'rk4'")
-    return ParticleEnsemble(states=x, targets=ens.targets)
+    return ParticleEnsemble(x)
 
 
-def _rk4_step(x: np.ndarray, c: ControlPath, act: Activation, t: float, dt: float) -> np.ndarray:
-    def f(xx, tt):
-        return act.value(float(c.eval_w(tt)) * xx + float(c.eval_b(tt)))
-
-    k1 = f(x, t)
-    k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = f(x + dt * k3, t + dt)
+def _rk4_step(x: np.ndarray, drift: DriftSpec, t: float, dt: float) -> np.ndarray:
+    k1 = drift.speed(x, t)
+    k2 = drift.speed(x + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = drift.speed(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = drift.speed(x + dt * k3, t + dt)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def empirical_loss(ens: ParticleEnsemble) -> float:
-    """Mean squared Euclidean distance between states and targets."""
-    diff = ens.states - ens.targets
-    return float(np.mean(np.sum(diff * diff, axis=1)))
-
-
-def dump_csv(ens: ParticleEnsemble, path: str | Path) -> None:
-    d = ens.dim
-    header = ["index"] + [f"x_{j + 1}" for j in range(d)] + [f"y_{j + 1}" for j in range(d)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ens.size):
-            row = [str(i)]
-            row += [format(v, ".17g") for v in ens.states[i]]
-            row += [format(v, ".17g") for v in ens.targets[i]]
-            writer.writerow(row)
-
-
-def load_csv(path: str | Path) -> ParticleEnsemble:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "index" or (len(header) - 1) % 2 != 0:
-            raise ValueError(f"{path}: not an ensemble CSV (header {header!r})")
-        d = (len(header) - 1) // 2
-        states, targets = [], []
-        for row in reader:
-            vals = [float(v) for v in row[1:]]
-            states.append(vals[:d])
-            targets.append(vals[d:])
-    return ParticleEnsemble(states=np.array(states), targets=np.array(targets))

@@ -76,9 +76,11 @@ class Scenario:
             raise ValueError(f"unknown scenario {self.name!r}; expected one of {SCENARIO_NAMES}")
         if self.initial_guess not in INITIAL_GUESSES:
             raise ValueError(
-                f"unknown initial guess {self.initial_guess!r}; expected one of {INITIAL_GUESSES}"
+                f"unknown initial guess {self.initial_guess!r}; "
+                f"initial_guess must be one of {INITIAL_GUESSES}"
             )
         activation(self.activation)  # validates the kind
+        TimeGrid.from_step(self.t_final, self.dt)  # validates t_final and dt
 
     @property
     def time_grid(self) -> TimeGrid:
@@ -237,16 +239,6 @@ def build_scale_control(alpha: float = 0.25) -> Scenario:
         activation="identity",
         params={"alpha": float(alpha), "mu": 1.0, "s": 0.1},
     )
-
-
-_BUILDERS = {
-    "test1": build_test1,
-    "test2": build_test2,
-    "test3": build_test3,
-    "convergence": build_convergence_study,
-    "shift_control": build_shift_control,
-    "scale_control": build_scale_control,
-}
 
 
 def scenario_to_config(sc: Scenario) -> dict:
@@ -451,7 +443,7 @@ def run_convergence_study(sc: Scenario) -> ConvergenceReport:
     def one(seed_index: int, M: int) -> float:
         rng = np.random.default_rng([sc.seed, seed_index, M])
         xs = sample_from_density(f0, M, rng)
-        ens = ParticleEnsemble(xs[:, None], np.zeros((M, 1)))
+        ens = ParticleEnsemble(xs[:, None])
         moved = ode_integrate(ens, controls, sc.act, "rk4", sc.dt, sc.t_final)
         hist = particles_to_density(moved, sc.space_grid)
         return wasserstein1(hist, f_T)
@@ -480,52 +472,3 @@ def run_scenario(sc: Scenario):
         return run_convergence_study(sc)
     return run_exact_control(sc)
 
-
-def verify_controllability_shift(
-    beta: float,
-    act: Activation,
-    t_final: float,
-    n_cells: int = 200,
-    domain: tuple[float, float] = (-2.0, 3.0),
-    dt: float = 1e-2,
-) -> float:
-    """Shift a unit block by beta with the constant control the rate equation
-    act(b0) = beta/t_final picks, and return the terminal transport gap.
-
-    Raises when the required rate is outside the activation's image: not every
-    activation can realize every shift in the given time.
-    """
-    b0 = activation_preimage(act, beta / t_final)
-    grid = Grid1D(domain[0], domain[1], n_cells)
-    tg = TimeGrid.from_step(t_final, dt)
-    f0 = project_initial(indicator_density(-0.5, 0.5), grid)
-    target = project_initial(indicator_density(-0.5 + beta, 0.5 + beta), grid)
-    controls = ControlPath.constant(tg, 0.0, b0)
-    traj = solve_transport(f0, DriftSpec(controls, act), tg)
-    return wasserstein1(traj[-1], target)
-
-
-def shift_quadratic_companion(
-    beta: float = 1.0,
-    n_cells: int = 200,
-    domain: tuple[float, float] = (-2.0, 3.0),
-) -> float:
-    """Terminal gap between two identity-activation controls with the same
-    accumulated rate: constant b, and b(t) = t^2 + 1 over the horizon where
-    its integral first reaches beta.  Distinct paths, same terminal measure."""
-    act = activation("identity")
-    # solve T^3/3 + T = beta for the quadratic path's horizon
-    roots = np.roots([1.0 / 3.0, 0.0, 1.0, -float(beta)])
-    real = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and r.real > 0]
-    if not real:
-        raise ValueError(f"no positive horizon reaches accumulated rate {beta!r}")
-    t_hor = min(real)
-    n = max(1, round(t_hor / 1e-2))
-    tg = TimeGrid(t_hor, t_hor / n, n)
-    grid = Grid1D(domain[0], domain[1], n_cells)
-    f0 = project_initial(indicator_density(-0.5, 0.5), grid)
-    quad = ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: t**2 + 1.0)
-    const = ControlPath.constant(tg, 0.0, beta / t_hor)
-    f_quad = solve_transport(f0, DriftSpec(quad, act), tg)[-1]
-    f_const = solve_transport(f0, DriftSpec(const, act), tg)[-1]
-    return wasserstein1(f_quad, f_const)

@@ -173,6 +173,27 @@ class TestRunFailures:
         assert f"{cfgp}:{1 + next(i for i, r in enumerate(line) if 'n_cells' in r)}:" in err
         assert "n_cells" in err
 
+    @pytest.mark.parametrize("path, value", [
+        ("dt", 0), ("dt", -0.01), ("t_final", 1.005),
+        ("run.gamma_w", -1.0), ("run.gamma_b", -1.0), ("initial_guess", "warm"),
+    ])
+    def test_bad_value_exits_two_at_its_line(self, tmp_path, capsys, path, value):
+        data = scenario_to_config(build_test2())
+        *parents, key = path.split(".")
+        node = data
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        text = json.dumps(data, indent=2, sort_keys=True)
+        cfgp = tmp_path / "bad.json"
+        cfgp.write_text(text)
+        rc = cli.main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        line = 1 + next(i for i, r in enumerate(text.splitlines()) if f'"{key}"' in r)
+        assert capsys.readouterr().err.startswith(f"{cfgp}:{line}: ")
+        # rejected while loading, before the manifest is written
+        assert not (tmp_path / "o").exists()
+
     def test_unsupported_dimension_rejected(self, tmp_path, capsys):
         data = scenario_to_config(build_test2())
         data["run"]["dimension"] = 2

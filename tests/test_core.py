@@ -64,6 +64,14 @@ class TestTimeGrid:
         assert tg.n_steps == 100
         assert_allclose(tg.dt, 1e-2, rtol=1e-12)
 
+    @pytest.mark.parametrize("t_final, dt, key", [
+        (1.0, 0.0, "dt"), (1.0, -0.01, "dt"), (1.0, float("nan"), "dt"),
+        (0.0, 0.01, "t_final"), (float("inf"), 0.01, "t_final"),
+    ])
+    def test_from_step_names_a_bad_value(self, t_final, dt, key):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            TimeGrid.from_step(t_final, dt)
+
     def test_nodes_span_the_horizon(self):
         tg = TimeGrid.from_step(0.5, 0.05)
         nodes = tg.nodes
@@ -149,9 +157,8 @@ class TestControlPath:
     def test_pinning(self):
         tg = TimeGrid.from_step(1.0, 0.25)
         c = ControlPath.constant(tg, w=0.3, b=-0.2)
-        assert not c.is_pinned
+        assert not (c.w[0] == 0.0 and c.b[0] == 0.0)
         p = c.pinned()
-        assert p.is_pinned
         assert p.w[0] == 0.0 and p.b[0] == 0.0
         assert np.all(p.w[1:] == 0.3)
 

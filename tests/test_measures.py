@@ -47,11 +47,6 @@ class TestEmpiricalMeasure:
         assert np.array_equal(m.locations, [-1.0, 0.5, 2.0])
         assert np.array_equal(m.weights, [0.5, 0.3, 0.2])
 
-    def test_from_ensemble_requires_1d(self):
-        ens = ParticleEnsemble(np.zeros((3, 2)), np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="one-dimensional"):
-            EmpiricalMeasure.from_ensemble(ens)
-
 
 class TestWasserstein:
     def test_identical_measures(self):
@@ -186,7 +181,7 @@ class TestSteadyStates:
 class TestParticleHistogram:
     def test_single_particle_fills_one_cell(self):
         grid = Grid1D(0.0, 1.0, 10)
-        ens = ParticleEnsemble(np.array([[0.55]]), np.array([[0.0]]))
+        ens = ParticleEnsemble(np.array([[0.55]]))
         f = particles_to_density(ens, grid)
         assert_allclose(f.averages[5], 1.0 / grid.dx, rtol=1e-14)
         assert np.count_nonzero(f.averages) == 1
@@ -199,14 +194,14 @@ class TestParticleHistogram:
         errs = []
         for m_count in (100, 1000, 10000, 100000):
             x = rng.normal(0.5, 0.3, size=(m_count, 1))
-            f = particles_to_density(ParticleEnsemble(x, np.zeros_like(x)), grid)
+            f = particles_to_density(ParticleEnsemble(x), grid)
             errs.append(wasserstein1(f, target))
         assert errs[1] < errs[0] and errs[2] < errs[1] and errs[3] < errs[2]
 
     def test_out_of_domain_particles_warn_and_renormalize(self, caplog):
         grid = Grid1D(0.0, 1.0, 10)
         x = np.array([[0.5], [0.5], [10.0]])
-        ens = ParticleEnsemble(x, np.zeros_like(x))
+        ens = ParticleEnsemble(x)
         with caplog.at_level(logging.WARNING, logger="mfrn.measures"):
             f = particles_to_density(ens, grid)
         assert any("outside" in r.getMessage() for r in caplog.records)
@@ -215,19 +210,19 @@ class TestParticleHistogram:
     def test_in_domain_particles_stay_quiet(self, caplog):
         grid = Grid1D(0.0, 1.0, 10)
         x = np.array([[0.5], [0.25]])
-        ens = ParticleEnsemble(x, np.zeros_like(x))
+        ens = ParticleEnsemble(x)
         with caplog.at_level(logging.WARNING, logger="mfrn.measures"):
             particles_to_density(ens, grid)
         assert not caplog.records
 
     def test_all_outside_rejected(self):
         grid = Grid1D(0.0, 1.0, 10)
-        ens = ParticleEnsemble(np.array([[5.0]]), np.array([[0.0]]))
+        ens = ParticleEnsemble(np.array([[5.0]]))
         with pytest.raises(ValueError, match="no particles inside"):
             particles_to_density(ens, grid)
 
     def test_multidimensional_states_rejected(self):
         grid = Grid1D(0.0, 1.0, 10)
-        ens = ParticleEnsemble(np.zeros((3, 2)), np.zeros((3, 2)))
+        ens = ParticleEnsemble(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="one-dimensional"):
             particles_to_density(ens, grid)

@@ -55,13 +55,6 @@ class TestTargetMeasure:
         # within-cell variance on top of the Gaussian's
         assert abs(g.variance - (0.01 + grid.dx**2 / 12.0)) <= 1e-10
 
-    def test_from_empirical(self):
-        from mfrn.measures import EmpiricalMeasure
-
-        g = TargetMeasure.from_empirical(EmpiricalMeasure([0.0, 1.0]))
-        assert g.mean == 0.5
-        assert_allclose(g.variance, 0.25, rtol=1e-15)
-
 
 class TestLoss:
     def test_pointwise_values(self):
@@ -206,7 +199,7 @@ class TestArmijo:
         assert rho > 0.0
         assert cost == reduced_cost(new_c, f0, g, act, cfg)
         assert cost < cost0
-        assert new_c.is_pinned
+        assert new_c.w[0] == 0.0 and new_c.b[0] == 0.0
         assert_same_trajectory(traj, new_c, f0, act, cfg)
 
 
@@ -240,7 +233,7 @@ class TestTraining:
         assert np.all(np.isfinite(state.cost_history))
         drops = np.diff(state.cost_history)
         assert np.all(drops <= 1e-12 * np.abs(state.cost_history[:-1]))
-        assert state.controls.is_pinned
+        assert state.controls.w[0] == 0.0 and state.controls.b[0] == 0.0
 
     def test_first_sweep_already_descends(self, test1_identity_report):
         hist = test1_identity_report.state.cost_history

@@ -1,4 +1,4 @@
-"""Network recursion, particle ODE integrators, empirical loss."""
+"""Network recursion and particle ODE integrators."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mfrn.core import Activation, ControlPath, TimeGrid
-from mfrn.particle import (
-    ParticleEnsemble,
-    ResNetConfig,
-    dump_csv,
-    empirical_loss,
-    load_csv,
-    ode_integrate,
-    resnet_forward,
-)
+from mfrn.fvm import DriftSpec
+from mfrn.particle import ParticleEnsemble, ResNetConfig, ode_integrate, resnet_forward
 
 
 def constant_controls(t_final, dt, w, b):
@@ -58,13 +51,13 @@ class TestResNetForward:
 
 class TestOdeIntegrate:
     def test_unit_speed_translates(self):
-        ens = ParticleEnsemble(np.array([[2.0]]), np.array([[0.0]]))
+        ens = ParticleEnsemble(np.array([[2.0]]))
         c = constant_controls(1.0, 0.1, w=0.0, b=1.0)
         out = ode_integrate(ens, c, Activation("identity"), "euler", 0.1, 1.0)
         assert_allclose(out.states, [[3.0]], rtol=1e-14)
 
     def test_rk4_reproduces_the_exponential(self):
-        ens = ParticleEnsemble(np.array([[1.0]]), np.array([[0.0]]))
+        ens = ParticleEnsemble(np.array([[1.0]]))
         c = constant_controls(1.0, 0.01, w=1.0, b=0.0)
         out = ode_integrate(ens, c, Activation("identity"), "rk4", 0.01, 1.0)
         assert abs(out.states[0, 0] - np.e) <= 1e-6
@@ -83,7 +76,7 @@ class TestOdeIntegrate:
         x0 = rng.standard_normal((4, 1))
         cfg = ResNetConfig(n_layers=n_layers, dt=dt, activation=Activation(kind))
         net = resnet_forward(x0, c, cfg)
-        ens = ParticleEnsemble(x0, np.zeros_like(x0))
+        ens = ParticleEnsemble(x0)
         ode = ode_integrate(ens, c, Activation(kind), "euler", dt, tg.t_final)
         assert np.array_equal(net, ode.states)
 
@@ -93,7 +86,7 @@ class TestOdeIntegrate:
         c = ControlPath.from_functions(tg, np.sin, np.cos)
         act = Activation("tanh")
         x0 = np.array([[0.3]])
-        ens = ParticleEnsemble(x0, np.zeros_like(x0))
+        ens = ParticleEnsemble(x0)
 
         def terminal(dt):
             return ode_integrate(ens, c, act, "rk4", dt, 1.0).states[0, 0]
@@ -111,61 +104,43 @@ class TestOdeIntegrate:
         tg = TimeGrid.from_step(1.0, 1e-2)
         w = 0.4 * np.sin(np.pi * tg.nodes)
         c = ControlPath(tg, w=w, b=-w * m0)
-        ens = ParticleEnsemble(x0, np.zeros_like(x0))
+        ens = ParticleEnsemble(x0)
         out = ode_integrate(ens, c, Activation("identity"), "rk4", 1e-2, 1.0)
         assert abs(float(np.mean(out.states)) - m0) <= 1e-12
 
     def test_unknown_method_rejected(self):
-        ens = ParticleEnsemble(np.array([[0.0]]), np.array([[0.0]]))
+        ens = ParticleEnsemble(np.array([[0.0]]))
         c = constant_controls(1.0, 0.1, w=0.0, b=0.0)
         with pytest.raises(ValueError, match="euler"):
             ode_integrate(ens, c, Activation("tanh"), "heun", 0.1, 1.0)
 
     def test_non_divisible_horizon_rejected(self):
-        ens = ParticleEnsemble(np.array([[0.0]]), np.array([[0.0]]))
+        ens = ParticleEnsemble(np.array([[0.0]]))
         c = constant_controls(1.0, 0.1, w=0.0, b=0.0)
         with pytest.raises(ValueError, match="multiple"):
             ode_integrate(ens, c, Activation("tanh"), "euler", 0.1, 0.35)
 
 
-class TestEmpiricalLoss:
-    def test_matched_pairs_cost_nothing(self):
-        x = np.array([[0.2], [0.4], [-1.0]])
-        assert empirical_loss(ParticleEnsemble(x, x.copy())) == 0.0
+    @pytest.mark.parametrize("method, stages", [("euler", 1), ("rk4", 4)])
+    def test_speeds_come_from_the_drift_spec(self, monkeypatch, method, stages):
+        # the particles read the transport solver's velocity field: one
+        # DriftSpec.speed call per stage, each reading w and b once
+        calls = {"speed": 0, "eval_w": 0, "eval_b": 0}
 
-    def test_two_particle_value(self):
-        ens = ParticleEnsemble(np.array([[0.0], [0.0]]),
-                               np.array([[1.0], [-1.0]]))
-        assert empirical_loss(ens) == 1.0
+        def count(owner, name):
+            fn = getattr(owner, name)
 
-    def test_matches_independent_summation(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((1000, 2))
-        y = rng.standard_normal((1000, 2))
-        ens = ParticleEnsemble(x, y)
-        direct = sum(
-            sum((x[i, j] - y[i, j]) ** 2 for j in range(2)) for i in range(1000)
-        ) / 1000
-        assert_allclose(empirical_loss(ens), direct, rtol=1e-12)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
+            monkeypatch.setattr(owner, name, counted)
 
-class TestEnsembleIO:
-    def test_shapes_validated(self):
-        with pytest.raises(ValueError):
-            ParticleEnsemble(np.zeros((3, 1)), np.zeros((4, 1)))
-
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        ens = ParticleEnsemble(rng.standard_normal((17, 2)),
-                               rng.standard_normal((17, 2)))
-        path = tmp_path / "ens.csv"
-        dump_csv(ens, path)
-        back = load_csv(path)
-        assert np.array_equal(back.states, ens.states)
-        assert np.array_equal(back.targets, ens.targets)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            load_csv(path)
+        count(DriftSpec, "speed")
+        count(ControlPath, "eval_w")
+        count(ControlPath, "eval_b")
+        c = constant_controls(1.0, 0.1, w=0.3, b=0.2)
+        ode_integrate(ParticleEnsemble(np.zeros((5, 1))), c, Activation("tanh"),
+                      method, 0.1, 1.0)
+        n = stages * 10
+        assert calls == {"speed": n, "eval_w": n, "eval_b": n}

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfrn.core import Activation, ControlPath, TimeGrid
-from mfrn.fvm import DensityField, DriftSpec, Grid1D, solve_transport
+from mfrn.core import Activation, ControlPath, TimeGrid, activation
+from mfrn.fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from mfrn.measures import moments, particles_to_density, wasserstein1
 from mfrn.particle import ParticleEnsemble, ode_integrate
 from mfrn.scenarios import (
@@ -24,14 +24,13 @@ from mfrn.scenarios import (
     build_test2,
     build_test3,
     gaussian_density,
+    indicator_density,
     run_convergence_study,
     run_exact_control,
     run_scenario,
     sample_from_density,
     scenario_from_config,
     scenario_to_config,
-    shift_quadratic_companion,
-    verify_controllability_shift,
     worker_count,
 )
 
@@ -49,6 +48,32 @@ ALL_BUILDERS = {
     "scale": lambda: build_scale_control(0.25),
 }
 
+
+
+def shift_quadratic_companion(
+    beta: float = 1.0,
+    n_cells: int = 200,
+    domain: tuple[float, float] = (-2.0, 3.0),
+) -> float:
+    """Terminal gap between two identity-activation controls with the same
+    accumulated rate: constant b, and b(t) = t^2 + 1 over the horizon where
+    its integral first reaches beta.  Distinct paths, same terminal measure."""
+    act = activation("identity")
+    # solve T^3/3 + T = beta for the quadratic path's horizon
+    roots = np.roots([1.0 / 3.0, 0.0, 1.0, -float(beta)])
+    real = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and r.real > 0]
+    if not real:
+        raise ValueError(f"no positive horizon reaches accumulated rate {beta!r}")
+    t_hor = min(real)
+    n = max(1, round(t_hor / 1e-2))
+    tg = TimeGrid(t_hor, t_hor / n, n)
+    grid = Grid1D(domain[0], domain[1], n_cells)
+    f0 = project_initial(indicator_density(-0.5, 0.5), grid)
+    quad = ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: t**2 + 1.0)
+    const = ControlPath.constant(tg, 0.0, beta / t_hor)
+    f_quad = solve_transport(f0, DriftSpec(quad, act), tg)[-1]
+    f_const = solve_transport(f0, DriftSpec(const, act), tg)[-1]
+    return wasserstein1(f_quad, f_const)
 
 class TestBuildersAndConfigs:
     def test_unknown_activation_for_block_shift_rejected(self):
@@ -162,7 +187,7 @@ class TestConvergenceStudy:
         rng = np.random.default_rng(3)
         grid = Grid1D(-2.0, 3.0, 200)
         x = rng.normal(0.5, 0.3, size=(5000, 1))
-        ens = ParticleEnsemble(x, np.zeros_like(x))
+        ens = ParticleEnsemble(x)
         tg = TimeGrid.from_step(1.0, 1e-2)
         moved = ode_integrate(ens, ControlPath.zero(tg), Activation("tanh"),
                               "rk4", 1e-2, 1.0)
@@ -179,12 +204,12 @@ class TestConvergenceStudy:
 class TestExactControlConstructions:
     @pytest.mark.parametrize("kind", ["identity", "relu"])
     def test_block_shift_is_realized(self, kind):
-        gap = verify_controllability_shift(1.0, Activation(kind), 1.0)
+        gap = run_exact_control(build_shift_control(1.0, kind)).w1
         assert gap <= 2 * (5.0 / 200)
 
     def test_infeasible_rate_rejected(self):
         with pytest.raises(ValueError, match="sigmoid image"):
-            verify_controllability_shift(2.0, Activation("sigmoid"), 1.0)
+            run_exact_control(build_shift_control(2.0, "sigmoid"))
 
     def test_distinct_bias_paths_same_terminal_state(self):
         assert shift_quadratic_companion() <= 2 * (5.0 / 200)
