@@ -45,13 +45,9 @@ class Activation:
         if self.kind == "relu":
             return np.maximum(x, 0.0)
         if self.kind == "sigmoid":
-            # split by sign to avoid overflow in exp for large |x|
-            out = np.empty_like(x)
-            pos = x >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return out
+            # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0, e) / (1.0 + e)
         if self.kind == "tanh":
             return np.tanh(x)
         # gcu: growing cosine unit x * cos(x)

@@ -39,10 +39,6 @@ _GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0) / 2.0, 0.0, np.sqrt(3.0 / 5.0) / 2.
 _GAUSS_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
-# activation kinds already flagged as unbounded, to keep solver logs readable
-_warned_unbounded: set[str] = set()
-
-
 class CFLViolationError(RuntimeError):
     """Fixed time step exceeds the hard stability bound for the current speeds."""
 
@@ -128,25 +124,45 @@ def _cweno3_faces(a: np.ndarray, b: np.ndarray, c: np.ndarray, eps: float):
     """Left and right face values of the CWENO3 reconstruction in the center
     cell of each stencil (a, b, c) of consecutive cell averages.  The solver
     passes eps = dx, so that smooth extrema keep the ideal weights under
-    refinement."""
+    refinement.
+
+    Shared differences are formed once and the weights in place; the
+    floating-point operations and their order are those of the formulas
+    D / (eps + IS)**2 and sum(w * candidate face), so the result is bitwise
+    theirs."""
     d_left = b - a
     d_right = c - b
     d2 = c - 2.0 * b + a
+    c_a = c - a
+    half_sum = 0.25 * c_a              # (c - a)/4, the parabola's odd face term
+    half_left = 0.5 * d_left
+    half_right = 0.5 * d_right
 
-    is_left = d_left * d_left
-    is_right = d_right * d_right
-    is_center = (13.0 / 3.0) * d2 * d2 + 0.25 * (c - a) * (c - a)
+    # nonlinear weights D / (eps + IS)**CWENO_POWER; numpy squares in place
+    # for the power 2 (x * x, bitwise), it does not call a float pow
+    al = d_left * d_left
+    ar = d_right * d_right
+    ac = (13.0 / 3.0) * d2
+    ac *= d2
+    ac += half_sum * c_a               # + 0.25 (c - a)^2
+    for alpha, ideal in ((al, _D_LEFT), (ac, _D_CENTER), (ar, _D_RIGHT)):
+        alpha += eps
+        alpha **= CWENO_POWER
+        np.divide(ideal, alpha, out=alpha)
+    s = al + ac
+    s += ar
+    al /= s
+    ac /= s
+    ar /= s
 
-    al = _D_LEFT / (eps + is_left) ** CWENO_POWER
-    ac = _D_CENTER / (eps + is_center) ** CWENO_POWER
-    ar = _D_RIGHT / (eps + is_right) ** CWENO_POWER
-    s = al + ac + ar
-    wl, wc, wr = al / s, ac / s, ar / s
-
-    half_sum = 0.25 * (c - a)          # (c - a)/4, the parabola's odd face term
-    pc_even = b + d2 / 6.0             # parabola face value without the odd term
-    left = wl * (b - 0.5 * d_left) + wc * (pc_even - half_sum) + wr * (b - 0.5 * d_right)
-    right = wl * (b + 0.5 * d_left) + wc * (pc_even + half_sum) + wr * (b + 0.5 * d_right)
+    d2 /= 6.0
+    d2 += b                            # the parabola's face value without the odd term
+    left = (b - half_left) * al
+    left += (d2 - half_sum) * ac
+    left += (b - half_right) * ar
+    right = (b + half_left) * al
+    right += (d2 + half_sum) * ac
+    right += (b + half_right) * ar
     return left, right
 
 
@@ -165,12 +181,14 @@ def _limited_faces(uc, uL, uR, sL, sR, lam):
     Scaling toward the average is conservative and leaves resolved smooth
     data untouched (theta stays 1 there)."""
     m = np.minimum(uL, uR)
-    pos = uc > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_floor = np.where(uc - m > 0.0, uc / (uc - m), 0.0)
-    theta = np.where(m < 0.0, np.where(pos, np.minimum(1.0, t_floor), 0.0), 1.0)
-    uL1 = uc + theta * (uL - uc)
-    uR1 = uc + theta * (uR - uc)
+    floor = m < 0.0
+    # theta = min(1, uc / (uc - m)) on a positive cell with a negative face,
+    # 0 on any other cell with one, 1 elsewhere.  uc - m >= uc > 0 there, so
+    # the quotient is at most 1 after rounding too and needs no min
+    theta = np.where(floor, 0.0, 1.0)
+    np.divide(uc, uc - m, out=theta, where=floor & (uc > 0.0))
+    uL1 = (uL - uc) * theta + uc
+    uR1 = (uR - uc) * theta + uc
 
     out_l = lam * np.maximum(-sL, 0.0)
     out_r = lam * np.maximum(sR, 0.0)
@@ -178,10 +196,10 @@ def _limited_faces(uc, uL, uR, sL, sR, lam):
     s_out = out_l + out_r
     # cap only where it is needed and a scaling can actually achieve it
     need = (drain > uc) & (uc >= 0.0) & (s_out < 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_cap = (1.0 - s_out) * uc / (drain - s_out * uc)
-    theta2 = np.clip(np.where(need, t_cap, 1.0), 0.0, 1.0)
-    return uc + theta2 * (uL1 - uc), uc + theta2 * (uR1 - uc)
+    theta = np.ones_like(uc)
+    np.divide((1.0 - s_out) * uc, drain - s_out * uc, out=theta, where=need)
+    np.clip(theta, 0.0, 1.0, out=theta)
+    return (uL1 - uc) * theta + uc, (uR1 - uc) * theta + uc
 
 
 def _interface_fluxes(
@@ -192,21 +210,19 @@ def _interface_fluxes(
 ) -> np.ndarray:
     """Fluxes through the n_cells + 1 edges, given the speeds there."""
     n = grid.n_cells
-    padded = np.concatenate([np.zeros(2), avg, np.zeros(2)])  # zero-inflow ghosts
+    padded = np.zeros(n + 4)  # zero-inflow ghosts
+    padded[2:-2] = avg
     left_faces, right_faces = _cweno3_faces(
         padded[:-2], padded[1:-1], padded[2:], eps=grid.dx
     )
     if positivity_dt is not None:
-        # physical cell j owns faces index j + 1 and edge speeds j, j + 1
+        # physical cell j owns faces index j + 1 and edge speeds j, j + 1;
+        # the reconstruction's face arrays are fresh, so they are limited in place
         lam = positivity_dt / grid.dx
-        lf, rf = _limited_faces(
+        left_faces[1 : n + 1], right_faces[1 : n + 1] = _limited_faces(
             avg, left_faces[1 : n + 1], right_faces[1 : n + 1],
             speed[:-1], speed[1:], lam,
         )
-        left_faces = left_faces.copy()
-        right_faces = right_faces.copy()
-        left_faces[1 : n + 1] = lf
-        right_faces[1 : n + 1] = rf
     # reconstruction k covers padded cell k+1; interface i has cell i-1 on its
     # left (faces index i) and cell i on its right (faces index i+1)
     u_minus = right_faces[0 : n + 1]
@@ -230,15 +246,30 @@ def _ssp_rk3(u: np.ndarray, dt: float, rhs) -> np.ndarray:
     return (u + 2.0 * (u2 + dt * rhs(u2, 2))) / 3.0
 
 
+def _stage_speed(drift: DriftSpec, grid: Grid1D, t: float):
+    """The speeds at the edges at time t, and their largest magnitude."""
+    speed = drift.speed(grid.edges, t)
+    return speed, float(np.max(np.abs(speed)))
+
+
 def _advance(field: DensityField, drift: DriftSpec, dt: float, cfl: float,
-             limit_positive: bool = False):
+             limit_positive: bool = False, start=None):
     """One SSP-RK3 step; returns (advanced field, step CFL number, mass that
-    left through the boundary during the step)."""
+    left through the boundary during the step, the end speed).
+
+    The end speed is the stage-1 speed at t + dt with its largest magnitude.
+    The advanced field's time is that same float, so a caller passes it back
+    as ``start``, the stage-0 speed of the next step, instead of evaluating
+    it again."""
     t = field.time
     grid = field.grid
     # the one place a solve turns controls into speeds: one array per stage
-    speeds = [drift.speed(grid.edges, tt) for tt in (t, t + dt, t + 0.5 * dt)]
-    smax = float(max(np.max(np.abs(s)) for s in speeds))
+    if start is None:
+        start = _stage_speed(drift, grid, t)
+    end = _stage_speed(drift, grid, t + dt)
+    mid = _stage_speed(drift, grid, t + 0.5 * dt)
+    speeds = (start[0], end[0], mid[0])
+    smax = max(start[1], end[1], mid[1])
     nu = smax * dt / grid.dx
     if nu > _CFL_HARD:
         raise CFLViolationError(
@@ -258,7 +289,7 @@ def _advance(field: DensityField, drift: DriftSpec, dt: float, cfl: float,
     new = _ssp_rk3(field.averages, dt, stage)
     # the stepper's own weights: u_new = u + dt (L0/6 + L1/6 + 2 L2/3)
     outflow = dt * (net[0] / 6.0 + net[1] / 6.0 + 2.0 * net[2] / 3.0)
-    return DensityField(grid, new, t + dt), nu, outflow
+    return DensityField(grid, new, t + dt), nu, outflow, end
 
 
 def solve_transport(
@@ -279,22 +310,20 @@ def solve_transport(
     limit_positive guards nonnegativity of the averages via face scaling; by
     default it is on exactly for non-reversed (density) solves, since the
     adjoint field is signed and must not be clipped.
+
+    Each step hands its end speed to the next step, so a solve reads the
+    speeds 2 * n_steps + 1 times.
     """
     if limit_positive is None:
         limit_positive = not drift.time_reversed
-    if not drift.activation.bounded and drift.activation.kind not in _warned_unbounded:
-        _warned_unbounded.add(drift.activation.kind)
-        log.warning(
-            "activation %r is unbounded; the mean-field limit assumes a bounded "
-            "activation and compactly supported initial data",
-            drift.activation.kind,
-        )
     snapshots = [f0]
     field = f0
     worst_nu = 0.0
     outflow = 0.0
+    carried = None
     for _ in range(grid.n_steps):
-        field, nu, out = _advance(field, drift, grid.dt, cfl, limit_positive)
+        field, nu, out, carried = _advance(field, drift, grid.dt, cfl, limit_positive,
+                                           carried)
         worst_nu = max(worst_nu, nu)
         outflow += out
         snapshots.append(field)

@@ -466,6 +466,14 @@ def run_convergence_study(sc: Scenario) -> ConvergenceReport:
 
 def run_scenario(sc: Scenario):
     """Dispatch to the runner matching the scenario family."""
+    act = sc.act
+    if not act.bounded:
+        # once per run: every family solves the transport with this activation
+        log.warning(
+            "activation %r is unbounded; the mean-field limit assumes a bounded "
+            "activation and compactly supported initial data",
+            act.kind,
+        )
     if sc.name in ("test1", "test2", "test3"):
         return run_training(sc)
     if sc.name == "convergence":

@@ -127,7 +127,7 @@ def test_traced_arguments_bind_by_name(qualname):
 
 
 def test_training_goes_through_the_traced_entry_points(monkeypatch):
-    """Every solve stage reads the controls through DriftSpec.speed and
+    """Every solve reads the controls through DriftSpec.speed and
     ControlPath.eval_w/eval_b, and every line-search trial is a reduced_cost
     call made inside gauss_seidel_train."""
     calls = {}
@@ -155,6 +155,8 @@ def test_training_goes_through_the_traced_entry_points(monkeypatch):
                                Activation("tanh"), cfg, max_outer=3)
     assert state.iteration == 3
     assert calls["trials"] >= state.iteration
-    assert calls["speed"] == 3 * tg.n_steps * calls["solves"]
+    # the first step reads three stage speeds, every later step two: its
+    # start speed is the previous step's end speed
+    assert calls["speed"] == (2 * tg.n_steps + 1) * calls["solves"]
     assert calls["eval_w"] == calls["eval_b"] == calls["speed"]
     assert np.isfinite(state.cost_history).all()

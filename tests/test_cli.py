@@ -4,6 +4,7 @@ import csv
 import filecmp
 import hashlib
 import json
+import logging
 import os
 import platform
 import shutil
@@ -158,6 +159,17 @@ class TestRun:
         for row in rows[:20]:
             v = float(row["b"])
             assert format(v, ".17g") == row["b"]
+
+    def test_unbounded_activation_warned_once_per_run(self, tmp_path, caplog):
+        # each run says it once, however many runs the process made before
+        config = SCENARIO_DIR / "shift_identity.json"
+        for k in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="mfrn"):
+                rc, _ = cli_run(config, tmp_path / f"run{k}")
+            assert rc == 0
+            said = [r for r in caplog.records if "is unbounded" in r.getMessage()]
+            assert len(said) == 1, k
 
 
 class TestRunFailures:

@@ -54,6 +54,47 @@ class TestActivation:
             activation("softplus")
 
 
+def masked_sigmoid(x):
+    """The sigmoid as first written, split by sign with boolean masks."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _same_bits(got, want):
+    """Bit-for-bit equality; NaNs only need to sit at the same places (the
+    mask form keeps a NaN's sign bit, exp(-|x|) clears it)."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+class TestSigmoidWithoutMasks:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 5e-324, -5e-324,
+               np.nan, 1.0, -1.0, 36.0, -36.0, 710.0, -710.0, 745.5, -745.5]
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
+                    max_size=50))
+    def test_bitwise_the_masked_formula(self, xs):
+        x = np.array(xs, dtype=float)
+        assert _same_bits(Activation("sigmoid").value(x), masked_sigmoid(x))
+
+    def test_special_values_and_a_million_samples(self):
+        rng = np.random.default_rng(7)
+        for x in (np.array(self.SPECIAL),
+                  rng.standard_normal(1_000_000) * rng.choice([1.0, 30.0, 800.0], 1_000_000)):
+            assert _same_bits(Activation("sigmoid").value(x), masked_sigmoid(x))
+
+    def test_scalar_in_zero_dim_out(self):
+        for x in self.SPECIAL:
+            got = Activation("sigmoid").value(x)
+            assert got.shape == () and _same_bits(got, masked_sigmoid(x))
+
+
 class TestTimeGrid:
     def test_inconsistent_step_count_rejected(self):
         with pytest.raises(ValueError):
