@@ -13,7 +13,6 @@ from .fvm import (
     DensityField,
     DriftSpec,
     Grid1D,
-    density_diagnostics,
     llf_flux,
     project_initial,
     solve_transport,

@@ -52,9 +52,10 @@ def _fmt(v: float) -> str:
 
 def _key_line(text: str, message: str) -> int:
     """Best-effort line of the config key the error message mentions."""
-    for token in ("n_cells", "gamma_w", "gamma_b", "max_armijo", "domain",
+    # "params" first: params.n_seeds names "seed" too
+    for token in ("params", "n_cells", "gamma_w", "gamma_b", "max_armijo", "domain",
                   "dimension", "cfl", "tol", "t_final", "dt", "activation",
-                  "initial_guess", "scenario", "seed", "params", "run"):
+                  "initial_guess", "scenario", "seed", "run"):
         if token in message:
             for i, row in enumerate(text.splitlines(), start=1):
                 if f'"{token}"' in row:
@@ -149,16 +150,12 @@ def _emit_training(out_dir: str, report: TrainingReport) -> None:
     _write_field(os.path.join(out_dir, "f0.csv"), report.f0, 0.0)
     _write_field(os.path.join(out_dir, "target.csv"), report.target_field,
                  sc.t_final)
-    _write_field(os.path.join(out_dir, "f_final.csv"),
-                 report.trajectory[-1], sc.t_final)
-    n = len(report.trajectory) - 1
+    traj = state.trajectory
+    _write_field(os.path.join(out_dir, "f_final.csv"), traj[-1], sc.t_final)
+    n = len(traj) - 1
     for frac in _SNAPSHOT_FRACTIONS:
         k = round(frac * n)
-        t = k * sc.dt
-        _write_field(
-            os.path.join(out_dir, f"f_t{frac:.2f}.csv"),
-            report.trajectory[k], t,
-        )
+        _write_field(os.path.join(out_dir, f"f_t{frac:.2f}.csv"), traj[k], k * sc.dt)
     _write_summary(out_dir, {
         "scenario": sc.name,
         "activation": sc.activation,
@@ -255,17 +252,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_run_dir(path: str) -> tuple[dict, dict, list[dict], list[dict]]:
+def _load_run_dir(path: str) -> tuple[dict, list[dict], list[dict]]:
     man_path = os.path.join(path, "manifest.json")
     if not os.path.exists(man_path):
         raise FileNotFoundError(f"no manifest in {path}")
     with open(man_path) as fh:
         manifest = json.load(fh)
-    summary = {}
-    sum_path = os.path.join(path, "summary.json")
-    if os.path.exists(sum_path):
-        with open(sum_path) as fh:
-            summary = json.load(fh)
 
     def read_csv(name):
         p = os.path.join(path, name)
@@ -276,13 +268,13 @@ def _load_run_dir(path: str) -> tuple[dict, dict, list[dict], list[dict]]:
             return [dict(zip(header, line.strip().split(",")))
                     for line in fh if line.strip()]
 
-    return manifest, summary, read_csv("iteration_log.csv"), read_csv("controls.csv")
+    return manifest, read_csv("iteration_log.csv"), read_csv("controls.csv")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
-        man_a, _, iters_a, ctr_a = _load_run_dir(args.dir_a)
-        man_b, _, iters_b, ctr_b = _load_run_dir(args.dir_b)
+        man_a, iters_a, ctr_a = _load_run_dir(args.dir_a)
+        man_b, iters_b, ctr_b = _load_run_dir(args.dir_b)
     except (OSError, json.JSONDecodeError) as e:
         print(f"cannot load run directory: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG

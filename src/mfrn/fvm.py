@@ -297,35 +297,39 @@ def solve_transport(
     drift: DriftSpec,
     grid: TimeGrid,
     cfl: float = 0.45,
-    check_density: bool = False,
     limit_positive: bool | None = None,
 ) -> list[DensityField]:
     """Snapshots of the field at every node of the time grid (n_steps + 1).
 
-    check_density turns on the forward-solve diagnostics: mass drift beyond
-    1e-10, net of what left through the boundary, or cell averages below
-    -1e-8 are logged as warnings.  Adjoint solves leave it off; their field
-    carries neither sign nor mass.
+    A forward (not time-reversed) solve carries a probability density and
+    checks itself: mass drift beyond 1e-10, net of what left through the
+    boundary, or a cell average below -1e-8 in any snapshot is logged as a
+    warning.  An adjoint solve is not checked; its field carries neither sign
+    nor mass.
 
     limit_positive guards nonnegativity of the averages via face scaling; by
-    default it is on exactly for non-reversed (density) solves, since the
-    adjoint field is signed and must not be clipped.
+    default it is on exactly for forward solves, since the adjoint field is
+    signed and must not be clipped.
 
     Each step hands its end speed to the next step, so a solve reads the
     speeds 2 * n_steps + 1 times.
     """
+    forward = not drift.time_reversed
     if limit_positive is None:
-        limit_positive = not drift.time_reversed
+        limit_positive = forward
     snapshots = [f0]
     field = f0
     worst_nu = 0.0
     outflow = 0.0
+    worst_min = float(np.min(f0.averages)) if forward else 0.0
     carried = None
     for _ in range(grid.n_steps):
         field, nu, out, carried = _advance(field, drift, grid.dt, cfl, limit_positive,
                                            carried)
         worst_nu = max(worst_nu, nu)
         outflow += out
+        if forward:
+            worst_min = min(worst_min, float(np.min(field.averages)))
         snapshots.append(field)
     # paths projected exactly onto the speed cap land at nu == cfl up to
     # roundoff; only a real excess is worth a warning
@@ -335,13 +339,12 @@ def solve_transport(
             "still inside the hard stability margin %.3g",
             cfl, worst_nu, _CFL_HARD,
         )
-    if check_density:
+    if forward:
         # mass carried out through the zero-inflow boundary is not drift
-        drift_mass = abs(snapshots[-1].mass - f0.mass + outflow)
+        drift_mass = abs(field.mass - f0.mass + outflow)
         if drift_mass > 1e-10:
             log.warning("forward solve mass drift %.3e (net of boundary outflow) "
                         "exceeds 1e-10", drift_mass)
-        worst_min = density_diagnostics(snapshots)["min_average"]
         if worst_min < -1e-8:
             log.warning("forward solve produced cell average %.3e below -1e-8", worst_min)
     return snapshots
@@ -368,12 +371,3 @@ def project_initial(density, grid: Grid1D, renormalize: bool = True) -> DensityF
             raise ValueError(f"cannot normalize: projected mass is {total!r}")
         field = DensityField(grid, avg / total, 0.0)
     return field
-
-
-def density_diagnostics(snapshots: list[DensityField]) -> dict:
-    """Mass drift and worst cell average over a forward trajectory."""
-    mass0 = snapshots[0].mass
-    return {
-        "mass_drift": max(abs(s.mass - mass0) for s in snapshots),
-        "min_average": min(float(np.min(s.averages)) for s in snapshots),
-    }

@@ -83,6 +83,7 @@ class OptimState:
     """Outcome of the training loop with its per-iteration histories."""
 
     controls: ControlPath
+    trajectory: list[DensityField]  # the forward solve of controls
     cost_history: np.ndarray        # cost of iterate k, plus the final iterate
     rel_error_history: np.ndarray   # stopping quantity after each update
     iteration: int                  # number of outer updates performed
@@ -370,6 +371,7 @@ def gauss_seidel_train(
     )
     return OptimState(
         controls=c,
+        trajectory=f_traj,
         cost_history=np.array(costs),
         rel_error_history=np.array(errors),
         iteration=len(errors),

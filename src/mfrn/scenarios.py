@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Activation, ControlPath, RunConfig, TimeGrid, activation
 from .fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
-from .measures import particles_to_density, wasserstein1
+from .measures import moments, particles_to_density, variance, wasserstein1
 from .optim import OptimState, TargetMeasure, gauss_seidel_train
 from .particle import ParticleEnsemble, ode_integrate
 
@@ -58,6 +58,18 @@ def beta_density(a1: float, a2: float):
     return pdf
 
 
+# the numeric params each family reads; s, a1 and a2 must also be positive
+_PARAMS = {"test1": ("beta",), "shift_control": ("beta",), "test3": ("a1", "a2"),
+           "test2": ("mu", "s", "alpha"), "scale_control": ("mu", "s", "alpha"),
+           "convergence": ("mu", "s")}
+
+
+def _number(v, integer: bool = False) -> bool:
+    """A finite int or float (an int if integer), not a bool."""
+    return (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A named problem setup plus everything needed to rerun it."""
@@ -81,6 +93,18 @@ class Scenario:
             )
         activation(self.activation)  # validates the kind
         TimeGrid.from_step(self.t_final, self.dt)  # validates t_final and dt
+        p = self.params
+        for key in _PARAMS[self.name]:
+            kind = "positive" if key in ("s", "a1", "a2") else "finite"
+            if not _number(p.get(key)) or (kind == "positive" and p[key] <= 0):
+                raise ValueError(f"params.{key} must be a {kind} number, got {p.get(key)!r}")
+        n, M = p.get("n_seeds"), p.get("M_list")
+        if self.name == "convergence" and not (_number(n, integer=True) and n >= 1):
+            raise ValueError(f"params.n_seeds must be an integer >= 1, got {n!r}")
+        if self.name == "convergence" and not (
+                isinstance(M, list) and M and all(_number(m, integer=True) for m in M)
+                and all(lo < hi for lo, hi in zip([0, *M], M))):
+            raise ValueError(f"params.M_list must increase and hold positive integers, got {M!r}")
 
     @property
     def time_grid(self) -> TimeGrid:
@@ -99,11 +123,9 @@ class Scenario:
         p = self.params
         if self.name in ("test1", "shift_control"):
             fn = indicator_density(-0.5, 0.5)
-        elif self.name in ("test2", "scale_control"):
-            fn = gaussian_density(p["mu"], p["s"])
         elif self.name == "test3":
             fn = beta_density(p["a1"], p["a2"])
-        else:
+        else:  # test2, scale_control and convergence start from a Gaussian
             fn = gaussian_density(p["mu"], p["s"])
         return project_initial(fn, self.space_grid)
 
@@ -124,9 +146,8 @@ class Scenario:
         elif self.name == "test3":
             f0 = self.initial_density()
             exact = self.exact_controls()
-            traj = solve_transport(f0, DriftSpec(exact, self.act), self.time_grid,
-                                   cfl=self.config.cfl)
-            return traj[-1]
+            return solve_transport(f0, DriftSpec(exact, self.act), self.time_grid,
+                                   cfl=self.config.cfl)[-1]
         else:
             raise ValueError(f"scenario {self.name!r} has no fixed target density")
         return project_initial(fn, self.space_grid)
@@ -208,16 +229,13 @@ def build_test3(initial_guess: str = "zero") -> Scenario:
 
 
 def build_convergence_study(M_list=(100, 1000, 10000, 100000), seed: int = 42) -> Scenario:
-    M = [int(m) for m in M_list]
-    if any(m2 <= m1 for m1, m2 in zip(M, M[1:])):
-        raise ValueError(f"ensemble sizes must increase, got {M}")
     return Scenario(
         name="convergence",
         config=_base_config(200, 0.0, 0.0),
         t_final=1.0, dt=1e-2,
         activation="tanh",
         seed=seed,
-        params={"mu": 0.5, "s": 0.3, "M_list": M, "n_seeds": 5},
+        params={"mu": 0.5, "s": 0.3, "M_list": [int(m) for m in M_list], "n_seeds": 5},
     )
 
 
@@ -312,7 +330,6 @@ class TrainingReport:
     state: OptimState
     f0: DensityField
     target_field: DensityField
-    trajectory: list[DensityField]  # forward solve under the trained controls
     w1_final: float
     mean_f_T: float
     var_f_T: float
@@ -350,8 +367,6 @@ def run_training(sc: Scenario) -> TrainingReport:
     two moments, so matched means with mismatched variances is an expected
     outcome, not a silent failure.
     """
-    from .measures import moments, variance
-
     t0 = time.perf_counter()
     f0 = sc.initial_density()
     g_field = sc.target_field()
@@ -359,15 +374,12 @@ def run_training(sc: Scenario) -> TrainingReport:
     t1 = time.perf_counter()
     state = gauss_seidel_train(f0, g, sc.initial_controls(), sc.act, sc.config)
     t2 = time.perf_counter()
-    traj = solve_transport(f0, DriftSpec(state.controls, sc.act), sc.time_grid,
-                           cfl=sc.config.cfl, check_density=True)
-    f_T = traj[-1]
+    f_T = state.trajectory[-1]
     report = TrainingReport(
         scenario=sc,
         state=state,
         f0=f0,
         target_field=g_field,
-        trajectory=traj,
         w1_final=wasserstein1(f_T, g_field),
         mean_f_T=moments(f_T, 1),
         var_f_T=variance(f_T),
@@ -391,9 +403,8 @@ def run_exact_control(sc: Scenario) -> ExactControlReport:
         raise ValueError(f"scenario {sc.name!r} carries no exact controls")
     f0 = sc.initial_density()
     g_field = sc.target_field()
-    traj = solve_transport(f0, DriftSpec(controls, sc.act), sc.time_grid,
-                           cfl=sc.config.cfl, check_density=True)
-    f_T = traj[-1]
+    f_T = solve_transport(f0, DriftSpec(controls, sc.act), sc.time_grid,
+                          cfl=sc.config.cfl)[-1]
     return ExactControlReport(
         scenario=sc, controls=controls, f0=f0, target_field=g_field, f_T=f_T,
         w1=wasserstein1(f_T, g_field),
@@ -434,11 +445,9 @@ def run_convergence_study(sc: Scenario) -> ConvergenceReport:
     t0 = time.perf_counter()
     controls = sc.exact_controls()
     f0 = sc.initial_density()
-    traj = solve_transport(f0, DriftSpec(controls, sc.act), sc.time_grid,
-                           cfl=sc.config.cfl, check_density=True)
-    f_T = traj[-1]
-    M_list = [int(m) for m in sc.params["M_list"]]
-    n_seeds = int(sc.params["n_seeds"])
+    f_T = solve_transport(f0, DriftSpec(controls, sc.act), sc.time_grid,
+                          cfl=sc.config.cfl)[-1]
+    M_list, n_seeds = list(sc.params["M_list"]), sc.params["n_seeds"]
 
     def one(seed_index: int, M: int) -> float:
         rng = np.random.default_rng([sc.seed, seed_index, M])

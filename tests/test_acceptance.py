@@ -12,15 +12,10 @@ import pytest
 from scipy.optimize import bisect
 
 from mfrn.core import Activation, ControlPath, TimeGrid
-from mfrn.fvm import (
-    DriftSpec,
-    Grid1D,
-    density_diagnostics,
-    project_initial,
-    solve_transport,
-)
+from mfrn.fvm import DriftSpec, Grid1D, project_initial, solve_transport
 from mfrn.optim import W_EQUATION_BOUND, identity_w_root
 from mfrn.scenarios import gaussian_density
+from test_fvm import density_diagnostics
 
 DOMAIN = (-2.0, 3.0)
 
@@ -131,7 +126,7 @@ def test_criterion_9_mass_and_positivity(
     reports = (test1_identity_report, test1_tanh_report, test1_sigmoid_report,
                test2_report, test3_zero_report, test3_linear_report)
     for report in reports:
-        diag = density_diagnostics(report.trajectory)
+        diag = density_diagnostics(report.state.trajectory)
         assert diag["mass_drift"] <= 1e-10, report.scenario.name
         assert diag["min_average"] >= -1e-8, report.scenario.name
         assert report.f0.mass == pytest.approx(1.0, abs=1e-8)

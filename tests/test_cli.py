@@ -206,6 +206,28 @@ class TestRunFailures:
         # rejected while loading, before the manifest is written
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config, key, value", [
+        ("test1_identity", None, {}),        # every key missing
+        ("test2", "s", "0.1"),               # a string for a number
+        ("convergence", "n_seeds", 0),       # would average over no seeds
+    ])
+    def test_bad_params_exit_two_naming_the_key(self, tmp_path, capsys, config, key, value):
+        data = json.loads((SCENARIO_DIR / f"{config}.json").read_text())
+        if key is None:
+            data["params"] = value
+        else:
+            data["params"][key] = value
+        text = json.dumps(data, indent=2, sort_keys=True)
+        cfgp = tmp_path / "bad.json"
+        cfgp.write_text(text)
+        rc = cli.main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        # the "params" line, not the "seed" line that params.n_seeds also names
+        line = 1 + next(i for i, r in enumerate(text.splitlines()) if '"params"' in r)
+        err = capsys.readouterr().err
+        assert err.startswith(f"{cfgp}:{line}: params.{key or 'beta'} must be ")
+        assert not (tmp_path / "o").exists()
+
     def test_unsupported_dimension_rejected(self, tmp_path, capsys):
         data = scenario_to_config(build_test2())
         data["run"]["dimension"] = 2
@@ -346,6 +368,16 @@ class TestCompare:
                        "--out", str(tmp_path / "cmp.csv")])
         assert rc == 2
         assert "mismatched grids" in capsys.readouterr().err
+
+    def test_summary_is_not_read(self, t1_run, tmp_path, capsys):
+        # compare aligns the iteration logs and controls; a truncated
+        # summary.json is no reason to refuse
+        cut = tmp_path / "cut"
+        shutil.copytree(t1_run, cut)
+        (cut / "summary.json").write_text((t1_run / "summary.json").read_text()[:20])
+        rc = cli.main(["compare", str(t1_run), str(cut), "--out", str(tmp_path / "cmp.csv")])
+        assert rc == 0
+        assert "comparison written" in capsys.readouterr().out
 
     def test_missing_run_directory_rejected(self, t1_run, tmp_path, capsys):
         rc = cli.main(["compare", str(t1_run), str(tmp_path / "nothing"),

@@ -14,7 +14,6 @@ from mfrn.fvm import (
     DensityField,
     DriftSpec,
     Grid1D,
-    density_diagnostics,
     llf_flux,
     project_initial,
     solve_transport,
@@ -31,6 +30,15 @@ from mfrn.scenarios import gaussian_density
 def constant_speed(value, t_final=1.0, dt=0.5):
     tg = TimeGrid.from_step(t_final, dt)
     return DriftSpec(ControlPath.constant(tg, w=0.0, b=value), Activation("identity"))
+
+
+def density_diagnostics(snapshots):
+    """Mass drift and worst cell average over a forward trajectory."""
+    mass0 = snapshots[0].mass
+    return {
+        "mass_drift": max(abs(s.mass - mass0) for s in snapshots),
+        "min_average": min(float(np.min(s.averages)) for s in snapshots),
+    }
 
 
 def oracle_cweno3(a, b, c, eps=1e-6):
@@ -413,7 +421,7 @@ class TestTransportSolve:
                 ControlPath.from_functions(tg, lambda t: t, lambda t: -0.2 * t),
                 Activation("sigmoid"),
             )
-        snaps = solve_transport(f0, drift, tg, check_density=True)
+        snaps = solve_transport(f0, drift, tg)
         diag = density_diagnostics(snaps)
         assert diag["mass_drift"] <= 1e-10
         assert diag["min_average"] >= -1e-12
@@ -492,6 +500,34 @@ class TestTransportSolve:
         with caplog.at_level(logging.WARNING, logger="mfrn.fvm"):
             solve_transport(f0, constant_speed(1.0, 0.1, 0.02), tg)
         assert any("configured cfl" in r.getMessage() for r in caplog.records)
+
+    def test_forward_solve_checks_itself(self, caplog):
+        # unlimited, the box undershoots at its edges; a forward solve says
+        # so whether or not it runs the limiter
+        grid = Grid1D(-2.0, 3.0, 200)
+        f0 = project_initial(lambda x: ((x >= -0.75) & (x <= -0.25)).astype(float), grid)
+        tg = TimeGrid.from_step(0.5, 1e-2)
+        with caplog.at_level(logging.WARNING, logger="mfrn.fvm"):
+            snaps = solve_transport(f0, constant_speed(1.0, 0.5, 1e-2), tg,
+                                    limit_positive=False)
+        worst = density_diagnostics(snaps)["min_average"]
+        assert worst < -1e-8
+        said = [r.getMessage() for r in caplog.records]
+        assert said == [f"forward solve produced cell average {worst:.3e} below -1e-8"]
+
+    def test_adjoint_solve_is_not_checked(self, caplog):
+        # the signed adjoint field is far below zero and loses mass through
+        # the boundary; neither is a fault of a reversed solve
+        grid = Grid1D(-2.0, 3.0, 200)
+        tg = TimeGrid.from_step(0.5, 1e-2)
+        lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
+        drift = DriftSpec(ControlPath.constant(tg, w=0.0, b=1.0), Activation("identity"),
+                          time_reversed=True)
+        with caplog.at_level(logging.WARNING, logger="mfrn.fvm"):
+            snaps = solve_transport(lam0, drift, tg)
+        assert density_diagnostics(snaps)["min_average"] == pytest.approx(-4.975)
+        assert abs(snaps[-1].mass - lam0.mass) > 1e-10
+        assert caplog.records == []
 
 
 class TestProjection:

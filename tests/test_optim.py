@@ -161,6 +161,21 @@ def assert_same_trajectory(traj, c, f0, act, cfg):
         assert np.array_equal(got.averages, want.averages)
 
 
+def projected_gradient_residual(c, f_traj, f0, g, act, cfg):
+    """Largest |r| of the w and b parts of r = c - pin(P(c - grad)), where
+    f_traj is the forward solve of c and P is the line search's projection
+    at its own speed cap.  r vanishes exactly at a stationary point of the
+    constrained problem (Calamai & More 1987)."""
+    lam_traj = solve_transport(adjoint_initial(g, f0.grid),
+                               DriftSpec(c, act, time_reversed=True), c.grid, cfg.cfl)
+    g_w, g_b = control_gradient(c, f_traj, lam_traj, act, cfg)
+    cap = cfg.cfl * f0.grid.dx / c.grid.dt
+    w, b = optim._project_to_speed(c.w - g_w, c.b - g_b, cap, f0.grid.a, f0.grid.b,
+                                   linear_speed=not act.bounded)
+    p = ControlPath(c.grid, w, b).pinned()
+    return float(np.max(np.abs(c.w - p.w))), float(np.max(np.abs(c.b - p.b)))
+
+
 class TestArmijo:
     def test_zero_gradient_returns_unchanged(self):
         grid = Grid1D(-2.0, 3.0, 16)
@@ -245,17 +260,21 @@ class TestTraining:
         end = max(state.grad_w_max_history[-1], state.grad_b_max_history[-1])
         assert start / end >= 10.0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the mean-only loss stalls in a flat valley: the projected "
-        "gradient maxima barely move between the first and last sweep, so no "
-        "tenfold drop is available on this problem",
-    )
-    def test_gradient_shrinks_substantially_on_contraction(self, test2_report):
-        state = test2_report.state
-        start = max(state.grad_w_max_history[0], state.grad_b_max_history[0])
-        end = max(state.grad_w_max_history[-1], state.grad_b_max_history[-1])
-        assert start / end >= 10.0
+    def test_contraction_ends_at_a_constrained_stationary_point(self, test2_report):
+        # the trained w sits on the line search's shear cap, where g_w is the
+        # cap's multiplier and stays near its start; the projected-gradient
+        # residual is what vanishes there, in w exactly
+        r = test2_report
+        sc = r.scenario
+        g = TargetMeasure.from_density(r.target_field)
+        c0 = sc.initial_controls().pinned()
+        f_traj0 = solve_transport(r.f0, DriftSpec(c0, sc.act), c0.grid, cfl=sc.config.cfl)
+        start = max(projected_gradient_residual(c0, f_traj0, r.f0, g, sc.act, sc.config))
+        end_w, end_b = projected_gradient_residual(
+            r.state.controls, r.state.trajectory, r.f0, g, sc.act, sc.config
+        )
+        assert max(end_w, end_b) <= start / 10.0
+        assert end_w <= 1e-12
 
     def test_accepted_line_search_solve_is_reused(self, monkeypatch):
         # forward solves: the first iterate's plus one per line-search trial;

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mfrn import optim, scenarios
 from mfrn.core import Activation, ControlPath, TimeGrid, activation
 from mfrn.fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from mfrn.measures import moments, particles_to_density, wasserstein1
@@ -28,11 +29,13 @@ from mfrn.scenarios import (
     run_convergence_study,
     run_exact_control,
     run_scenario,
+    run_training,
     sample_from_density,
     scenario_from_config,
     scenario_to_config,
     worker_count,
 )
+from test_optim import assert_same_trajectory
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -96,6 +99,20 @@ class TestBuildersAndConfigs:
             Scenario(name="test2", config=good.config, t_final=1.0, dt=1e-2,
                      activation="softplus")
 
+    @pytest.mark.parametrize("config, key, value", [
+        ("test1_identity", "beta", float("inf")), ("shift_identity", "beta", None),
+        ("test2", "mu", True), ("scale", "s", -0.1), ("test3_zero", "a1", 0.0),
+        ("test3_linear", "a2", float("nan")), ("convergence", "n_seeds", 2.0),
+        ("convergence", "M_list", []), ("convergence", "M_list", [0, 10]),
+        ("convergence", "M_list", [100, 100]), ("convergence", "M_list", 100),
+    ])
+    def test_bad_params_named(self, config, key, value):
+        with open(SCENARIO_DIR / f"{config}.json") as fh:
+            data = json.load(fh)
+        data["params"][key] = value
+        with pytest.raises(ValueError, match=rf"^params\.{key} must "):
+            scenario_from_config(data)
+
     @pytest.mark.parametrize("key", sorted(ALL_BUILDERS))
     def test_config_round_trip(self, key):
         sc = ALL_BUILDERS[key]()
@@ -137,6 +154,34 @@ class TestBlockShiftProblem:
         integral = dt * (np.sum(c.b) - 0.5 * (c.b[0] + c.b[-1]))
         assert abs(integral - 1.0) <= 0.05
 
+    def test_report_carries_the_solve_of_the_trained_controls(self, test1_identity_report):
+        r = test1_identity_report
+        sc = r.scenario
+        assert_same_trajectory(r.state.trajectory, r.state.controls, r.f0, sc.act, sc.config)
+
+    def test_training_solves_each_control_once(self, monkeypatch):
+        # the first iterate's forward solve plus one per line-search trial;
+        # the report reuses the last accepted one instead of solving again
+        forward = trials = 0
+        cost = optim.reduced_cost
+
+        def counted_solve(f0, drift, *args, **kwargs):
+            nonlocal forward
+            forward += not drift.time_reversed
+            return solve_transport(f0, drift, *args, **kwargs)
+
+        def counted_cost(*args, **kwargs):
+            nonlocal trials
+            trials += 1
+            return cost(*args, **kwargs)
+
+        for module in (optim, scenarios):
+            monkeypatch.setattr(module, "solve_transport", counted_solve)
+        monkeypatch.setattr(optim, "reduced_cost", counted_cost)
+        report = run_training(build_test1("identity"))
+        assert trials >= report.state.iteration > 0
+        assert forward == 1 + trials
+
 
 class TestContractionProblem:
     def test_means_agree_and_spread_shrinks(self, test2_report):
@@ -146,7 +191,7 @@ class TestContractionProblem:
         assert abs(np.sqrt(r.var_target) - 0.1 * np.exp(-0.25)) <= 1e-4
 
     def test_mean_is_conserved_along_the_trained_flow(self, test2_report):
-        means = [moments(f, 1) for f in test2_report.trajectory]
+        means = [moments(f, 1) for f in test2_report.state.trajectory]
         assert np.max(np.abs(np.array(means) - means[0])) <= 1e-3
 
     def test_zero_scale_target_is_the_initial_density(self):
@@ -297,6 +342,6 @@ def test_boundary_outflow_is_not_reported_as_mass_drift(caplog):
     f0 = sc.initial_density()
     with caplog.at_level(logging.WARNING, logger="mfrn.fvm"):
         traj = solve_transport(f0, DriftSpec(sc.exact_controls(), sc.act), sc.time_grid,
-                               cfl=sc.config.cfl, check_density=True)
+                               cfl=sc.config.cfl)
     assert abs(traj[-1].mass - f0.mass) > 1e-10
     assert not any("mass drift" in r.getMessage() for r in caplog.records)

@@ -7,9 +7,10 @@ Every ``scenarios/*.json`` of HEAD_SRC is run with ``python -m mfrn run``
 under both trees, the two runs of a config side by side, and every artifact
 except ``manifest.json`` (which records timings and the output path) is
 compared byte for byte.  The script prints the files that differ, and for
-each config the number of "exceeded configured cfl" lines each side logged
-on stderr.  It exits 1 on any difference or failed run, 0 otherwise.
-Standard library only.
+each config the number of "exceeded configured cfl" lines and of density
+warnings ("mass drift", "below -1e-8") each side logged on stderr.  It exits
+1 on any difference, failed run, or config for which HEAD logs more of
+either kind of line than BASE; 0 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 CFL_LINE = "exceeded configured cfl"
+DENSITY_LINES = ("mass drift", "below -1e-8")
 SKIP = {"manifest.json"}
 
 
@@ -52,10 +54,12 @@ def compare(base: Path, head: Path, configs: list[Path], work: Path) -> int:
     for config in configs:
         outs = {side: work / side / config.stem for side in srcs}
         procs = {side: _start(src, config, outs[side]) for side, src in srcs.items()}
-        cfl = {}
+        cfl, density = {}, {}
         for side, proc in procs.items():
             _, err = proc.communicate()
             cfl[side] = sum(CFL_LINE in line for line in err.splitlines())
+            density[side] = sum(any(d in line for d in DENSITY_LINES)
+                                for line in err.splitlines())
             if proc.returncode != 0:
                 bad += 1
                 print(f"{config.name}: {side} run exited {proc.returncode}\n{err}")
@@ -71,8 +75,13 @@ def compare(base: Path, head: Path, configs: list[Path], work: Path) -> int:
             else:
                 bad += 1
                 print(f"{config.name}: {name} differs")
+        for kind, counts in (("cfl", cfl), ("density", density)):
+            if counts["head"] > counts["base"]:
+                bad += 1
+                print(f"{config.name}: head logs more {kind} warnings than base")
         print(f"{config.name}: {same} identical file(s); "
-              f"'{CFL_LINE}' lines base {cfl['base']}, head {cfl['head']}", flush=True)
+              f"'{CFL_LINE}' lines base {cfl['base']}, head {cfl['head']}; "
+              f"density warnings base {density['base']}, head {density['head']}", flush=True)
     return bad
 
 
