@@ -49,12 +49,6 @@ from .scenarios import (
     ExactControlReport,
     Scenario,
     TrainingReport,
-    build_convergence_study,
-    build_scale_control,
-    build_shift_control,
-    build_test1,
-    build_test2,
-    build_test3,
     run_convergence_study,
     run_exact_control,
     run_scenario,

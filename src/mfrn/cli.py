@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import sys
 import time
 
@@ -50,17 +51,24 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _key_line(text: str, message: str) -> int:
-    """Best-effort line of the config key the error message mentions."""
-    # "params" first: params.n_seeds names "seed" too
-    for token in ("params", "n_cells", "gamma_w", "gamma_b", "max_armijo", "domain",
-                  "dimension", "cfl", "tol", "t_final", "dt", "activation",
-                  "initial_guess", "scenario", "seed", "run"):
-        if token in message:
-            for i, row in enumerate(text.splitlines(), start=1):
-                if f'"{token}"' in row:
-                    return i
-    return 1
+# a JSON string (a key when a colon follows) or a bracket
+_JSON_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[\[{\]}]')
+
+
+def _key_line(text: str, key: str) -> int:
+    """The line of the dotted key in the JSON text, or of its deepest parent
+    there when the key itself is absent; 1 for no key."""
+    want, path, best, line = key.split("."), [], 0, 1
+    for m in _JSON_TOKEN.finditer(text):
+        if m.group() in ("[", "{"):
+            path.append(None)
+        elif m.group() in ("]", "}"):
+            path.pop()
+        elif m.group(2):
+            path[-1] = json.loads(m.group(1))
+            if len(path) > best and path == want[:len(path)]:
+                best, line = len(path), text.count("\n", 0, m.start()) + 1
+    return line
 
 
 def load_config(path: str) -> tuple[Scenario, bytes]:
@@ -79,7 +87,7 @@ def load_config(path: str) -> tuple[Scenario, bytes]:
     try:
         sc = scenario_from_config(data)
     except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(str(e), line=_key_line(text, str(e))) from e
+        raise ConfigError(str(e), line=_key_line(text, getattr(e, "key", ""))) from e
     return sc, raw
 
 

@@ -9,12 +9,44 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 _ACTIVATION_KINDS = ("identity", "relu", "sigmoid", "tanh", "gcu")
+
+
+class ConfigValueError(ValueError):
+    """A config value that cannot be used.  ``key``, its dotted path in the file
+    (``run.n_cells``, ``params.beta``), starts the message and locates its line."""
+
+    def __init__(self, key: str, problem: str):
+        super().__init__(f"{key} {problem}")
+        self.key = key
+
+
+def is_number(v, integer: bool = False) -> bool:
+    """A finite int or float (an int if integer), not a bool."""
+    return (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def read_number(section: dict, key: str, integer: bool = False, prefix: str = ""):
+    """section[key] as an int (if integer) or a float, by is_number's rule."""
+    v = section[key]
+    if not is_number(v, integer):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigValueError(prefix + key, f"must be {kind}, got {v!r}")
+    return v if integer else float(v)
+
+
+def reject_unknown(section: dict, allowed, prefix: str = "") -> None:
+    """A ConfigValueError naming the first key of section that allowed lacks."""
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigValueError(prefix + unknown[0],
+                               f"is not a known key; expected one of {sorted(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -30,9 +62,8 @@ class Activation:
 
     def __post_init__(self) -> None:
         if self.kind not in _ACTIVATION_KINDS:
-            raise ValueError(
-                f"unknown activation {self.kind!r}; expected one of {_ACTIVATION_KINDS}"
-            )
+            raise ConfigValueError("activation",
+                                   f"must be one of {_ACTIVATION_KINDS}, got {self.kind!r}")
 
     @property
     def bounded(self) -> bool:
@@ -84,7 +115,7 @@ class Activation:
 
 
 def activation(name: str) -> Activation:
-    return Activation(name.strip().lower())
+    return Activation(name.strip().lower() if isinstance(name, str) else name)
 
 
 @dataclass(frozen=True)
@@ -96,20 +127,18 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
+        if abs(self.n_steps * self.dt - self.t_final) > 1e-10 * max(1.0, self.t_final):
+            raise ConfigValueError("t_final", f"{self.t_final!r} is not a whole multiple of "
+                                              f"dt = {self.dt!r}: inconsistent grid")
         if self.t_final <= 0 or self.dt <= 0 or self.n_steps < 1:
             raise ValueError("TimeGrid needs t_final > 0, dt > 0, n_steps >= 1")
-        if abs(self.n_steps * self.dt - self.t_final) > 1e-10 * max(1.0, self.t_final):
-            raise ValueError(
-                f"inconsistent grid: n_steps * dt = {self.n_steps * self.dt!r} "
-                f"but t_final = {self.t_final!r}"
-            )
 
     @classmethod
     def from_step(cls, t_final: float, dt: float) -> "TimeGrid":
         if not dt > 0:
-            raise ValueError(f"dt must be > 0, got {dt!r}")
+            raise ConfigValueError("dt", f"must be > 0, got {dt!r}")
         if not 0 < t_final < math.inf:
-            raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
+            raise ConfigValueError("t_final", f"must be finite and > 0, got {t_final!r}")
         return cls(t_final=t_final, dt=dt, n_steps=round(t_final / dt))
 
     @functools.cached_property
@@ -216,14 +245,10 @@ class ControlPath:
         return lw + lb
 
 
-# RunConfig fields are the exact keys of the JSON config format.
-_RUNCONFIG_REQUIRED = (
-    "gamma_w", "gamma_b", "tol", "max_armijo", "cfl", "domain", "n_cells", "dimension",
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """The ``run`` section of a config file, whose keys are these fields."""
+
     gamma_w: float          # Tikhonov weight on w
     gamma_b: float          # Tikhonov weight on b
     tol: float              # stopping tolerance on the relative control change
@@ -235,39 +260,32 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol!r}")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl!r}")
-        if self.n_cells < 8:
-            raise ValueError(f"n_cells must be >= 8, got {self.n_cells!r}")
-        if self.gamma_w < 0:
-            raise ValueError(f"gamma_w must be >= 0, got {self.gamma_w!r}")
-        if self.gamma_b < 0:
-            raise ValueError(f"gamma_b must be >= 0, got {self.gamma_b!r}")
-        if self.max_armijo < 1:
-            raise ValueError(f"max_armijo must be >= 1, got {self.max_armijo!r}")
-        if self.dimension != 1:
-            raise ValueError(f"dimension must be 1 (the grid solver is 1-d), got {self.dimension!r}")
         a, b = self.domain
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"domain must be a finite interval [a, b] with a < b, got {self.domain!r}")
+        for key, ok, rule in (
+                ("tol", self.tol > 0, "> 0"), ("max_armijo", self.max_armijo >= 1, ">= 1"),
+                ("cfl", 0 < self.cfl <= 1, "in (0, 1]"), ("gamma_w", self.gamma_w >= 0, ">= 0"),
+                ("n_cells", self.n_cells >= 8, ">= 8"), ("gamma_b", self.gamma_b >= 0, ">= 0"),
+                ("dimension", self.dimension == 1, "1 (the grid solver is 1-d)"),
+                ("domain", math.isfinite(a) and math.isfinite(b) and a < b,
+                 "a finite interval [a, b] with a < b")):
+            if not ok:
+                raise ConfigValueError(f"run.{key}", f"must be {rule}, got {getattr(self, key)!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        missing = [k for k in _RUNCONFIG_REQUIRED if k not in data]
+        """Every field once and no other key, numbers by read_number's rule."""
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in data]
         if missing:
-            raise ValueError(f"config missing required field(s): {', '.join(missing)}")
-        return cls(
-            gamma_w=float(data["gamma_w"]),
-            gamma_b=float(data["gamma_b"]),
-            tol=float(data["tol"]),
-            max_armijo=int(data["max_armijo"]),
-            cfl=float(data["cfl"]),
-            domain=(float(data["domain"][0]), float(data["domain"][1])),
-            n_cells=int(data["n_cells"]),
-            dimension=int(data["dimension"]),
-        )
+            raise ConfigValueError("run", f"is missing field(s): {', '.join(missing)}")
+        reject_unknown(data, names, "run.")
+        dom = data["domain"]
+        if not (isinstance(dom, list) and len(dom) == 2 and all(map(is_number, dom))):
+            raise ConfigValueError("run.domain",
+                                   f"must be a list of two finite numbers, got {dom!r}")
+        return cls(domain=(float(dom[0]), float(dom[1])), **{
+            f.name: read_number(data, f.name, integer=f.type == "int", prefix="run.")
+            for f in fields(cls) if f.name != "domain"})
 
     def to_dict(self) -> dict:
         return {

@@ -1,9 +1,10 @@
-"""Canned problem setups: the three training benchmarks, the two exact
+"""The paper's problem families: the three training benchmarks, the two exact
 control constructions (shift and scale of a density), and the particle-vs-PDE
 convergence study.
 
-Every scenario is a plain value object that round-trips through the config
-file format bit-exactly, so a run is reproducible from its manifest alone.
+The config files in ``scenarios/`` define the problems.  Every scenario is a
+plain value object read strictly from that format and written back to it
+bit-exactly, so a run is reproducible from its manifest alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Activation, ControlPath, RunConfig, TimeGrid, activation
+from .core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGrid, activation,
+                   is_number, read_number, reject_unknown)
 from .fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from .measures import moments, particles_to_density, variance, wasserstein1
 from .optim import OptimState, TargetMeasure, gauss_seidel_train
@@ -58,16 +60,11 @@ def beta_density(a1: float, a2: float):
     return pdf
 
 
-# the numeric params each family reads; s, a1 and a2 must also be positive
+# the numeric params each family reads (convergence also reads the integers
+# n_seeds and M_list); s, a1 and a2 must also be positive
 _PARAMS = {"test1": ("beta",), "shift_control": ("beta",), "test3": ("a1", "a2"),
            "test2": ("mu", "s", "alpha"), "scale_control": ("mu", "s", "alpha"),
            "convergence": ("mu", "s")}
-
-
-def _number(v, integer: bool = False) -> bool:
-    """A finite int or float (an int if integer), not a bool."""
-    return (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
 
 
 @dataclass(frozen=True)
@@ -85,26 +82,31 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.name not in SCENARIO_NAMES:
-            raise ValueError(f"unknown scenario {self.name!r}; expected one of {SCENARIO_NAMES}")
+            raise ConfigValueError("scenario",
+                                   f"must be one of {SCENARIO_NAMES}, got {self.name!r}")
         if self.initial_guess not in INITIAL_GUESSES:
-            raise ValueError(
-                f"unknown initial guess {self.initial_guess!r}; "
-                f"initial_guess must be one of {INITIAL_GUESSES}"
-            )
+            raise ConfigValueError(
+                "initial_guess", f"must be one of {INITIAL_GUESSES}, got {self.initial_guess!r}")
         activation(self.activation)  # validates the kind
         TimeGrid.from_step(self.t_final, self.dt)  # validates t_final and dt
+        if not (is_number(self.seed, integer=True) and self.seed >= 0):  # numpy's seed rule
+            raise ConfigValueError("seed", f"must be an integer >= 0, got {self.seed!r}")
         p = self.params
+        study = self.name == "convergence"
+        reject_unknown(p, _PARAMS[self.name] + (("n_seeds", "M_list") if study else ()), "params.")
         for key in _PARAMS[self.name]:
             kind = "positive" if key in ("s", "a1", "a2") else "finite"
-            if not _number(p.get(key)) or (kind == "positive" and p[key] <= 0):
-                raise ValueError(f"params.{key} must be a {kind} number, got {p.get(key)!r}")
+            if not is_number(p.get(key)) or (kind == "positive" and p[key] <= 0):
+                raise ConfigValueError(f"params.{key}",
+                                       f"must be a {kind} number, got {p.get(key)!r}")
         n, M = p.get("n_seeds"), p.get("M_list")
-        if self.name == "convergence" and not (_number(n, integer=True) and n >= 1):
-            raise ValueError(f"params.n_seeds must be an integer >= 1, got {n!r}")
-        if self.name == "convergence" and not (
-                isinstance(M, list) and M and all(_number(m, integer=True) for m in M)
+        if study and not (is_number(n, integer=True) and n >= 1):
+            raise ConfigValueError("params.n_seeds", f"must be an integer >= 1, got {n!r}")
+        if study and not (
+                isinstance(M, list) and M and all(is_number(m, integer=True) for m in M)
                 and all(lo < hi for lo, hi in zip([0, *M], M))):
-            raise ValueError(f"params.M_list must increase and hold positive integers, got {M!r}")
+            raise ConfigValueError(
+                "params.M_list", f"must increase and hold positive integers, got {M!r}")
 
     @property
     def time_grid(self) -> TimeGrid:
@@ -177,88 +179,6 @@ class Scenario:
         return ControlPath.zero(grid)
 
 
-def _base_config(n_cells: int, gamma_w: float, gamma_b: float) -> RunConfig:
-    return RunConfig(
-        gamma_w=gamma_w, gamma_b=gamma_b, tol=1e-4, max_armijo=10, cfl=0.45,
-        domain=(-2.0, 3.0), n_cells=n_cells, dimension=1,
-    )
-
-
-def build_test1(activation_kind: str = "identity") -> Scenario:
-    """Transport a unit block one unit to the right."""
-    if activation_kind not in ("identity", "tanh", "sigmoid"):
-        raise ValueError(
-            f"test1 runs with identity, tanh or sigmoid, not {activation_kind!r}"
-        )
-    return Scenario(
-        name="test1",
-        config=_base_config(200, 1e-3, 1e-3),
-        t_final=1.0, dt=1e-2,
-        activation=activation_kind,
-        params={"beta": 1.0},
-    )
-
-
-def build_test2() -> Scenario:
-    """Contract a narrow Gaussian about its mean; the mean must not move."""
-    return Scenario(
-        name="test2",
-        config=_base_config(400, 1e-3, 1e-3),
-        t_final=1.0, dt=1e-2,
-        activation="identity",
-        params={"s": 0.1, "mu": 1.0, "alpha": 0.25},
-    )
-
-
-def build_test3(initial_guess: str = "zero") -> Scenario:
-    """Recover controls for a numerically manufactured target from a Beta start.
-
-    The heavy weight penalty keeps the trained w near zero whatever the
-    starting guess; only the bias path is free to differ between guesses.
-    """
-    cfg = RunConfig(
-        gamma_w=1.0, gamma_b=1e-4, tol=1e-4, max_armijo=10, cfl=0.45,
-        domain=(-2.0, 3.0), n_cells=400, dimension=1,
-    )
-    return Scenario(
-        name="test3", config=cfg, t_final=1.0, dt=1e-2,
-        activation="sigmoid",
-        params={"a1": 2.0, "a2": 5.0},
-        initial_guess=initial_guess,
-    )
-
-
-def build_convergence_study(M_list=(100, 1000, 10000, 100000), seed: int = 42) -> Scenario:
-    return Scenario(
-        name="convergence",
-        config=_base_config(200, 0.0, 0.0),
-        t_final=1.0, dt=1e-2,
-        activation="tanh",
-        seed=seed,
-        params={"mu": 0.5, "s": 0.3, "M_list": [int(m) for m in M_list], "n_seeds": 5},
-    )
-
-
-def build_shift_control(beta: float = 1.0, activation_kind: str = "identity") -> Scenario:
-    return Scenario(
-        name="shift_control",
-        config=_base_config(200, 1e-3, 1e-3),
-        t_final=1.0, dt=1e-2,
-        activation=activation_kind,
-        params={"beta": float(beta)},
-    )
-
-
-def build_scale_control(alpha: float = 0.25) -> Scenario:
-    return Scenario(
-        name="scale_control",
-        config=_base_config(400, 1e-3, 1e-3),
-        t_final=1.0, dt=1e-2,
-        activation="identity",
-        params={"alpha": float(alpha), "mu": 1.0, "s": 0.1},
-    )
-
-
 def scenario_to_config(sc: Scenario) -> dict:
     return {
         "scenario": sc.name,
@@ -273,19 +193,28 @@ def scenario_to_config(sc: Scenario) -> dict:
 
 
 def scenario_from_config(data: dict) -> Scenario:
+    """The scenario a parsed config file describes, read strictly: a key that
+    ``scenario_to_config`` would not write is rejected, and so is a number that is
+    not a finite JSON number (an integer for ``seed`` and the counting keys of
+    ``run``).  Each error but a missing top-level key is a ConfigValueError."""
     missing = [k for k in ("scenario", "activation", "t_final", "dt", "run") if k not in data]
     if missing:
         raise ValueError(f"config missing required field(s): {', '.join(missing)}")
-    return Scenario(
+    for key in ("run", "params"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ConfigValueError(key, f"must be a JSON object, got {data[key]!r}")
+    sc = Scenario(
         name=data["scenario"],
         config=RunConfig.from_dict(data["run"]),
-        t_final=float(data["t_final"]),
-        dt=float(data["dt"]),
+        t_final=read_number(data, "t_final"),
+        dt=read_number(data, "dt"),
         activation=data["activation"],
-        seed=int(data.get("seed", 42)),
+        seed=data.get("seed", 42),
         params=dict(data.get("params", {})),
         initial_guess=data.get("initial_guess", "zero"),
     )
+    reject_unknown(data, scenario_to_config(sc))
+    return sc
 
 
 def activation_preimage(act: Activation, r: float) -> float:

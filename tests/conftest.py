@@ -4,9 +4,15 @@ The training scenarios are expensive (minutes in total), so every test that
 inspects a trained state shares one session-scoped run per scenario.  The
 gradient probe is likewise computed once and reused by both the module-level
 consistency test and the acceptance check.
+
+The shipped config files are the only definition of the paper's scenarios:
+tests read them with ``shipped`` and derive variants with
+``dataclasses.replace``.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,52 +22,58 @@ from mfrn.core import Activation, ControlPath, RunConfig, TimeGrid
 from mfrn.fvm import DriftSpec, Grid1D, project_initial, solve_transport
 from mfrn.optim import TargetMeasure, adjoint_initial, control_gradient, reduced_cost
 from mfrn.scenarios import (
-    build_convergence_study,
-    build_test1,
-    build_test2,
-    build_test3,
+    Scenario,
     gaussian_density,
     run_convergence_study,
     run_training,
+    scenario_from_config,
 )
 
 settings.register_profile("solver", deadline=None)
 settings.load_profile("solver")
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def shipped(name: str) -> Scenario:
+    """The scenario of the shipped config ``scenarios/<name>.json``."""
+    with open(SCENARIO_DIR / f"{name}.json") as fh:
+        return scenario_from_config(json.load(fh))
+
 
 @pytest.fixture(scope="session")
 def test1_identity_report():
-    return run_training(build_test1("identity"))
+    return run_training(shipped("test1_identity"))
 
 
 @pytest.fixture(scope="session")
 def test1_tanh_report():
-    return run_training(build_test1("tanh"))
+    return run_training(shipped("test1_tanh"))
 
 
 @pytest.fixture(scope="session")
 def test1_sigmoid_report():
-    return run_training(build_test1("sigmoid"))
+    return run_training(shipped("test1_sigmoid"))
 
 
 @pytest.fixture(scope="session")
 def test2_report():
-    return run_training(build_test2())
+    return run_training(shipped("test2"))
 
 
 @pytest.fixture(scope="session")
 def test3_zero_report():
-    return run_training(build_test3("zero"))
+    return run_training(shipped("test3_zero"))
 
 
 @pytest.fixture(scope="session")
 def test3_linear_report():
-    return run_training(build_test3("linear"))
+    return run_training(shipped("test3_linear"))
 
 
 @pytest.fixture(scope="session")
 def convergence_report():
-    return run_convergence_study(build_convergence_study())
+    return run_convergence_study(shipped("convergence"))
 
 
 def _smooth_direction(rng, nodes, t_final):

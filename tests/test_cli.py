@@ -18,17 +18,9 @@ import pytest
 
 import mfrn
 from mfrn import cli
-from mfrn.scenarios import (
-    build_convergence_study,
-    build_shift_control,
-    build_test1,
-    build_test2,
-    build_test3,
-    scenario_to_config,
-    worker_count,
-)
+from mfrn.scenarios import scenario_to_config, worker_count
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+from conftest import SCENARIO_DIR, shipped
 
 
 def write_config(sc, path):
@@ -63,8 +55,13 @@ def t1_rerun(workspace):
 
 
 def _test3_at_200(initial_guess):
-    sc = build_test3(initial_guess)
+    sc = shipped(f"test3_{initial_guess}")
     return replace(sc, config=replace(sc.config, n_cells=200))
+
+
+def _small_study():
+    sc = shipped("convergence")
+    return replace(sc, params={**sc.params, "M_list": [10, 100]})
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +82,7 @@ def t3_linear_run(workspace):
 
 @pytest.fixture(scope="module")
 def conv_run(workspace):
-    cfgp = write_config(build_convergence_study((10, 100)), workspace / "conv.json")
+    cfgp = write_config(_small_study(), workspace / "conv.json")
     rc, out = cli_run(cfgp, workspace / "conv")
     assert rc == 0
     return out
@@ -93,7 +90,7 @@ def conv_run(workspace):
 
 class TestRun:
     def test_announces_completion(self, tmp_path, capsys):
-        cfgp = write_config(build_convergence_study((10, 100)), tmp_path / "c.json")
+        cfgp = write_config(_small_study(), tmp_path / "c.json")
         rc, out = cli_run(cfgp, tmp_path / "out")
         assert rc == 0
         assert "run complete" in capsys.readouterr().out
@@ -102,7 +99,7 @@ class TestRun:
         manifest = json.loads((t1_run / "manifest.json").read_text())
         raw = (SCENARIO_DIR / "test1_identity.json").read_bytes()
         assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
-        assert manifest["config"] == scenario_to_config(build_test1("identity"))
+        assert manifest["config"] == json.loads(raw)
         assert manifest["timings"]["total"] > 0.0
 
     def test_manifest_records_provenance(self, t1_run, monkeypatch):
@@ -115,7 +112,7 @@ class TestRun:
         }
         # the recorded thread count is the one the run used
         monkeypatch.setenv("MFRN_THREADS", "3")
-        cfgp = write_config(build_convergence_study((10, 100)), t1_run.parent / "prov.json")
+        cfgp = write_config(_small_study(), t1_run.parent / "prov.json")
         rc, out = cli_run(cfgp, t1_run.parent / "prov")
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -174,7 +171,7 @@ class TestRun:
 
 class TestRunFailures:
     def test_invalid_field_value_names_the_line(self, tmp_path, capsys):
-        data = scenario_to_config(build_test2())
+        data = scenario_to_config(shipped("test2"))
         data["run"]["n_cells"] = 0
         cfgp = tmp_path / "bad.json"
         cfgp.write_text(json.dumps(data, indent=2, sort_keys=True))
@@ -188,9 +185,17 @@ class TestRunFailures:
     @pytest.mark.parametrize("path, value", [
         ("dt", 0), ("dt", -0.01), ("t_final", 1.005),
         ("run.gamma_w", -1.0), ("run.gamma_b", -1.0), ("initial_guess", "warm"),
+        ("run.gamma_w", "abc"), ("seed", "x"), ("run.domain", [0]), ("run.n_cells", 200.7),
+        ("run.cfll", 0.1), ("params.betta", 2.0), ("params.beta", float("inf")),
+        ("seeed", 7), ("run.domain", [-2.0, 3.0, 99.0]), ("run.domain", [-2.0, "3"]),
+        ("run.max_armijo", 2.5), ("run.dimension", 1.9), ("run.n_cells", True),
+        ("run.gamma_w", True), ("run.cfl", float("nan")), ("run.tol", float("inf")),
+        ("seed", 3.7), ("seed", -1), ("dt", "0.01"), ("t_final", None), ("run", 5),
+        ("params", [1.0]), ("activation", 5),
     ])
     def test_bad_value_exits_two_at_its_line(self, tmp_path, capsys, path, value):
-        data = scenario_to_config(build_test2())
+        # every config error names its dotted key and is reported at its line
+        data = json.loads((SCENARIO_DIR / "test1_identity.json").read_text())
         *parents, key = path.split(".")
         node = data
         for name in parents:
@@ -201,8 +206,8 @@ class TestRunFailures:
         cfgp.write_text(text)
         rc = cli.main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
         assert rc == 2
-        line = 1 + next(i for i, r in enumerate(text.splitlines()) if f'"{key}"' in r)
-        assert capsys.readouterr().err.startswith(f"{cfgp}:{line}: ")
+        line = 1 + next(i for i, r in enumerate(text.splitlines()) if f'"{key}":' in r)
+        assert capsys.readouterr().err.startswith(f"{cfgp}:{line}: {path} ")
         # rejected while loading, before the manifest is written
         assert not (tmp_path / "o").exists()
 
@@ -222,14 +227,15 @@ class TestRunFailures:
         cfgp.write_text(text)
         rc = cli.main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
         assert rc == 2
-        # the "params" line, not the "seed" line that params.n_seeds also names
-        line = 1 + next(i for i, r in enumerate(text.splitlines()) if '"params"' in r)
+        # the key's own line, or the "params" line when the key is absent
+        line = 1 + next(i for i, r in enumerate(text.splitlines())
+                        if f'"{key or "params"}":' in r)
         err = capsys.readouterr().err
         assert err.startswith(f"{cfgp}:{line}: params.{key or 'beta'} must be ")
         assert not (tmp_path / "o").exists()
 
     def test_unsupported_dimension_rejected(self, tmp_path, capsys):
-        data = scenario_to_config(build_test2())
+        data = scenario_to_config(shipped("test2"))
         data["run"]["dimension"] = 2
         cfgp = tmp_path / "two_d.json"
         cfgp.write_text(json.dumps(data, indent=2, sort_keys=True))
@@ -259,7 +265,7 @@ class TestRunFailures:
 
     def test_unstable_setup_exits_three(self, tmp_path, capsys):
         # an 8x speed-up of the shift makes the fixed step unstable outright
-        sc = replace(build_shift_control(2.0, "identity"), t_final=0.25)
+        sc = replace(shipped("shift_identity"), params={"beta": 2.0}, t_final=0.25)
         cfgp = write_config(sc, tmp_path / "fast.json")
         rc, out = cli_run(cfgp, tmp_path / "o")
         assert rc == 3
@@ -358,7 +364,7 @@ class TestCompare:
         )
 
     def test_mismatched_grids_rejected(self, t1_run, workspace, tmp_path, capsys):
-        sc = build_convergence_study((10, 100))
+        sc = _small_study()
         sc = replace(sc, config=replace(sc.config, n_cells=100))
         cfgp = write_config(sc, workspace / "conv100.json")
         rc, other = cli_run(cfgp, workspace / "conv100")

@@ -17,17 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mfrn"
 BENCH = ROOT / "bench"
 
-_BUILDER = "a test problem of the paper; the shipped config in scenarios/ is its output"
 KEPT_WITHOUT_CALLER = {
     "particle.resnet_forward": "the discrete ResNet the mean-field limit starts from",
     "measures.steady_state_support": "the paper's long-time concentration points",
     "optim.identity_closed_form": "the paper's closed-form stationary controls",
-    "scenarios.build_test1": _BUILDER,
-    "scenarios.build_test2": _BUILDER,
-    "scenarios.build_test3": _BUILDER,
-    "scenarios.build_convergence_study": _BUILDER,
-    "scenarios.build_shift_control": _BUILDER,
-    "scenarios.build_scale_control": _BUILDER,
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")

@@ -1,8 +1,8 @@
-"""Scenario builders, config round-trips, exact controls, studies, sampling."""
+"""Shipped configs and their strict reading, exact controls, studies, sampling."""
 
 import json
 import logging
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,12 +18,6 @@ from mfrn.scenarios import (
     ConvergenceReport,
     Scenario,
     activation_preimage,
-    build_convergence_study,
-    build_scale_control,
-    build_shift_control,
-    build_test1,
-    build_test2,
-    build_test3,
     gaussian_density,
     indicator_density,
     run_convergence_study,
@@ -35,22 +29,10 @@ from mfrn.scenarios import (
     scenario_to_config,
     worker_count,
 )
+from conftest import SCENARIO_DIR, shipped
 from test_optim import assert_same_trajectory
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
-ALL_BUILDERS = {
-    "test1_identity": lambda: build_test1("identity"),
-    "test1_tanh": lambda: build_test1("tanh"),
-    "test1_sigmoid": lambda: build_test1("sigmoid"),
-    "test2": build_test2,
-    "test3_zero": lambda: build_test3("zero"),
-    "test3_linear": lambda: build_test3("linear"),
-    "convergence": build_convergence_study,
-    "shift_identity": lambda: build_shift_control(1.0, "identity"),
-    "scale": lambda: build_scale_control(0.25),
-}
-
+SHIPPED = sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
 
 
 def shift_quadratic_companion(
@@ -79,20 +61,37 @@ def shift_quadratic_companion(
     return wasserstein1(f_quad, f_const)
 
 class TestBuildersAndConfigs:
-    def test_unknown_activation_for_block_shift_rejected(self):
-        with pytest.raises(ValueError, match="identity, tanh or sigmoid"):
-            build_test1("relu")
+    """The shipped configs, the only definition of the paper's scenarios, and
+    the strict reading of a config."""
+
+    def test_nine_configs_ship(self):
+        assert len(SHIPPED) == 9
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_config_round_trip(self, name):
+        with open(SCENARIO_DIR / f"{name}.json") as fh:
+            data = json.load(fh)
+        assert scenario_to_config(scenario_from_config(data)) == data
+
+    @pytest.mark.parametrize("key", SHIPPED)
+    def test_shipped_config_files_match_builders(self, key):
+        # ``shipped`` is the one builder left: the scenario it reads from the
+        # file survives the trip through JSON and back unchanged.
+        sc = shipped(key)
+        data = json.loads(json.dumps(scenario_to_config(sc)))
+        assert scenario_from_config(data) == sc
 
     def test_nonincreasing_ensemble_sizes_rejected(self):
+        sc = shipped("convergence")
         with pytest.raises(ValueError, match="must increase"):
-            build_convergence_study(M_list=(100, 50))
+            replace(sc, params={**sc.params, "M_list": [100, 50]})
 
     def test_scenario_validation(self):
-        good = build_test2()
-        with pytest.raises(ValueError, match="unknown scenario"):
+        good = shipped("test2")
+        with pytest.raises(ValueError, match="^scenario must be one of"):
             Scenario(name="test9", config=good.config, t_final=1.0, dt=1e-2,
                      activation="identity")
-        with pytest.raises(ValueError, match="unknown initial guess"):
+        with pytest.raises(ValueError, match="^initial_guess must be one of"):
             Scenario(name="test2", config=good.config, t_final=1.0, dt=1e-2,
                      activation="identity", initial_guess="warm")
         with pytest.raises(ValueError):
@@ -113,30 +112,17 @@ class TestBuildersAndConfigs:
         with pytest.raises(ValueError, match=rf"^params\.{key} must "):
             scenario_from_config(data)
 
-    @pytest.mark.parametrize("key", sorted(ALL_BUILDERS))
-    def test_config_round_trip(self, key):
-        sc = ALL_BUILDERS[key]()
-        data = json.loads(json.dumps(scenario_to_config(sc)))
-        assert scenario_from_config(data) == sc
-
-    @pytest.mark.parametrize("key", sorted(ALL_BUILDERS))
-    def test_shipped_config_files_match_builders(self, key):
-        with open(SCENARIO_DIR / f"{key}.json") as fh:
-            data = json.load(fh)
-        assert data == scenario_to_config(ALL_BUILDERS[key]())
-        assert scenario_from_config(data) == ALL_BUILDERS[key]()
-
     def test_missing_config_keys_named(self):
-        data = scenario_to_config(build_test2())
+        data = scenario_to_config(shipped("test2"))
         del data["run"], data["dt"]
         with pytest.raises(ValueError, match="dt, run"):
             scenario_from_config(data)
 
     def test_initial_guesses(self):
-        sc = build_test3("zero")
+        sc = shipped("test3_zero")
         c = sc.initial_controls()
         assert np.all(c.w == 0.0) and np.all(c.b == 0.0)
-        lin = build_test3("linear").initial_controls()
+        lin = shipped("test3_linear").initial_controls()
         assert_allclose(lin.w, sc.time_grid.nodes, rtol=1e-15)
         assert_allclose(lin.b, sc.time_grid.nodes, rtol=1e-15)
 
@@ -178,7 +164,7 @@ class TestBlockShiftProblem:
         for module in (optim, scenarios):
             monkeypatch.setattr(module, "solve_transport", counted_solve)
         monkeypatch.setattr(optim, "reduced_cost", counted_cost)
-        report = run_training(build_test1("identity"))
+        report = run_training(shipped("test1_identity"))
         assert trials >= report.state.iteration > 0
         assert forward == 1 + trials
 
@@ -195,7 +181,8 @@ class TestContractionProblem:
         assert np.max(np.abs(np.array(means) - means[0])) <= 1e-3
 
     def test_zero_scale_target_is_the_initial_density(self):
-        sc = build_scale_control(0.0)
+        sc = shipped("scale")
+        sc = replace(sc, params={**sc.params, "alpha": 0.0})
         assert np.array_equal(
             sc.target_field().averages, sc.initial_density().averages
         )
@@ -203,7 +190,7 @@ class TestContractionProblem:
 
 class TestManufacturedProblem:
     def test_exact_control_curves(self):
-        sc = build_test3()
+        sc = shipped("test3_zero")
         c = sc.exact_controls()
         t = sc.time_grid.nodes
         assert c.w[0] == 0.0 and c.b[0] == 0.0
@@ -219,7 +206,8 @@ class TestManufacturedProblem:
 
 class TestConvergenceStudy:
     def test_monte_carlo_gap_shrinks_and_reruns_identically(self):
-        sc = build_convergence_study(M_list=(10, 100))
+        sc = shipped("convergence")
+        sc = replace(sc, params={**sc.params, "M_list": [10, 100]})
         first = run_convergence_study(sc)
         assert isinstance(first, ConvergenceReport)
         assert first.w1_by_seed.shape == (5, 2)
@@ -243,35 +231,36 @@ class TestConvergenceStudy:
 
     def test_target_field_undefined(self):
         with pytest.raises(ValueError, match="no fixed target density"):
-            build_convergence_study().target_field()
+            shipped("convergence").target_field()
 
 
 class TestExactControlConstructions:
     @pytest.mark.parametrize("kind", ["identity", "relu"])
     def test_block_shift_is_realized(self, kind):
-        gap = run_exact_control(build_shift_control(1.0, kind)).w1
+        gap = run_exact_control(replace(shipped("shift_identity"), activation=kind)).w1
         assert gap <= 2 * (5.0 / 200)
 
     def test_infeasible_rate_rejected(self):
         with pytest.raises(ValueError, match="sigmoid image"):
-            run_exact_control(build_shift_control(2.0, "sigmoid"))
+            run_exact_control(replace(shipped("shift_identity"), activation="sigmoid",
+                                      params={"beta": 2.0}))
 
     def test_distinct_bias_paths_same_terminal_state(self):
         assert shift_quadratic_companion() <= 2 * (5.0 / 200)
 
     def test_scale_controls_reach_the_target(self):
-        report = run_scenario(build_scale_control())
+        report = run_scenario(shipped("scale"))
         assert isinstance(report, ExactControlReport)
         assert report.w1 <= 2 * report.f0.grid.dx
 
     def test_shift_scenario_dispatches_to_exact_runner(self):
-        report = run_scenario(build_shift_control(0.5, "identity"))
+        report = run_scenario(replace(shipped("shift_identity"), params={"beta": 0.5}))
         assert isinstance(report, ExactControlReport)
         assert report.w1 <= 2 * report.f0.grid.dx
 
     def test_training_scenarios_carry_no_exact_controls(self):
         with pytest.raises(ValueError, match="no exact controls"):
-            run_exact_control(build_test1())
+            run_exact_control(shipped("test1_identity"))
 
 
 class TestPreimages:
@@ -337,8 +326,7 @@ class TestWorkerCount:
 def test_boundary_outflow_is_not_reported_as_mass_drift(caplog):
     # the convergence study's Gaussian tail leaves through the zero-inflow
     # boundary: more than the 1e-10 drift threshold, and all of it accounted
-    with open(SCENARIO_DIR / "convergence.json") as fh:
-        sc = scenario_from_config(json.load(fh))
+    sc = shipped("convergence")
     f0 = sc.initial_density()
     with caplog.at_level(logging.WARNING, logger="mfrn.fvm"):
         traj = solve_transport(f0, DriftSpec(sc.exact_controls(), sc.act), sc.time_grid,

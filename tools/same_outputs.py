@@ -10,7 +10,9 @@ compared byte for byte.  The script prints the files that differ, and for
 each config the number of "exceeded configured cfl" lines and of density
 warnings ("mass drift", "below -1e-8") each side logged on stderr.  It exits
 1 on any difference, failed run, or config for which HEAD logs more of
-either kind of line than BASE; 0 otherwise.  Standard library only.
+either kind of line than BASE; 0 otherwise.  It also prints the line count
+of each tree's ``mfrn`` package (``wc -l`` summed over its ``*.py``), the
+other gate of a change that should only simplify.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ def _package_dir(tree: Path) -> Path:
     raise SystemExit(f"{tree}: no mfrn package in it or in its src/")
 
 
+def _line_count(src: Path) -> int:
+    """Lines of the package's modules, as ``wc -l src/mfrn/*.py`` totals them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "mfrn").glob("*.py"))
+
+
 def _start(src: Path, config: Path, out: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.Popen(
@@ -50,6 +57,8 @@ def _artifacts(out: Path) -> set[str]:
 def compare(base: Path, head: Path, configs: list[Path], work: Path) -> int:
     """Run every config under both trees; returns the number of differences."""
     srcs = {"base": _package_dir(base), "head": _package_dir(head)}
+    print("mfrn lines: " + ", ".join(f"{side} {_line_count(src)}" for side, src in srcs.items()),
+          flush=True)
     bad = 0
     for config in configs:
         outs = {side: work / side / config.stem for side in srcs}
