@@ -226,7 +226,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.seed is not None:
                 sc = dataclasses.replace(sc, seed=args.seed)
         except ValueError as e:
-            raise ConfigError(str(e)) from e
+            text = raw.decode("utf-8", errors="replace")
+            raise ConfigError(str(e), line=_key_line(text, getattr(e, "key", ""))) from e
     except ConfigError as e:
         print(f"{args.config}:{e.line}: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -241,8 +242,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"solver diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     except ValueError as e:
-        # scenario-level infeasibility (e.g. a rate outside the activation's
-        # image) is a config problem, found late
+        # scenario-level infeasibility (e.g. an initial density with no mass
+        # on the grid) is a config problem, found late
         print(f"{args.config}:1: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     wall = time.perf_counter() - t0

@@ -15,6 +15,7 @@ stable), while exceeding the hard stability margin raises, naming the speed.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -33,6 +34,10 @@ _D_LEFT, _D_CENTER, _D_RIGHT = 0.25, 0.5, 0.25
 # three-stage Runge-Kutta stepper with third-order upwind-biased fluxes is
 # linearly stable up to roughly 1.6; beyond _CFL_HARD the step refuses to run.
 _CFL_HARD = 1.45
+
+# Edge values per block of a solve's stage schedule: the speeds are built
+# _BLOCK_DOUBLES // (n_cells + 1) steps at a time, and at least one.
+_BLOCK_DOUBLES = 4096
 
 # 3-point Gauss-Legendre rule on [-1/2, 1/2] (nodes scaled by cell width).
 _GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0) / 2.0, 0.0, np.sqrt(3.0 / 5.0) / 2.0])
@@ -112,11 +117,20 @@ class DriftSpec:
     activation: Activation
     time_reversed: bool = False
 
-    def speed(self, x, t: float):
+    def speed(self, x, t):
+        """The speed at the points x at time t.  An array of times gives one
+        row per time, and row k is bitwise the call at t[k]: the control
+        interpolation and the activation work element by element."""
         tau = self.control.grid.t_final - t if self.time_reversed else t
-        w = float(self.control.eval_w(tau))
-        b = float(self.control.eval_b(tau))
-        v = self.activation.value(w * np.asarray(x, dtype=float) + b)
+        w = self.control.eval_w(tau)
+        b = self.control.eval_b(tau)
+        if np.ndim(tau):
+            w, b = w[:, None], b[:, None]
+        else:
+            w, b = float(w), float(b)
+        z = w * np.asarray(x, dtype=float)
+        z += b
+        v = self.activation.value(z)
         return -v if self.time_reversed else v
 
 
@@ -174,12 +188,31 @@ def llf_flux(u_minus, u_plus, speed):
     return 0.5 * speed * (u_minus + u_plus) - 0.5 * np.abs(speed) * (u_plus - u_minus)
 
 
-def _limited_faces(uc, uL, uR, sL, sR, lam):
+def _limiter_coefficients(sL, sR, lam, out):
+    """The positivity limiter's terms that depend on the speeds alone, for
+    cells with edge speeds sL (left) and sR (right), written into the five
+    arrays of ``out`` (four float, one bool): the outflow fractions
+    out_l = lam max(-sL, 0) and out_r = lam max(sR, 0), their sum s_out,
+    1 - s_out, and the mask s_out < 1."""
+    out_l, out_r, s_out, rest, open_ = out
+    np.maximum(np.negative(sL, out=out_l), 0.0, out=out_l)
+    np.multiply(lam, out_l, out=out_l)
+    np.maximum(sR, 0.0, out=out_r)
+    np.multiply(lam, out_r, out=out_r)
+    np.add(out_l, out_r, out=s_out)
+    np.subtract(1.0, s_out, out=rest)
+    np.less(s_out, 1.0, out=open_)
+    return out
+
+
+def _limited_faces(uc, uL, uR, coefs):
     """Scale face values toward their cell average so every Euler substep
     keeps nonnegative averages: faces are floored at zero, and the outgoing
     mass lam * (outflow speeds . faces) is capped by the cell content.
     Scaling toward the average is conservative and leaves resolved smooth
-    data untouched (theta stays 1 there)."""
+    data untouched (theta stays 1 there).  ``coefs`` are the cells'
+    _limiter_coefficients."""
+    out_l, out_r, s_out, rest, open_ = coefs
     m = np.minimum(uL, uR)
     floor = m < 0.0
     # theta = min(1, uc / (uc - m)) on a positive cell with a negative face,
@@ -190,38 +223,32 @@ def _limited_faces(uc, uL, uR, sL, sR, lam):
     uL1 = (uL - uc) * theta + uc
     uR1 = (uR - uc) * theta + uc
 
-    out_l = lam * np.maximum(-sL, 0.0)
-    out_r = lam * np.maximum(sR, 0.0)
     drain = out_l * uL1 + out_r * uR1
-    s_out = out_l + out_r
     # cap only where it is needed and a scaling can actually achieve it
-    need = (drain > uc) & (uc >= 0.0) & (s_out < 1.0)
+    need = (drain > uc) & (uc >= 0.0) & open_
     theta = np.ones_like(uc)
-    np.divide((1.0 - s_out) * uc, drain - s_out * uc, out=theta, where=need)
-    np.clip(theta, 0.0, 1.0, out=theta)
+    np.divide(rest * uc, drain - s_out * uc, out=theta, where=need)
+    # clip to [0, 1]; maximum(0.0, theta) keeps a -0.0 theta, as np.clip does,
+    # at half np.clip's cost
+    np.minimum(np.maximum(0.0, theta, out=theta), 1.0, out=theta)
     return (uL1 - uc) * theta + uc, (uR1 - uc) * theta + uc
 
 
-def _interface_fluxes(
-    avg: np.ndarray,
-    grid: Grid1D,
-    speed: np.ndarray,
-    positivity_dt: float | None = None,
-) -> np.ndarray:
-    """Fluxes through the n_cells + 1 edges, given the speeds there."""
+def _interface_fluxes(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
+                      limiter=None) -> np.ndarray:
+    """Fluxes through the n_cells + 1 edges, given the speeds there and, for
+    a limited stage, the cells' _limiter_coefficients at those speeds."""
     n = grid.n_cells
     padded = np.zeros(n + 4)  # zero-inflow ghosts
     padded[2:-2] = avg
     left_faces, right_faces = _cweno3_faces(
         padded[:-2], padded[1:-1], padded[2:], eps=grid.dx
     )
-    if positivity_dt is not None:
+    if limiter is not None:
         # physical cell j owns faces index j + 1 and edge speeds j, j + 1;
         # the reconstruction's face arrays are fresh, so they are limited in place
-        lam = positivity_dt / grid.dx
         left_faces[1 : n + 1], right_faces[1 : n + 1] = _limited_faces(
-            avg, left_faces[1 : n + 1], right_faces[1 : n + 1],
-            speed[:-1], speed[1:], lam,
+            avg, left_faces[1 : n + 1], right_faces[1 : n + 1], limiter
         )
     # reconstruction k covers padded cell k+1; interface i has cell i-1 on its
     # left (faces index i) and cell i on its right (faces index i+1)
@@ -231,10 +258,10 @@ def _interface_fluxes(
 
 
 def _rhs(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
-         positivity_dt: float | None = None) -> tuple[np.ndarray, float]:
+         limiter=None) -> tuple[np.ndarray, float]:
     """d/dt of the cell averages under the conservative advection flux, and
     the net rate at which mass leaves through the two boundary edges."""
-    flux = _interface_fluxes(avg, grid, speed, positivity_dt)
+    flux = _interface_fluxes(avg, grid, speed, limiter)
     return -(flux[1:] - flux[:-1]) / grid.dx, float(flux[-1] - flux[0])
 
 
@@ -246,50 +273,67 @@ def _ssp_rk3(u: np.ndarray, dt: float, rhs) -> np.ndarray:
     return (u + 2.0 * (u2 + dt * rhs(u2, 2))) / 3.0
 
 
-def _stage_speed(drift: DriftSpec, grid: Grid1D, t: float):
-    """The speeds at the edges at time t, and their largest magnitude."""
-    speed = drift.speed(grid.edges, t)
-    return speed, float(np.max(np.abs(speed)))
+def _stage_schedule(drift: DriftSpec, grid: Grid1D, t: float, dt: float, n_steps: int,
+                    lam: float | None = None):
+    """Each step's SSP-RK3 stages, in step order, as (start, end, mid): the
+    stage times t, t + dt and t + dt/2, with t accumulated by repeated + dt.
+    A stage is (speeds at the edges, their largest magnitude, and with lam the
+    cells' _limiter_coefficients at those speeds, else None).
+
+    The rows are built a block of steps at a time, in one buffer allocated
+    per solve: one drift.speed call covers the block's stage times in time
+    order (node, mid, node, ..., node), and the block's last node row, with
+    what was derived from it, is carried over as the next block's first.  So
+    a solve of n steps reads the speeds at 2n + 1 times, in one call a block.
+    The stages are views of that buffer: a step's stages hold until the next
+    step is drawn."""
+    n_edges = grid.n_cells + 1
+    block = min(n_steps, max(1, _BLOCK_DOUBLES // n_edges))
+    size = 2 * block + 1
+    # the speed rows and the four float coefficient tables in one allocation
+    speeds, *coefs = np.empty((1 if lam is None else 5, size, n_edges))
+    coefs = [c[:, :-1] for c in coefs]
+    if coefs:
+        coefs.append(np.empty((size, n_edges - 1), bool))
+    smax = np.empty(size)
+    times, done = [t], 0
+    while done < n_steps:
+        k = min(block, n_steps - done)
+        for _ in range(k):
+            times += (t + 0.5 * dt, t + dt)
+            t = t + dt
+        n_rows = 2 * k + 1
+        new = slice(n_rows - len(times), n_rows)  # all rows but a carried one
+        fresh = drift.speed(grid.edges, np.array(times))
+        speeds[new] = fresh
+        np.max(np.abs(fresh, out=fresh), axis=1, out=smax[new])
+        limiters = itertools.repeat(None)
+        if coefs:
+            _limiter_coefficients(speeds[new, :-1], speeds[new, 1:], lam,
+                                  [c[new] for c in coefs])
+            limiters = zip(*(c[:n_rows] for c in coefs))
+        stages = list(zip(speeds[:n_rows], smax[:n_rows].tolist(), limiters))
+        for j in range(0, 2 * k, 2):
+            yield stages[j], stages[j + 2], stages[j + 1]
+        for table in (speeds, smax, *coefs):
+            table[0] = table[n_rows - 1]
+        times, done = [], done + k
 
 
-def _advance(field: DensityField, drift: DriftSpec, dt: float, cfl: float,
-             limit_positive: bool = False, start=None):
-    """One SSP-RK3 step; returns (advanced field, step CFL number, mass that
-    left through the boundary during the step, the end speed).
-
-    The end speed is the stage-1 speed at t + dt with its largest magnitude.
-    The advanced field's time is that same float, so a caller passes it back
-    as ``start``, the stage-0 speed of the next step, instead of evaluating
-    it again."""
-    t = field.time
-    grid = field.grid
-    # the one place a solve turns controls into speeds: one array per stage
-    if start is None:
-        start = _stage_speed(drift, grid, t)
-    end = _stage_speed(drift, grid, t + dt)
-    mid = _stage_speed(drift, grid, t + 0.5 * dt)
-    speeds = (start[0], end[0], mid[0])
-    smax = max(start[1], end[1], mid[1])
-    nu = smax * dt / grid.dx
-    if nu > _CFL_HARD:
-        raise CFLViolationError(
-            f"time step dt={dt:g} unstable: max interface speed {smax:.6g} gives "
-            f"CFL number {nu:.4g} > hard bound {_CFL_HARD} (configured cfl={cfl:g})"
-        )
-    if nu > cfl:
-        log.debug("step at t=%.6g exceeds configured cfl: %.4g > %.4g", t, nu, cfl)
-    pos_dt = dt if limit_positive else None
+def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages) -> tuple[np.ndarray, float]:
+    """One SSP-RK3 step through the schedule's (start, end, mid) stages: the
+    advanced averages and the mass that left through the boundary."""
     net = []
 
-    def stage(u, k):
-        du, out = _rhs(u, grid, speeds[k], pos_dt)
+    def rhs(u, k):
+        speed, _, limiter = stages[k]
+        du, out = _rhs(u, grid, speed, limiter)
         net.append(out)
         return du
 
-    new = _ssp_rk3(field.averages, dt, stage)
+    new = _ssp_rk3(avg, dt, rhs)
     # the stepper's own weights: u_new = u + dt (L0/6 + L1/6 + 2 L2/3)
-    outflow = dt * (net[0] / 6.0 + net[1] / 6.0 + 2.0 * net[2] / 3.0)
-    return DensityField(grid, new, t + dt), nu, outflow, end
+    return new, dt * (net[0] / 6.0 + net[1] / 6.0 + 2.0 * net[2] / 3.0)
 
 
 def solve_transport(
@@ -311,21 +355,35 @@ def solve_transport(
     default it is on exactly for forward solves, since the adjoint field is
     signed and must not be clipped.
 
-    Each step hands its end speed to the next step, so a solve reads the
-    speeds 2 * n_steps + 1 times.
+    The work that depends only on the controls is done before the stages
+    that use it (_stage_schedule): the speeds at the edges for every stage
+    time, their largest magnitude for the CFL check, and the limiter's
+    speed-only coefficients.  They are built _BLOCK_DOUBLES // (n_cells + 1)
+    steps at a time (at least one), with one DriftSpec.speed call a block.
     """
     forward = not drift.time_reversed
     if limit_positive is None:
         limit_positive = forward
+    space, dt = f0.grid, grid.dt
+    lam = dt / space.dx if limit_positive else None
     snapshots = [f0]
     field = f0
     worst_nu = 0.0
     outflow = 0.0
     worst_min = float(np.min(f0.averages)) if forward else 0.0
-    carried = None
-    for _ in range(grid.n_steps):
-        field, nu, out, carried = _advance(field, drift, grid.dt, cfl, limit_positive,
-                                           carried)
+    for stages in _stage_schedule(drift, space, f0.time, dt, grid.n_steps, lam):
+        t = field.time
+        smax = max(stages[0][1], stages[1][1], stages[2][1])
+        nu = smax * dt / space.dx
+        if nu > _CFL_HARD:
+            raise CFLViolationError(
+                f"time step dt={dt:g} unstable: max interface speed {smax:.6g} gives "
+                f"CFL number {nu:.4g} > hard bound {_CFL_HARD} (configured cfl={cfl:g})"
+            )
+        if nu > cfl:
+            log.debug("step at t=%.6g exceeds configured cfl: %.4g > %.4g", t, nu, cfl)
+        new, out = _step(field.averages, space, dt, stages)
+        field = DensityField(space, new, t + dt)
         worst_nu = max(worst_nu, nu)
         outflow += out
         if forward:

@@ -87,7 +87,8 @@ class Scenario:
         if self.initial_guess not in INITIAL_GUESSES:
             raise ConfigValueError(
                 "initial_guess", f"must be one of {INITIAL_GUESSES}, got {self.initial_guess!r}")
-        activation(self.activation)  # validates the kind
+        # validates the kind and keeps its normalized name, which runs echo
+        object.__setattr__(self, "activation", activation(self.activation).kind)
         TimeGrid.from_step(self.t_final, self.dt)  # validates t_final and dt
         if not (is_number(self.seed, integer=True) and self.seed >= 0):  # numpy's seed rule
             raise ConfigValueError("seed", f"must be an integer >= 0, got {self.seed!r}")
@@ -107,6 +108,12 @@ class Scenario:
                 and all(lo < hi for lo, hi in zip([0, *M], M))):
             raise ConfigValueError(
                 "params.M_list", f"must increase and hold positive integers, got {M!r}")
+        if self.name == "shift_control":
+            # the exact control needs a bias b0 with act(b0) = beta / t_final
+            try:
+                activation_preimage(self.act, p["beta"] / self.t_final)
+            except ValueError as e:
+                raise ConfigValueError("params.beta", f"/ t_final: {e}") from None
 
     @property
     def time_grid(self) -> TimeGrid:

@@ -19,7 +19,7 @@ import pytest
 
 from mfrn import optim
 from mfrn.core import Activation, ControlPath, RunConfig, TimeGrid
-from mfrn.fvm import DriftSpec, Grid1D, project_initial
+from mfrn.fvm import _BLOCK_DOUBLES, DriftSpec, Grid1D, project_initial
 from mfrn.optim import TargetMeasure, gauss_seidel_train
 from mfrn.scenarios import gaussian_density
 
@@ -155,8 +155,9 @@ def test_training_goes_through_the_traced_entry_points(monkeypatch):
                                Activation("tanh"), cfg, max_outer=3)
     assert state.iteration == 3
     assert calls["trials"] >= state.iteration
-    # the first step reads three stage speeds, every later step two: its
-    # start speed is the previous step's end speed
-    assert calls["speed"] == (2 * tg.n_steps + 1) * calls["solves"]
+    # a solve reads its speeds one block of steps at a time, and the 20
+    # steps of 41 edges fit in one block
+    assert tg.n_steps * (grid.n_cells + 1) <= _BLOCK_DOUBLES
+    assert calls["speed"] == calls["solves"]
     assert calls["eval_w"] == calls["eval_b"] == calls["speed"]
     assert np.isfinite(state.cost_history).all()

@@ -275,10 +275,17 @@ class TestRunFailures:
         assert not (out / "summary.json").exists()
 
     def test_infeasible_activation_override_is_a_config_error(self, tmp_path, capsys):
-        rc = cli.main(["run", "--config", str(SCENARIO_DIR / "shift_identity.json"),
-                       "--out", str(tmp_path / "o"), "--activation", "tanh"])
+        # beta / t_final = 1 is no tanh speed: rejected at params.beta's line,
+        # before the manifest is written
+        cfgp = SCENARIO_DIR / "shift_identity.json"
+        rc = cli.main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o"),
+                       "--activation", "tanh"])
         assert rc == 2
-        assert "tanh image" in capsys.readouterr().err
+        line = 1 + next(i for i, r in enumerate(cfgp.read_text().splitlines())
+                        if '"beta":' in r)
+        assert capsys.readouterr().err == (
+            f"{cfgp}:{line}: params.beta / t_final: rate 1.0 is outside the tanh image (-1, 1)\n")
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_activation_override_rejected(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(SCENARIO_DIR / "shift_identity.json"),
@@ -303,6 +310,18 @@ class TestOverrides:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["activation"] == "relu"
         assert summary["w1_final"] <= 0.05
+
+    def test_activation_is_echoed_normalized(self, tmp_path):
+        data = json.loads((SCENARIO_DIR / "shift_identity.json").read_text())
+        data["activation"] = " RELU"
+        cfgp = tmp_path / "relu.json"
+        cfgp.write_text(json.dumps(data))
+        rc, out = cli_run(cfgp, tmp_path / "o")
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert summary["activation"] == manifest["activation"] == "relu"
+        assert manifest["config"]["activation"] == "relu"
 
     def test_seed_override_changes_the_draws(self, workspace, conv_run):
         rc, out = cli_run(workspace / "conv.json", workspace / "conv7", "--seed", "7")

@@ -17,11 +17,13 @@ from mfrn.fvm import (
     llf_flux,
     project_initial,
     solve_transport,
-    _advance,
+    _BLOCK_DOUBLES,
     _cweno3_faces,
     _limited_faces,
+    _limiter_coefficients,
     _rhs,
     _ssp_rk3,
+    _stage_schedule,
 )
 from mfrn.measures import variance, moments, wasserstein1
 from mfrn.scenarios import gaussian_density
@@ -127,6 +129,18 @@ def reference_limited_faces(uc, uL, uR, sL, sR, lam):
     return uc + theta2 * (uL1 - uc), uc + theta2 * (uR1 - uc)
 
 
+def coefficients(sL, sR, lam):
+    """The limiter's speed-only terms, in arrays of their own."""
+    shape = np.shape(sL)
+    out = [np.empty(shape) for _ in range(4)] + [np.empty(shape, bool)]
+    return _limiter_coefficients(sL, sR, lam, out)
+
+
+def limited(uc, uL, uR, sL, sR, lam):
+    """The solver's limiter on cells with edge speeds sL, sR."""
+    return _limited_faces(uc, uL, uR, coefficients(sL, sR, lam))
+
+
 def reference_rhs(avg, grid, speed, positivity_dt=None):
     """One stage's right-hand side as first written, from the two reference
     kernels above: concatenated ghosts and copied face arrays."""
@@ -196,10 +210,31 @@ class TestLeanKernelsAreBitwiseTheFormulas:
               np.array([-0.25, -0.5, -1.0]), np.array([0.25, 0.5, 1.0])], 1.0)
     def test_limited_faces(self, cells, lam):
         uc, uL, uR, sL, sR = cells
-        got = quiet(_limited_faces, uc, uL, uR, sL, sR, lam)
+        got = quiet(limited, uc, uL, uR, sL, sR, lam)
         want = reference_limited_faces(uc, uL, uR, sL, sR, lam)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    def test_limited_faces_keep_their_signed_zeros(self):
+        # array_equal calls -0.0 and 0.0 equal; these cells pin the bits.  The
+        # cap's theta is -0.0 on cell 0 (uc == -0.0 still passes uc >= 0), +0.0
+        # on cell 1 and exactly 1.0 on cell 3; cell 2 is floored to theta 0 and
+        # cell 4 needs no limit (theta 1)
+        uc = np.array([-0.0, 0.0, -0.0, 0.9636708728449709, 0.3])
+        uL = np.array([2.0, 2.0, -1.0, 11.449954214444775, 0.1])
+        uR = np.array([3.0, 3.0, 2.0, 0.4227169069454373, 0.5])
+        sL = np.array([-0.5, -0.5, -0.5, -0.15052483042117748, 0.0])
+        sR = np.array([0.5, 0.5, 0.5, 0.48221238819933654, 0.0])
+        out_l, out_r = 0.5 * np.maximum(-sL, 0.0), 0.5 * np.maximum(sR, 0.0)
+        s_out = out_l + out_r
+        drain = out_l * uL + out_r * uR
+        assert np.all((drain > uc)[[0, 1, 3]])  # the cap is needed there
+        assert (1.0 - s_out[3]) * uc[3] / (drain[3] - s_out[3] * uc[3]) == 1.0
+        lf, rf = quiet(limited, uc, uL, uR, sL, sR, 0.5)
+        assert lf.tobytes() == np.array([-0.0, 0.0, 0.0, 11.449954214444775, 0.1]).tobytes()
+        assert rf.tobytes() == np.array([-0.0, 0.0, 0.0, 0.4227169069454373, 0.5]).tobytes()
+        for got, want in zip((lf, rf), reference_limited_faces(uc, uL, uR, sL, sR, 0.5)):
+            assert got.tobytes() == want.tobytes()
 
     @given(st.lists(_AVERAGE, min_size=8, max_size=40), st.data(),
            st.sampled_from([None, 1e-2, 5e-2]))
@@ -208,7 +243,13 @@ class TestLeanKernelsAreBitwiseTheFormulas:
         grid = Grid1D(-2.0, 3.0, avg.size)
         speed = np.array(data.draw(st.lists(_SPEED, min_size=avg.size + 1,
                                             max_size=avg.size + 1)))
-        du, out = quiet(_rhs, avg, grid, speed, positivity_dt)
+        def stage():
+            limiter = None
+            if positivity_dt is not None:
+                limiter = coefficients(speed[:-1], speed[1:], positivity_dt / grid.dx)
+            return _rhs(avg, grid, speed, limiter)
+
+        du, out = quiet(stage)
         want_du, want_out = reference_rhs(avg, grid, speed, positivity_dt)
         assert np.array_equal(du, want_du)
         assert out == want_out
@@ -224,7 +265,7 @@ class TestPositivityLimiter:
     @given(_LIMITER_CELLS, _LAM)
     def test_faces_nonnegative_and_outflow_capped(self, cells, lam):
         uc, uL, uR, sL, sR = cells
-        lf, rf = quiet(_limited_faces, uc, uL, uR, sL, sR, lam)
+        lf, rf = quiet(limited, uc, uL, uR, sL, sR, lam)
         out_l = lam * np.maximum(-sL, 0.0)
         out_r = lam * np.maximum(sR, 0.0)
         guarded = (uc > 0.0) & (out_l + out_r < 1.0)
@@ -237,7 +278,7 @@ class TestPositivityLimiter:
     @given(_LIMITER_CELLS, _LAM)
     def test_faces_needing_no_limit_come_back_unscaled(self, cells, lam):
         uc, uL, uR, sL, sR = cells
-        lf, rf = quiet(_limited_faces, uc, uL, uR, sL, sR, lam)
+        lf, rf = quiet(limited, uc, uL, uR, sL, sR, lam)
         uL1, uR1 = uc + (uL - uc), uc + (uR - uc)
         out_l = lam * np.maximum(-sL, 0.0)
         out_r = lam * np.maximum(sR, 0.0)
@@ -443,48 +484,57 @@ class TestTransportSolve:
             assert np.array_equal(a.averages, b.averages)
 
     def test_speeds_evaluated_once_per_stage(self, monkeypatch):
-        # three SSP-RK3 stages a step, each reading one speed array for both
-        # the CFL check and its flux
+        # one speed call a block covers its stage times in time order; a
+        # block's end speed is the next block's start speed, read once
         times = []
         original = DriftSpec.speed
 
         def counted(self, x, t):
-            times.append(t)
+            times.append(np.array(t, copy=True))
             return original(self, x, t)
 
         monkeypatch.setattr(DriftSpec, "speed", counted)
         grid = Grid1D(-2.0, 3.0, 100)
         f0 = project_initial(gaussian_density(0.3, 0.25), grid)
-        tg = TimeGrid.from_step(0.2, 1e-2)
+        tg = TimeGrid.from_step(0.5, 1e-2)
         drift = DriftSpec(ControlPath.constant(tg, w=0.3, b=0.1), Activation("tanh"))
         solve_transport(f0, drift, tg)
-        # a step's end speed (t + dt) is the next step's start speed
-        assert len(times) == 2 * tg.n_steps + 1
+        block = _BLOCK_DOUBLES // (grid.n_cells + 1)
+        assert block == 40 and tg.n_steps == 50
+        assert [t.size for t in times] == [2 * block + 1, 2 * (tg.n_steps - block)]
         want, t = [0.0], 0.0
         for _ in range(tg.n_steps):
-            want += [t + tg.dt, t + 0.5 * tg.dt]
+            want += [t + 0.5 * tg.dt, t + tg.dt]
             t = t + tg.dt
-        assert times == want
+        assert np.concatenate(times).tolist() == want
 
     @pytest.mark.parametrize("reversed_", [False, True], ids=["forward", "adjoint"])
-    def test_carried_speeds_match_steps_that_read_all_three(self, reversed_):
-        # forward solves limit the faces, adjoint solves do not
+    @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])
+    def test_solve_is_the_stepper_that_reads_every_stage(self, act, reversed_):
+        # every stage reads its speeds by a scalar call and forms its
+        # right-hand side by the reference kernels; forward solves limit the
+        # faces, adjoint solves do not.  50 steps at 120 cells are two blocks
         grid = Grid1D(-2.0, 3.0, 120)
         tg = TimeGrid.from_step(0.5, 1e-2)
         c = ControlPath.from_functions(
-            tg, lambda t: 0.8 * np.sin(3.0 * t), lambda t: t - 0.5
+            tg, lambda t: 0.4 * np.sin(3.0 * t), lambda t: t - 0.5
         )
-        drift = DriftSpec(c, Activation("sigmoid"), time_reversed=reversed_)
+        drift = DriftSpec(c, Activation(act), time_reversed=reversed_)
         if reversed_:
             f0 = DensityField(grid, 2.0 * grid.centers - 1.0)
         else:
             f0 = project_initial(lambda x: ((x > -0.5) & (x < 0.2)).astype(float), grid)
         snaps = solve_transport(f0, drift, tg)
-        field = f0
+        pos_dt = None if reversed_ else tg.dt
+        u, t = f0.averages, f0.time
         for snap in snaps[1:]:
-            field, *_ = _advance(field, drift, tg.dt, 0.45, not reversed_)
-            assert field.time == snap.time
-            assert np.array_equal(field.averages, snap.averages)
+            speeds = [drift.speed(grid.edges, s) for s in (t, t + tg.dt, t + 0.5 * tg.dt)]
+            u = _ssp_rk3(u, tg.dt,
+                         lambda v, k: reference_rhs(v, grid, speeds[k], pos_dt)[0])
+            t = t + tg.dt
+            assert snap.time == t
+            assert snap.averages.tobytes() == u.tobytes()
+
 
     def test_hard_cfl_bound_raises_with_speed(self):
         grid = Grid1D(-2.0, 3.0, 200)
@@ -528,6 +578,69 @@ class TestTransportSolve:
         assert density_diagnostics(snaps)["min_average"] == pytest.approx(-4.975)
         assert abs(snaps[-1].mass - lam0.mass) > 1e-10
         assert caplog.records == []
+
+
+class TestStageSchedule:
+    @pytest.mark.parametrize("cells, n_steps", [(200, 47), (3200, 4)],
+                             ids=["200-cells", "3200-cells"])
+    @pytest.mark.parametrize("reversed_", [False, True], ids=["forward", "adjoint"])
+    @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])
+    def test_rows_are_the_per_stage_formulas(self, monkeypatch, act, reversed_, cells,
+                                             n_steps):
+        # 47 steps are two blocks of 20 and one of 7 at 200 cells; at 3200
+        # cells a block holds a single step
+        block = max(1, _BLOCK_DOUBLES // (cells + 1))
+        assert (block, n_steps % block) == ((20, 7) if cells == 200 else (1, 0))
+        dt = 2e-3 if cells == 3200 else 1e-2
+        tg = TimeGrid.from_step(n_steps * dt, dt)
+        c = ControlPath.from_functions(
+            tg, lambda t: 0.8 * np.sin(30.0 * t), lambda t: 4.0 * t - 0.5
+        )
+        drift = DriftSpec(c, Activation(act), time_reversed=reversed_)
+        grid = Grid1D(-2.0, 3.0, cells)
+        lam = None if reversed_ else dt / grid.dx
+        calls = []
+        original = DriftSpec.speed
+
+        def counted(self, x, t):
+            calls.append(t)
+            return original(self, x, t)
+
+        monkeypatch.setattr(DriftSpec, "speed", counted)
+        # a step's rows are checked before the next step is drawn: the
+        # schedule reuses its buffers from block to block
+        t, n_seen = 0.0, 0
+        for stages in _stage_schedule(drift, grid, 0.0, dt, n_steps, lam):
+            for (speed, smax, limiter), when in zip(stages, (t, t + dt, t + 0.5 * dt)):
+                want = original(drift, grid.edges, when)
+                assert speed.tobytes() == want.tobytes()
+                assert smax == float(np.max(np.abs(want)))
+                if lam is None:
+                    assert limiter is None
+                    continue
+                out_l = lam * np.maximum(-want[:-1], 0.0)
+                out_r = lam * np.maximum(want[1:], 0.0)
+                s_out = out_l + out_r
+                for got, ref in zip(limiter, (out_l, out_r, s_out, 1.0 - s_out, s_out < 1.0)):
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            t, n_seen = t + dt, n_seen + 1
+        assert n_seen == n_steps
+        assert len(calls) == -(-n_steps // block)
+
+    @pytest.mark.parametrize("reversed_", [False, True], ids=["forward", "adjoint"])
+    @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])
+    def test_a_row_of_times_is_the_scalar_calls(self, act, reversed_):
+        tg = TimeGrid.from_step(1.0, 1e-2)
+        c = ControlPath.from_functions(
+            tg, lambda t: 3.0 * np.sin(7.0 * t), lambda t: 2.0 * t - 1.0
+        )
+        drift = DriftSpec(c, Activation(act), time_reversed=reversed_)
+        x = Grid1D(-2.0, 3.0, 333).edges
+        times = np.concatenate([np.linspace(0.0, 1.0, 41), [0.005, 0.995, 1.0]])
+        rows = drift.speed(x, times)
+        assert rows.shape == (times.size, x.size)
+        for row, t in zip(rows, times):
+            assert row.tobytes() == drift.speed(x, float(t)).tobytes()
 
 
 class TestProjection:

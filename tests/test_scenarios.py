@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfrn import optim, scenarios
-from mfrn.core import Activation, ControlPath, TimeGrid, activation
+from mfrn.core import Activation, ConfigValueError, ControlPath, TimeGrid, activation
 from mfrn.fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from mfrn.measures import moments, particles_to_density, wasserstein1
 from mfrn.particle import ParticleEnsemble, ode_integrate
@@ -85,6 +85,11 @@ class TestBuildersAndConfigs:
         sc = shipped("convergence")
         with pytest.raises(ValueError, match="must increase"):
             replace(sc, params={**sc.params, "M_list": [100, 50]})
+
+    def test_activation_name_is_kept_normalized(self):
+        sc = replace(shipped("shift_identity"), activation=" RELU")
+        assert sc.activation == "relu" and sc.act == Activation("relu")
+        assert scenario_to_config(sc)["activation"] == "relu"
 
     def test_scenario_validation(self):
         good = shipped("test2")
@@ -241,9 +246,10 @@ class TestExactControlConstructions:
         assert gap <= 2 * (5.0 / 200)
 
     def test_infeasible_rate_rejected(self):
-        with pytest.raises(ValueError, match="sigmoid image"):
-            run_exact_control(replace(shipped("shift_identity"), activation="sigmoid",
-                                      params={"beta": 2.0}))
+        # when the scenario is built, before any solve
+        with pytest.raises(ConfigValueError, match=r"^params\.beta / t_final: rate 2\.0 "
+                                                   r"is outside the sigmoid image"):
+            replace(shipped("shift_identity"), activation="sigmoid", params={"beta": 2.0})
 
     def test_distinct_bias_paths_same_terminal_state(self):
         assert shift_quadratic_companion() <= 2 * (5.0 / 200)
