@@ -290,7 +290,8 @@ def _stage_schedule(drift: DriftSpec, grid: Grid1D, t: float, dt: float, n_steps
     n_edges = grid.n_cells + 1
     block = min(n_steps, max(1, _BLOCK_DOUBLES // n_edges))
     size = 2 * block + 1
-    # the speed rows and the four float coefficient tables in one allocation
+    # one allocation per solve for the speed rows and the float coefficient
+    # tables: fresh tables for every block fragment the heap
     speeds, *coefs = np.empty((1 if lam is None else 5, size, n_edges))
     coefs = [c[:, :-1] for c in coefs]
     if coefs:
