@@ -37,7 +37,7 @@ _CFL_HARD = 1.45
 
 # Edge values per block of a solve's stage schedule: the speeds are built
 # _BLOCK_DOUBLES // (n_cells + 1) steps at a time, and at least one.
-_BLOCK_DOUBLES = 4096
+_BLOCK_DOUBLES = 2048
 
 # 3-point Gauss-Legendre rule on [-1/2, 1/2] (nodes scaled by cell width).
 _GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0) / 2.0, 0.0, np.sqrt(3.0 / 5.0) / 2.0])

@@ -500,8 +500,8 @@ class TestTransportSolve:
         drift = DriftSpec(ControlPath.constant(tg, w=0.3, b=0.1), Activation("tanh"))
         solve_transport(f0, drift, tg)
         block = _BLOCK_DOUBLES // (grid.n_cells + 1)
-        assert block == 40 and tg.n_steps == 50
-        assert [t.size for t in times] == [2 * block + 1, 2 * (tg.n_steps - block)]
+        assert block == 20 and tg.n_steps == 50
+        assert [t.size for t in times] == [2 * block + 1, 2 * block, 2 * (tg.n_steps - 2 * block)]
         want, t = [0.0], 0.0
         for _ in range(tg.n_steps):
             want += [t + 0.5 * tg.dt, t + tg.dt]
@@ -513,7 +513,7 @@ class TestTransportSolve:
     def test_solve_is_the_stepper_that_reads_every_stage(self, act, reversed_):
         # every stage reads its speeds by a scalar call and forms its
         # right-hand side by the reference kernels; forward solves limit the
-        # faces, adjoint solves do not.  50 steps at 120 cells are two blocks
+        # faces, adjoint solves do not.  50 steps at 120 cells are four blocks
         grid = Grid1D(-2.0, 3.0, 120)
         tg = TimeGrid.from_step(0.5, 1e-2)
         c = ControlPath.from_functions(
@@ -587,10 +587,10 @@ class TestStageSchedule:
     @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])
     def test_rows_are_the_per_stage_formulas(self, monkeypatch, act, reversed_, cells,
                                              n_steps):
-        # 47 steps are two blocks of 20 and one of 7 at 200 cells; at 3200
+        # 47 steps are four blocks of 10 and one of 7 at 200 cells; at 3200
         # cells a block holds a single step
         block = max(1, _BLOCK_DOUBLES // (cells + 1))
-        assert (block, n_steps % block) == ((20, 7) if cells == 200 else (1, 0))
+        assert (block, n_steps % block) == ((10, 7) if cells == 200 else (1, 0))
         dt = 2e-3 if cells == 3200 else 1e-2
         tg = TimeGrid.from_step(n_steps * dt, dt)
         c = ControlPath.from_functions(
