@@ -197,8 +197,10 @@ class ControlPath:
 
     def _check_time(self, t):
         if isinstance(t, float) and 0.0 <= t <= self.grid.t_final:
-            return t  # the solvers' case: a scalar time inside the domain
+            return t  # the particles' case: a scalar time inside the domain
         t = np.asarray(t, dtype=float)
+        if t.size and 0.0 <= t.min() and t.max() <= self.grid.t_final:
+            return t  # the grid solver's case: a block of stage times inside it
         slack = 1e-12 * max(1.0, self.grid.t_final)
         if np.any(t < -slack) or np.any(t > self.grid.t_final + slack):
             raise ValueError(

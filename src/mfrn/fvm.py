@@ -128,9 +128,7 @@ class DriftSpec:
             w, b = w[:, None], b[:, None]
         else:
             w, b = float(w), float(b)
-        z = w * np.asarray(x, dtype=float)
-        z += b
-        v = self.activation.value(z)
+        v = self.activation.value(w * np.asarray(x, dtype=float) + b)
         return -v if self.time_reversed else v
 
 
