@@ -124,7 +124,7 @@ class DriftSpec:
         tau = self.control.grid.t_final - t if self.time_reversed else t
         w = self.control.eval_w(tau)
         b = self.control.eval_b(tau)
-        if np.ndim(tau):
+        if isinstance(tau, np.ndarray) and tau.ndim:
             w, b = w[:, None], b[:, None]
         else:
             w, b = float(w), float(b)
