@@ -6,6 +6,11 @@ integrator here reads that velocity field from ``fvm.DriftSpec.speed``, the
 same field the transport solver advects with, so the Euler path of
 ``ode_integrate`` and ``resnet_forward`` coincide bitwise when the step sizes
 match.
+
+``ode_integrate`` moves an ensemble _BLOCK_ROWS particles at a time.  A step of
+a 1e5-particle ensemble made about ten fresh 800 KB temporaries, which the
+allocator handed back to the system and faulted in again at every stage; a
+block's temporaries are small enough for the heap to reuse.
 """
 
 from __future__ import annotations
@@ -14,8 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Activation, ControlPath
+from .core import Activation, ControlPath, is_number
 from .fvm import DriftSpec
+
+# Rows per block of an ensemble integration: 16384 one-dimensional particles
+# make 128 KiB temporaries, which the heap reuses from step to step.
+_BLOCK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -25,10 +34,10 @@ class ResNetConfig:
     activation: Activation
 
     def __post_init__(self) -> None:
-        if self.n_layers < 0:
-            raise ValueError("n_layers must be >= 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not (is_number(self.n_layers, integer=True) and self.n_layers >= 0):
+            raise ValueError(f"n_layers must be an integer >= 0, got {self.n_layers!r}")
+        if not (is_number(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be a finite number > 0, got {self.dt!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,10 @@ def resnet_forward(x0: np.ndarray, c: ControlPath, cfg: ResNetConfig) -> np.ndar
 
 
 def _steps_for(t_final: float, dt: float) -> int:
+    if not (is_number(dt) and dt > 0):
+        raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
+    if not is_number(t_final):
+        raise ValueError(f"t_final must be a finite number, got {t_final!r}")
     n = round(t_final / dt)
     if n < 1 or abs(n * dt - t_final) > 1e-10 * max(1.0, t_final):
         raise ValueError(f"t_final = {t_final!r} is not an integer multiple of dt = {dt!r}")
@@ -86,18 +99,26 @@ def ode_integrate(
 
     method "euler" reproduces the network recursion exactly at matching step
     sizes; "rk4" is the classical fourth-order scheme.
+
+    The ensemble runs through all steps _BLOCK_ROWS rows at a time, which keeps
+    every temporary small enough for the heap to reuse instead of mapping it in
+    again each stage.  Particles do not interact and every operation is
+    elementwise with the same scalar controls, so the result is bitwise that
+    of the whole ensemble at once.
     """
     n = _steps_for(t_final, dt)
+    if method not in ("euler", "rk4"):
+        raise ValueError(f"unknown integrator {method!r}; expected 'euler' or 'rk4'")
     drift = DriftSpec(c, act)
     x = ens.states.copy()
-    if method == "euler":
+    for start in range(0, len(x), _BLOCK_ROWS):
+        rows = x[start:start + _BLOCK_ROWS]
         for k in range(n):
-            x = x + dt * drift.speed(x, k * dt)
-    elif method == "rk4":
-        for k in range(n):
-            x = _rk4_step(x, drift, k * dt, dt)
-    else:
-        raise ValueError(f"unknown integrator {method!r}; expected 'euler' or 'rk4'")
+            if method == "euler":
+                rows = rows + dt * drift.speed(rows, k * dt)
+            else:
+                rows = _rk4_step(rows, drift, k * dt, dt)
+        x[start:start + _BLOCK_ROWS] = rows
     return ParticleEnsemble(x)
 
 

@@ -176,6 +176,20 @@ def projected_gradient_residual(c, f_traj, f0, g, act, cfg):
     return float(np.max(np.abs(c.w - p.w))), float(np.max(np.abs(c.b - p.b)))
 
 
+def residual_at_start_and_end(report):
+    """Largest |r| at the pinned initial controls, and the w and b parts of r
+    at the trained controls of a training report."""
+    sc = report.scenario
+    g = TargetMeasure.from_density(report.target_field)
+    c0 = sc.initial_controls().pinned()
+    f_traj0 = solve_transport(report.f0, DriftSpec(c0, sc.act), c0.grid, cfl=sc.config.cfl)
+    start = max(projected_gradient_residual(c0, f_traj0, report.f0, g, sc.act, sc.config))
+    end_w, end_b = projected_gradient_residual(
+        report.state.controls, report.state.trajectory, report.f0, g, sc.act, sc.config
+    )
+    return start, end_w, end_b
+
+
 class TestArmijo:
     def test_zero_gradient_returns_unchanged(self):
         grid = Grid1D(-2.0, 3.0, 16)
@@ -264,15 +278,13 @@ class TestTraining:
         # the trained w sits on the line search's shear cap, where g_w is the
         # cap's multiplier and stays near its start; the projected-gradient
         # residual is what vanishes there, in w exactly
-        r = test2_report
-        sc = r.scenario
-        g = TargetMeasure.from_density(r.target_field)
-        c0 = sc.initial_controls().pinned()
-        f_traj0 = solve_transport(r.f0, DriftSpec(c0, sc.act), c0.grid, cfl=sc.config.cfl)
-        start = max(projected_gradient_residual(c0, f_traj0, r.f0, g, sc.act, sc.config))
-        end_w, end_b = projected_gradient_residual(
-            r.state.controls, r.state.trajectory, r.f0, g, sc.act, sc.config
-        )
+        start, end_w, end_b = residual_at_start_and_end(test2_report)
+        assert max(end_w, end_b) <= start / 10.0
+        assert end_w <= 1e-12
+
+    def test_identity_shift_ends_at_a_constrained_stationary_point(self, test1_identity_report):
+        # the same statement for test1_identity, whose w also ends on the cap
+        start, end_w, end_b = residual_at_start_and_end(test1_identity_report)
         assert max(end_w, end_b) <= start / 10.0
         assert end_w <= 1e-12
 

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from mfrn import particle
 from mfrn.core import Activation, ControlPath, TimeGrid
 from mfrn.fvm import DriftSpec
 from mfrn.particle import ParticleEnsemble, ResNetConfig, ode_integrate, resnet_forward
+
+KINDS = ["identity", "tanh", "sigmoid", "relu", "gcu"]
 
 
 def constant_controls(t_final, dt, w, b):
@@ -48,6 +51,16 @@ class TestResNetForward:
         with pytest.raises(ValueError):
             ResNetConfig(n_layers=3, dt=0.0, activation=Activation("tanh"))
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), "0.1", None])
+    def test_non_finite_or_non_numeric_dt_is_named(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            ResNetConfig(n_layers=3, dt=dt, activation=Activation("tanh"))
+
+    @pytest.mark.parametrize("n_layers", [True, 2.5, 3.0, "3"])
+    def test_non_integer_n_layers_is_named(self, n_layers):
+        with pytest.raises(ValueError, match="n_layers"):
+            ResNetConfig(n_layers=n_layers, dt=0.1, activation=Activation("tanh"))
+
 
 class TestOdeIntegrate:
     def test_unit_speed_translates(self):
@@ -63,7 +76,7 @@ class TestOdeIntegrate:
         assert abs(out.states[0, 0] - np.e) <= 1e-6
 
     @given(st.integers(min_value=0, max_value=64),
-           st.sampled_from(["identity", "tanh", "sigmoid", "relu", "gcu"]),
+           st.sampled_from(KINDS),
            st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30)
     def test_euler_equals_network_recursion_bitwise(self, n_layers, kind, seed):
@@ -120,6 +133,18 @@ class TestOdeIntegrate:
         with pytest.raises(ValueError, match="multiple"):
             ode_integrate(ens, c, Activation("tanh"), "euler", 0.1, 0.35)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.1, 0.0])
+    def test_bad_step_is_named(self, dt):
+        ens = ParticleEnsemble(np.array([[0.0]]))
+        c = constant_controls(1.0, 0.1, w=0.0, b=0.0)
+        with pytest.raises(ValueError, match="dt must be"):
+            ode_integrate(ens, c, Activation("tanh"), "euler", dt, 1.0)
+
+    def test_non_finite_horizon_is_named(self):
+        ens = ParticleEnsemble(np.array([[0.0]]))
+        c = constant_controls(1.0, 0.1, w=0.0, b=0.0)
+        with pytest.raises(ValueError, match="t_final"):
+            ode_integrate(ens, c, Activation("tanh"), "euler", 0.1, float("inf"))
 
     @pytest.mark.parametrize("method, stages", [("euler", 1), ("rk4", 4)])
     def test_speeds_come_from_the_drift_spec(self, monkeypatch, method, stages):
@@ -144,3 +169,64 @@ class TestOdeIntegrate:
                       method, 0.1, 1.0)
         n = stages * 10
         assert calls == {"speed": n, "eval_w": n, "eval_b": n}
+
+
+def unblocked_integrate(x0, c, act, method, dt, n):
+    """The whole ensemble at once: ode_integrate's loop before it was blocked."""
+    drift = DriftSpec(c, act)
+    x = x0.copy()
+    for k in range(n):
+        if method == "euler":
+            x = x + dt * drift.speed(x, k * dt)
+        else:
+            x = particle._rk4_step(x, drift, k * dt, dt)
+    return x
+
+
+class TestBlockedIntegration:
+    """ode_integrate moves _BLOCK_ROWS rows at a time; with blocks of 8 rows the
+    small ensembles below cover one block, a partial block, exact multiples and
+    a partial last block."""
+
+    B = 8
+
+    @pytest.fixture
+    def controls(self):
+        rng = np.random.default_rng(7)
+        tg = TimeGrid.from_step(0.5, 0.05)
+        return ControlPath(tg, w=rng.uniform(-1, 1, tg.n_steps + 1),
+                           b=rng.uniform(-1, 1, tg.n_steps + 1))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 19])
+    def test_blocks_are_bitwise_the_whole_ensemble(self, monkeypatch, controls,
+                                                   m, method, kind, dim):
+        monkeypatch.setattr(particle, "_BLOCK_ROWS", self.B)
+        x0 = np.random.default_rng(m).uniform(-2, 2, (m, dim))
+        ens = ParticleEnsemble(x0.copy())
+        act = Activation(kind)
+        out = ode_integrate(ens, controls, act, method, 0.05, 0.5)
+        want = unblocked_integrate(x0, controls, act, method, 0.05, 10)
+        assert out.states.shape == (m, dim)
+        assert out.states.tobytes() == want.tobytes()
+        assert ens.states.tobytes() == x0.tobytes()
+
+    @pytest.mark.parametrize("method, stages", [("euler", 1), ("rk4", 4)])
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 19])
+    def test_one_speed_call_per_block_and_stage(self, monkeypatch, controls,
+                                                m, method, stages):
+        monkeypatch.setattr(particle, "_BLOCK_ROWS", self.B)
+        calls = 0
+        speed = DriftSpec.speed
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return speed(*args, **kwargs)
+
+        monkeypatch.setattr(DriftSpec, "speed", counted)
+        ode_integrate(ParticleEnsemble(np.zeros((m, 1))), controls, Activation("tanh"),
+                      method, 0.05, 0.5)
+        assert calls == -(-m // self.B) * stages * 10
