@@ -7,10 +7,8 @@ same field the transport solver advects with, so the Euler path of
 ``ode_integrate`` and ``resnet_forward`` coincide bitwise when the step sizes
 match.
 
-``ode_integrate`` moves an ensemble _BLOCK_ROWS particles at a time.  A step of
-a 1e5-particle ensemble made about ten fresh 800 KB temporaries, which the
-allocator handed back to the system and faulted in again at every stage; a
-block's temporaries are small enough for the heap to reuse.
+``ode_integrate`` moves an ensemble in blocks of _BLOCK_ROWS particles: whole
+1e5-particle temporaries were mapped in and page-faulted anew at every stage.
 """
 
 from __future__ import annotations
@@ -100,11 +98,10 @@ def ode_integrate(
     method "euler" reproduces the network recursion exactly at matching step
     sizes; "rk4" is the classical fourth-order scheme.
 
-    The ensemble runs through all steps _BLOCK_ROWS rows at a time, which keeps
-    every temporary small enough for the heap to reuse instead of mapping it in
-    again each stage.  Particles do not interact and every operation is
-    elementwise with the same scalar controls, so the result is bitwise that
-    of the whole ensemble at once.
+    Each block of _BLOCK_ROWS rows runs through all steps, so every temporary
+    is small enough for the heap to reuse.  Particles do not interact and
+    every operation is elementwise with the same scalar controls, so the
+    result is bitwise that of the whole ensemble at once.
     """
     n = _steps_for(t_final, dt)
     if method not in ("euler", "rk4"):
