@@ -7,8 +7,9 @@ same field the transport solver advects with, so the Euler path of
 ``ode_integrate`` and ``resnet_forward`` coincide bitwise when the step sizes
 match.
 
-``ode_integrate`` moves an ensemble in blocks of _BLOCK_ROWS particles: whole
-1e5-particle temporaries were mapped in and page-faulted anew at every stage.
+``ode_integrate`` moves an ensemble in blocks of _BLOCK_ROWS particles: the
+temporaries of a whole 1e5-particle stage are mapped in and page-faulted anew
+at every stage, a block's are reused from the heap.
 """
 
 from __future__ import annotations
