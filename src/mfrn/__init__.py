@@ -18,7 +18,6 @@ from .fvm import (
     solve_transport,
 )
 from .measures import (
-    EmpiricalMeasure,
     moments,
     particles_to_density,
     steady_state_support,

@@ -31,7 +31,6 @@ from .scenarios import (
     run_scenario,
     scenario_from_config,
     scenario_to_config,
-    worker_count,
 )
 
 EXIT_OK = 0
@@ -105,7 +104,7 @@ def _write_manifest(out_dir: str, sc: Scenario, config_raw: bytes,
             "mfrn": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "MFRN_THREADS": worker_count(),
+            "threads": 1,
         },
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
@@ -232,8 +231,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"{args.config}:{e.line}: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args.out, sc, raw, timings=None)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        _write_manifest(args.out, sc, raw, timings=None)
+    except OSError as e:
+        print(f"cannot write output directory: {e}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
     t0 = time.perf_counter()
     try:
@@ -254,48 +257,61 @@ def cmd_run(args: argparse.Namespace) -> int:
         _emit_exact(args.out, report)
     else:
         _emit_convergence(args.out, report)
-    timings = dict(getattr(report, "timings", {}) or {})
-    timings["total"] = wall
-    _write_manifest(args.out, sc, raw, timings=timings)
+    _write_manifest(args.out, sc, raw, timings={**report.timings, "total": wall})
     print(f"run complete: {args.out}")
     return EXIT_OK
 
 
 def _load_run_dir(path: str) -> tuple[dict, list[dict], list[dict]]:
+    """A run's config and its iteration log and controls as rows of strings.
+
+    A missing file raises OSError; a manifest without a run config, or a CSV
+    value that is not a number, raises ValueError naming the file."""
     man_path = os.path.join(path, "manifest.json")
-    if not os.path.exists(man_path):
-        raise FileNotFoundError(f"no manifest in {path}")
     with open(man_path) as fh:
         manifest = json.load(fh)
+    config = manifest.get("config") if isinstance(manifest, dict) else None
+    if not (isinstance(config, dict) and isinstance(config.get("run"), dict)
+            and "dt" in config and "t_final" in config):
+        raise ValueError(f"{man_path}: not a run manifest (needs config with run, dt, t_final)")
 
     def read_csv(name):
         p = os.path.join(path, name)
         if not os.path.exists(p):
             return []
+        rows = []
         with open(p) as fh:
             header = fh.readline().strip().split(",")
-            return [dict(zip(header, line.strip().split(",")))
-                    for line in fh if line.strip()]
+            for n, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                row = dict(zip(header, line.strip().split(",")))
+                try:
+                    for v in filter(None, row.values()):
+                        float(v)
+                except ValueError as e:
+                    raise ValueError(f"{p}:{n}: {e}") from None
+                rows.append(row)
+        return rows
 
-    return manifest, read_csv("iteration_log.csv"), read_csv("controls.csv")
+    return config, read_csv("iteration_log.csv"), read_csv("controls.csv")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
-        man_a, iters_a, ctr_a = _load_run_dir(args.dir_a)
-        man_b, iters_b, ctr_b = _load_run_dir(args.dir_b)
-    except (OSError, json.JSONDecodeError) as e:
+        cfg_a, iters_a, ctr_a = _load_run_dir(args.dir_a)
+        cfg_b, iters_b, ctr_b = _load_run_dir(args.dir_b)
+    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"cannot load run directory: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
     for key in ("n_cells", "domain"):
-        va = man_a["config"]["run"].get(key)
-        vb = man_b["config"]["run"].get(key)
+        va = cfg_a["run"].get(key)
+        vb = cfg_b["run"].get(key)
         if va != vb:
             print(f"mismatched grids: {key} {va} vs {vb}", file=sys.stderr)
             return EXIT_BAD_CONFIG
-    if (man_a["config"]["dt"], man_a["config"]["t_final"]) != (
-            man_b["config"]["dt"], man_b["config"]["t_final"]):
+    if (cfg_a["dt"], cfg_a["t_final"]) != (cfg_b["dt"], cfg_b["t_final"]):
         print("mismatched grids: time discretization differs", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
@@ -322,8 +338,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         idx = ra["t"] if ra else rb["t"]
         lines.append(f"control,{idx},,,,,,,{wa},{wb},{wd},{ba},{bb},{bd}")
 
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(args.out, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as e:
+        print(f"cannot write comparison: {e}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     print(f"comparison written: {args.out}")
     return EXIT_OK
 

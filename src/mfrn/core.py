@@ -55,7 +55,7 @@ class Activation:
 
     ``bounded`` records whether the range is bounded; transport with an
     unbounded activation is allowed but the theory behind the mean-field
-    limit wants a bounded one, so solvers log a warning (see fvm).
+    limit wants a bounded one, so ``scenarios.run_scenario`` logs a warning.
     """
 
     kind: str
@@ -290,13 +290,5 @@ class RunConfig:
             for f in fields(cls) if f.name != "domain"})
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_w": self.gamma_w,
-            "gamma_b": self.gamma_b,
-            "tol": self.tol,
-            "max_armijo": self.max_armijo,
-            "cfl": self.cfl,
-            "domain": [self.domain[0], self.domain[1]],
-            "n_cells": self.n_cells,
-            "dimension": self.dimension,
-        }
+        return {f.name: list(self.domain) if f.name == "domain" else getattr(self, f.name)
+                for f in fields(self)}

@@ -1,17 +1,17 @@
 """Probability-measure utilities shared by the solver and the diagnostics.
 
-The 1-d Wasserstein-1 distance is computed exactly as the area between
-cumulative distribution functions.  Both grid densities (piecewise-constant,
-hence piecewise-linear CDF) and weighted atom sets (step CDF) are supported,
-in any combination: between consecutive breakpoints of the merged breakpoint
-set the CDF difference is affine, so each piece integrates in closed form.
+The 1-d Wasserstein-1 distance between two grid densities is computed exactly
+as the area between their cumulative distribution functions.  A grid density
+is piecewise constant, so its CDF is piecewise linear; between consecutive
+points of the merged cell edges of the two grids the CDF difference is
+affine, and each piece integrates in closed form.  Particle ensembles enter
+through their histogram on a grid (``particles_to_density``).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,81 +24,22 @@ log = logging.getLogger(__name__)
 _MASS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Weighted atoms: nonnegative weights summing to one."""
-
-    locations: np.ndarray
-    weights: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        locs = np.atleast_1d(np.asarray(self.locations, dtype=float))
-        if locs.ndim != 1 or locs.size == 0:
-            raise ValueError("locations must be a nonempty 1-d array")
-        if self.weights is None:
-            w = np.full(locs.size, 1.0 / locs.size)
-        else:
-            w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if w.shape != locs.shape:
-            raise ValueError("weights must match locations")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
-        order = np.argsort(locs, kind="stable")
-        object.__setattr__(self, "locations", locs[order])
-        object.__setattr__(self, "weights", w[order])
+def _cdf_at(f: DensityField, x: np.ndarray) -> np.ndarray:
+    """The CDF of a unit-mass density at the points x."""
+    total = f.mass
+    if abs(total - 1.0) > _MASS_TOL:
+        raise ValueError(f"density field is not normalized: mass = {total!r}")
+    cum = np.concatenate([[0.0], np.cumsum(f.averages) * f.grid.dx]) / total
+    cum[-1] = 1.0
+    return np.interp(x, f.grid.edges, cum, left=0.0, right=1.0)
 
 
-class _Cdf:
-    """Breakpoints plus left/right limit evaluation for a unit-mass CDF."""
-
-    def __init__(self, breakpoints: np.ndarray, left, right):
-        self.breakpoints = breakpoints
-        self.left = left      # F(x-) as a vectorized callable
-        self.right = right    # F(x) right-continuous
-
-
-def _cdf_of(m) -> _Cdf:
-    if isinstance(m, DensityField):
-        total = m.mass
-        if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError(f"density field is not normalized: mass = {total!r}")
-        edges = m.grid.edges
-        cum = np.concatenate([[0.0], np.cumsum(m.averages) * m.grid.dx]) / total
-        cum[-1] = 1.0
-
-        def interp(x):
-            return np.interp(x, edges, cum, left=0.0, right=1.0)
-
-        return _Cdf(edges, interp, interp)
-    if isinstance(m, EmpiricalMeasure):
-        locs = m.locations
-        cum = np.cumsum(m.weights)
-        cum = cum / cum[-1]
-
-        def right(x):
-            idx = np.searchsorted(locs, x, side="right")
-            return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-
-        def left(x):
-            idx = np.searchsorted(locs, x, side="left")
-            return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-
-        return _Cdf(locs, left, right)
-    raise TypeError(f"unsupported measure type {type(m).__name__}")
-
-
-def wasserstein1(mu, nu) -> float:
-    """Exact W1 between grid densities and/or weighted atom sets."""
-    fa, fb = _cdf_of(mu), _cdf_of(nu)
-    points = np.unique(np.concatenate([fa.breakpoints, fb.breakpoints]))
-    if points.size < 2:
-        return 0.0
-    x0, x1 = points[:-1], points[1:]
-    d0 = np.asarray(fa.right(x0) - fb.right(x0))
-    d1 = np.asarray(fa.left(x1) - fb.left(x1))
-    h = x1 - x0
+def wasserstein1(mu: DensityField, nu: DensityField) -> float:
+    """Exact W1 between two grid densities, on the same grid or on two."""
+    points = np.unique(np.concatenate([mu.grid.edges, nu.grid.edges]))
+    d = _cdf_at(mu, points) - _cdf_at(nu, points)
+    d0, d1 = d[:-1], d[1:]
+    h = points[1:] - points[:-1]
     same_sign = d0 * d1 >= 0
     trapezoid = 0.5 * h * (np.abs(d0) + np.abs(d1))
     denom = np.where(same_sign, 1.0, np.abs(d1 - d0))
@@ -106,21 +47,16 @@ def wasserstein1(mu, nu) -> float:
     return float(np.sum(np.where(same_sign, trapezoid, crossing)))
 
 
-def moments(m, k: int) -> float:
-    """k-th raw moment; midpoint rule for densities, exact sum for atoms."""
+def moments(f: DensityField, k: int) -> float:
+    """k-th raw moment of a grid density by the midpoint rule."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    if isinstance(m, DensityField):
-        x = m.grid.centers
-        return float(m.grid.dx * np.sum(x**k * m.averages))
-    if isinstance(m, EmpiricalMeasure):
-        return float(np.sum(m.weights * m.locations**k))
-    raise TypeError(f"unsupported measure type {type(m).__name__}")
+    return float(f.grid.dx * np.sum(f.grid.centers**k * f.averages))
 
 
-def variance(m) -> float:
-    m1 = moments(m, 1)
-    return moments(m, 2) - m1 * m1
+def variance(f: DensityField) -> float:
+    m1 = moments(f, 1)
+    return moments(f, 2) - m1 * m1
 
 
 def steady_state_support(

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -362,17 +360,6 @@ def sample_from_density(f: DensityField, n: int, rng: np.random.Generator) -> np
     return np.interp(rng.random(n), cum, f.grid.edges)
 
 
-def worker_count() -> int:
-    """Thread cap from MFRN_THREADS, default 1."""
-    raw = os.environ.get("MFRN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        log.warning("MFRN_THREADS=%r is not an integer; using 1", raw)
-        return 1
-    return max(n, 1)
-
-
 def run_convergence_study(sc: Scenario) -> ConvergenceReport:
     """Sample, integrate and histogram ensembles of increasing size against
     one fixed PDE solve, averaging the terminal gap over the declared seeds."""
@@ -393,14 +380,7 @@ def run_convergence_study(sc: Scenario) -> ConvergenceReport:
         hist = particles_to_density(moved, sc.space_grid)
         return wasserstein1(hist, f_T)
 
-    tasks = [(i, M) for i in range(n_seeds) for M in M_list]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(lambda im: one(*im), tasks))
-    else:
-        flat = [one(*im) for im in tasks]
-    w1 = np.array(flat).reshape(n_seeds, len(M_list))
+    w1 = np.array([[one(i, M) for M in M_list] for i in range(n_seeds)])
     w1_mean = w1.mean(axis=0)
     slope = float(np.polyfit(np.log10(M_list), np.log10(w1_mean), 1)[0])
     return ConvergenceReport(

@@ -18,7 +18,7 @@ import pytest
 
 import mfrn
 from mfrn import cli
-from mfrn.scenarios import scenario_to_config, worker_count
+from mfrn.scenarios import scenario_to_config
 
 from conftest import SCENARIO_DIR, shipped
 
@@ -33,6 +33,23 @@ def write_config(sc, path):
 def cli_run(config, out, *extra):
     rc = cli.main(["run", "--config", str(config), "--out", str(out), *extra])
     return rc, Path(out)
+
+
+def src_env():
+    """The environment with this suite's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def assert_named_error(*argv, says):
+    """``python -m mfrn *argv`` exits 2 with one stderr line and no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "mfrn", *map(str, argv)],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and says in proc.stderr, proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -108,15 +125,15 @@ class TestRun:
             "mfrn": mfrn.__version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "MFRN_THREADS": worker_count(),
+            "threads": 1,
         }
-        # the recorded thread count is the one the run used
+        # every run is serial, whatever the environment asks for
         monkeypatch.setenv("MFRN_THREADS", "3")
         cfgp = write_config(_small_study(), t1_run.parent / "prov.json")
         rc, out = cli_run(cfgp, t1_run.parent / "prov")
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["provenance"]["MFRN_THREADS"] == 3
+        assert manifest["provenance"]["threads"] == 1
 
     def test_summary_reflects_the_training_outcome(self, t1_run):
         summary = json.loads((t1_run / "summary.json").read_text())
@@ -293,6 +310,12 @@ class TestRunFailures:
         assert rc == 2
         assert "blorp" in capsys.readouterr().err
 
+    def test_out_under_a_file_is_a_named_error(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        assert_named_error("run", "--config", SCENARIO_DIR / "shift_identity.json",
+                           "--out", tmp_path / "file" / "sub",
+                           says="cannot write output directory: ")
+
     def test_missing_arguments_trip_argparse(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run"])
@@ -410,6 +433,33 @@ class TestCompare:
         assert rc == 2
         assert "cannot load run directory" in capsys.readouterr().err
 
+    BAD_INPUTS = {
+        "manifest_without_config": "not a run manifest",
+        "manifest_is_a_list": "not a run manifest",
+        "controls_value_abc": "controls.csv:4: could not convert string to float: 'abc'",
+        "out_under_a_missing_directory": "cannot write comparison: ",
+    }
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_bad_input_is_a_named_error(self, t1_run, tmp_path, case):
+        bad, out = tmp_path / "bad", tmp_path / "cmp.csv"
+        shutil.copytree(t1_run, bad)
+        manifest = bad / "manifest.json"
+        if case == "manifest_without_config":
+            data = json.loads(manifest.read_text())
+            del data["config"]
+            manifest.write_text(json.dumps(data))
+        elif case == "manifest_is_a_list":
+            manifest.write_text("[1, 2]")
+        elif case == "controls_value_abc":
+            lines = (bad / "controls.csv").read_text().splitlines()
+            t, _, b = lines[3].split(",")
+            lines[3] = f"{t},abc,{b}"
+            (bad / "controls.csv").write_text("\n".join(lines) + "\n")
+        else:
+            out = tmp_path / "missing" / "cmp.csv"
+        assert_named_error("compare", t1_run, bad, "--out", out, says=self.BAD_INPUTS[case])
+
 
 def _declared_entry_point():
     """The ``module:function`` that ``[project.scripts]`` names for ``mfrn``."""
@@ -431,10 +481,7 @@ def test_console_script_help():
     module, func = _declared_entry_point()
     code = (f"import sys; sys.argv[0] = 'mfrn'; from {module} import {func}; "
             f"sys.exit({func}())")
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = src_env()
     runs = [([sys.executable, "-c", code, "--help"], env),
             ([sys.executable, "-m", "mfrn", "--help"], env)]
     # An installed script is checked too, as it runs, wherever there is one.

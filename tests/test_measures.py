@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import integrate, stats
 
 from mfrn.core import Activation
-from mfrn.fvm import Grid1D, project_initial
+from mfrn.fvm import DensityField, Grid1D, project_initial
 from mfrn.measures import (
-    EmpiricalMeasure,
     moments,
     particles_to_density,
     steady_state_support,
@@ -26,40 +25,42 @@ def box_density(lo, hi):
     return lambda x: ((x >= lo) & (x <= hi)).astype(float)
 
 
-atoms = st.lists(
-    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False), min_size=1, max_size=6
-)
+# three grids with different domains and cell widths
+GRIDS = (Grid1D(-2.0, 3.0, 8), Grid1D(-1.3, 2.2, 11), Grid1D(0.1, 1.0, 16))
 
 
-class TestEmpiricalMeasure:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            EmpiricalMeasure(np.zeros(0))
-        with pytest.raises(ValueError, match="match locations"):
-            EmpiricalMeasure([0.0, 1.0], [1.0])
-        with pytest.raises(ValueError, match="nonnegative"):
-            EmpiricalMeasure([0.0, 1.0], [1.5, -0.5])
-        with pytest.raises(ValueError, match="sum to 1"):
-            EmpiricalMeasure([0.0, 1.0], [0.4, 0.4])
+@st.composite
+def densities(draw, grid):
+    """Random nonnegative cell averages on the grid, normalized to unit mass."""
+    cells = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    w = np.array(draw(st.lists(cells, min_size=grid.n_cells, max_size=grid.n_cells)
+                      .filter(lambda w: sum(w) > 1e-6)))
+    return DensityField(grid, w / (w.sum() * grid.dx))
 
-    def test_sorted_on_construction(self):
-        m = EmpiricalMeasure([2.0, -1.0, 0.5], [0.2, 0.5, 0.3])
-        assert np.array_equal(m.locations, [-1.0, 0.5, 2.0])
-        assert np.array_equal(m.weights, [0.5, 0.3, 0.2])
+
+def quad_w1(f, g):
+    """W1 as the integral of |F - G| by adaptive quadrature between merged
+    breakpoints, each CDF summed from its own cell probabilities."""
+    def cdf(field):
+        grid = field.grid
+        p = field.averages * grid.dx / field.mass
+
+        def F(x):
+            return float(np.sum(p * np.clip((x - grid.edges[:-1]) / grid.dx, 0.0, 1.0)))
+
+        return F
+
+    F, G = cdf(f), cdf(g)
+    points = np.unique(np.concatenate([f.grid.edges, g.grid.edges]))
+    return sum(integrate.quad(lambda x: abs(F(x) - G(x)), lo, hi)[0]
+               for lo, hi in zip(points[:-1], points[1:]))
 
 
 class TestWasserstein:
     def test_identical_measures(self):
-        m = EmpiricalMeasure([0.0, 1.0, 2.5])
-        assert wasserstein1(m, m) == 0.0
         grid = Grid1D(-2.0, 3.0, 100)
         f = project_initial(gaussian_density(0.3, 0.25), grid)
         assert wasserstein1(f, f) == 0.0
-
-    def test_point_masses(self):
-        a = EmpiricalMeasure([0.3])
-        b = EmpiricalMeasure([-1.1])
-        assert_allclose(wasserstein1(a, b), 1.4, rtol=1e-14)
 
     def test_translated_uniform_density(self):
         grid = Grid1D(-2.0, 3.0, 500)
@@ -67,34 +68,35 @@ class TestWasserstein:
         g = project_initial(box_density(-0.5, 0.5), grid)
         assert_allclose(wasserstein1(f, g), 1.0, rtol=1e-12)
 
-    def test_equal_weight_atoms_match_sorted_pairing(self):
-        rng = np.random.default_rng(5)
-        xs = rng.normal(0.0, 1.0, 257)
-        ys = rng.normal(0.4, 0.7, 257)
-        got = wasserstein1(EmpiricalMeasure(xs), EmpiricalMeasure(ys))
-        want = np.mean(np.abs(np.sort(xs) - np.sort(ys)))
-        assert_allclose(got, want, rtol=1e-12)
+    def test_translated_uniforms_on_different_grids(self):
+        f = project_initial(box_density(-1.5, -0.5), Grid1D(-2.0, 3.0, 500))
+        g = project_initial(box_density(-0.5, 0.5), Grid1D(-1.0, 1.0, 80))
+        assert_allclose(wasserstein1(f, g), 1.0, rtol=1e-12)
+        assert_allclose(wasserstein1(g, f), 1.0, rtol=1e-12)
+
+    def test_matches_quadrature_on_different_grids(self):
+        f = project_initial(gaussian_density(0.3, 0.4), Grid1D(-2.0, 3.0, 40))
+        g = project_initial(gaussian_density(0.6, 0.25), Grid1D(-1.7, 2.9, 27))
+        assert_allclose(wasserstein1(f, g), quad_w1(f, g), rtol=1e-9)
 
     def test_unnormalized_density_rejected(self):
         grid = Grid1D(0.0, 1.0, 10)
-        from mfrn.fvm import DensityField
-
         bad = DensityField(grid, np.full(10, 2.0))
         with pytest.raises(ValueError, match="not normalized"):
             wasserstein1(bad, bad)
 
-    @given(atoms, atoms)
+    @pytest.mark.parametrize("grids", [GRIDS[:1] * 3, GRIDS], ids=["one_grid", "three_grids"])
+    @given(data=st.data())
     @settings(max_examples=50)
-    def test_symmetry(self, xs, ys):
-        a, b = EmpiricalMeasure(np.array(xs)), EmpiricalMeasure(np.array(ys))
+    def test_symmetry(self, grids, data):
+        a, b = (data.draw(densities(grid)) for grid in grids[:2])
         assert abs(wasserstein1(a, b) - wasserstein1(b, a)) <= 1e-12
 
-    @given(atoms, atoms, atoms)
+    @pytest.mark.parametrize("grids", [GRIDS[:1] * 3, GRIDS], ids=["one_grid", "three_grids"])
+    @given(data=st.data())
     @settings(max_examples=50)
-    def test_triangle_inequality(self, xs, ys, zs):
-        a = EmpiricalMeasure(np.array(xs))
-        b = EmpiricalMeasure(np.array(ys))
-        c = EmpiricalMeasure(np.array(zs))
+    def test_triangle_inequality(self, grids, data):
+        a, b, c = (data.draw(densities(grid)) for grid in grids)
         assert wasserstein1(a, c) <= wasserstein1(a, b) + wasserstein1(b, c) + 1e-10
 
 
@@ -103,7 +105,6 @@ class TestMoments:
         grid = Grid1D(-2.0, 3.0, 200)
         f = project_initial(gaussian_density(0.3, 0.25), grid)
         assert_allclose(moments(f, 0), 1.0, rtol=1e-12)
-        assert_allclose(moments(EmpiricalMeasure([1.0, 2.0]), 0), 1.0, rtol=1e-15)
 
     def test_beta_density_mean(self):
         grid = Grid1D(-2.0, 3.0, 400)
@@ -118,20 +119,16 @@ class TestMoments:
         f = project_initial(gaussian_density(1.0, 0.1), grid)
         assert abs(moments(f, 2) - 1.01) <= 5e-4
 
-    def test_empirical_moments_are_exact_sums(self):
-        locs = np.array([-0.4, 0.2, 1.7, 2.2])
-        w = np.array([0.1, 0.2, 0.3, 0.4])
-        m = EmpiricalMeasure(locs, w)
-        for k in range(4):
-            assert_allclose(moments(m, k), np.sum(w * locs**k), rtol=1e-14)
-
     def test_negative_order_rejected(self):
+        f = project_initial(box_density(0.0, 1.0), Grid1D(0.0, 1.0, 10))
         with pytest.raises(ValueError, match=">= 0"):
-            moments(EmpiricalMeasure([0.0]), -1)
+            moments(f, -1)
 
     def test_variance(self):
-        m = EmpiricalMeasure([0.0, 1.0])
-        assert_allclose(variance(m), 0.25, rtol=1e-15)
+        # the midpoint rule on the unit uniform: mean 1/2, second moment
+        # 1/3 - dx^2/12, so the variance is 1/12 - dx^2/12
+        f = project_initial(box_density(0.0, 1.0), Grid1D(0.0, 1.0, 10))
+        assert_allclose(variance(f), (1.0 - 0.1**2) / 12.0, rtol=1e-13)
 
 
 class TestSteadyStates:

@@ -4,8 +4,10 @@ The scan parses ``src/mfrn/*.py`` and the benchmark's non-test files with
 ``ast`` (nothing is imported) and matches by name: a public top-level
 function or class, or a public method, counts as used when its name occurs
 as a name, an attribute or a dotted entry-point string in package code other
-than ``__init__.py``, or in ``bench/``.  Tests do not count: code that only
-tests reach belongs in the tests.  The few objects kept for the paper's sake
+than ``__init__.py``, or in ``bench/``.  A name that occurs only as the type
+argument of ``isinstance`` is not a caller: a branch for a type that nothing
+builds is dead code.  Tests do not count: code that only tests reach belongs
+in the tests.  The few objects kept for the paper's sake
 without a caller are listed below with their reason.
 """
 
@@ -41,12 +43,28 @@ def _public_definitions() -> list[str]:
     return names
 
 
+def _isinstance_types(tree: ast.AST) -> set[int]:
+    """The ids of the nodes that are the type argument of an ``isinstance``
+    call, or an element of a tuple there."""
+    types = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            arg = node.args[1]
+            types.update(map(id, arg.elts if isinstance(arg, ast.Tuple) else [arg]))
+    return types
+
+
 def _referenced_names() -> set[str]:
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += [p for p in BENCH.glob("*.py") if not p.name.startswith("test_")]
     refs = set()
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        type_args = _isinstance_types(tree)
+        for node in ast.walk(tree):
+            if id(node) in type_args:
+                continue
             if isinstance(node, ast.Name):
                 refs.add(node.id)
             elif isinstance(node, ast.Attribute):

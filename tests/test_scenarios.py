@@ -27,7 +27,6 @@ from mfrn.scenarios import (
     sample_from_density,
     scenario_from_config,
     scenario_to_config,
-    worker_count,
 )
 from conftest import SCENARIO_DIR, shipped
 from test_optim import assert_same_trajectory
@@ -309,24 +308,6 @@ class TestSampling:
         f = DensityField(grid, np.zeros(10))
         with pytest.raises(ValueError, match="no positive mass"):
             sample_from_density(f, 10, np.random.default_rng(0))
-
-
-class TestWorkerCount:
-    def test_env_value_respected(self, monkeypatch):
-        monkeypatch.setenv("MFRN_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("MFRN_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_garbage_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv("MFRN_THREADS", "abc")
-        assert worker_count() == 1
-
-    def test_nonpositive_clamped(self, monkeypatch):
-        monkeypatch.setenv("MFRN_THREADS", "-4")
-        assert worker_count() == 1
 
 
 def test_boundary_outflow_is_not_reported_as_mass_drift(caplog):
