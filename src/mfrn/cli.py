@@ -265,11 +265,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _load_run_dir(path: str) -> tuple[dict, list[dict], list[dict]]:
     """A run's config and its iteration log and controls as rows of strings.
 
-    A missing file raises OSError; a manifest without a run config, or a CSV
-    value that is not a number, raises ValueError naming the file."""
+    A missing file raises OSError; a manifest that is not JSON or holds no
+    run config, or a CSV value that is not a number, raises ValueError naming
+    the file."""
     man_path = os.path.join(path, "manifest.json")
     with open(man_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as e:  # JSONDecodeError, or bytes that are not text
+            raise ValueError(f"{man_path}: not valid JSON: {e}") from None
     config = manifest.get("config") if isinstance(manifest, dict) else None
     if not (isinstance(config, dict) and isinstance(config.get("run"), dict)
             and "dt" in config and "t_final" in config):
@@ -301,7 +305,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         cfg_a, iters_a, ctr_a = _load_run_dir(args.dir_a)
         cfg_b, iters_b, ctr_b = _load_run_dir(args.dir_b)
-    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError) as e:
         print(f"cannot load run directory: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

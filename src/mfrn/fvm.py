@@ -10,6 +10,16 @@ The step size is fixed by the caller's time grid.  Each step measures the
 largest interface speed: exceeding the configured CFL number is logged (the
 scheme loses its nominal non-oscillatory guarantee but remains linearly
 stable), while exceeding the hard stability margin raises, naming the speed.
+
+One stepping loop advances one or two rows: a solve's own field, and on
+request the adjoint of the same controls, which training needs beside every
+forward solve.  The rows' cell averages form one array, cells on axis 0 and
+rows on axis 1, so every numpy call of a stage serves both rows and the
+stencil's shifted views stay contiguous.  Rows do not interact, so each is
+bitwise its own solve.  Each row has its own drift, CFL check and warning;
+the positivity limiter and the mass and sign checks apply to the first row
+only.  An adjoint row that breaks the hard margin is dropped, and the first
+row goes on.
 """
 
 from __future__ import annotations
@@ -224,7 +234,7 @@ def _limited_faces(uc, uL, uR, coefs):
     drain = out_l * uL1 + out_r * uR1
     # cap only where it is needed and a scaling can actually achieve it
     need = (drain > uc) & (uc >= 0.0) & open_
-    theta = np.ones_like(uc)
+    theta.fill(1.0)  # the first scaling is spent; its array is reused
     np.divide(rest * uc, drain - s_out * uc, out=theta, where=need)
     # clip to [0, 1]; maximum(0.0, theta) keeps a -0.0 theta, as np.clip does,
     # at half np.clip's cost
@@ -234,19 +244,20 @@ def _limited_faces(uc, uL, uR, coefs):
 
 def _interface_fluxes(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
                       limiter=None) -> np.ndarray:
-    """Fluxes through the n_cells + 1 edges, given the speeds there and, for
-    a limited stage, the cells' _limiter_coefficients at those speeds."""
+    """Fluxes through the n_cells + 1 edges of each row (cells on axis 0,
+    rows on axis 1), given the rows' speeds there and, for a limited stage,
+    the cells' _limiter_coefficients at row 0's speeds."""
     n = grid.n_cells
-    padded = np.zeros(n + 4)  # zero-inflow ghosts
+    padded = np.zeros((n + 4, avg.shape[1]))  # zero-inflow ghosts
     padded[2:-2] = avg
     left_faces, right_faces = _cweno3_faces(
         padded[:-2], padded[1:-1], padded[2:], eps=grid.dx
     )
     if limiter is not None:
         # physical cell j owns faces index j + 1 and edge speeds j, j + 1;
-        # the reconstruction's face arrays are fresh, so they are limited in place
-        left_faces[1 : n + 1], right_faces[1 : n + 1] = _limited_faces(
-            avg, left_faces[1 : n + 1], right_faces[1 : n + 1], limiter
+        # the reconstruction's face arrays are fresh, so row 0 is limited in place
+        left_faces[1 : n + 1, 0], right_faces[1 : n + 1, 0] = _limited_faces(
+            avg[:, 0], left_faces[1 : n + 1, 0], right_faces[1 : n + 1, 0], limiter
         )
     # reconstruction k covers padded cell k+1; interface i has cell i-1 on its
     # left (faces index i) and cell i on its right (faces index i+1)
@@ -257,10 +268,10 @@ def _interface_fluxes(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
 
 def _rhs(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
          limiter=None) -> tuple[np.ndarray, float]:
-    """d/dt of the cell averages under the conservative advection flux, and
-    the net rate at which mass leaves through the two boundary edges."""
+    """d/dt of the rows' cell averages under the conservative advection flux,
+    and the net rate at which row 0's mass leaves through the boundary edges."""
     flux = _interface_fluxes(avg, grid, speed, limiter)
-    return -(flux[1:] - flux[:-1]) / grid.dx, float(flux[-1] - flux[0])
+    return -(flux[1:] - flux[:-1]) / grid.dx, float(flux[-1, 0] - flux[0, 0])
 
 
 def _ssp_rk3(u: np.ndarray, dt: float, rhs) -> np.ndarray:
@@ -271,30 +282,33 @@ def _ssp_rk3(u: np.ndarray, dt: float, rhs) -> np.ndarray:
     return (u + 2.0 * (u2 + dt * rhs(u2, 2))) / 3.0
 
 
-def _stage_schedule(drift: DriftSpec, grid: Grid1D, t: float, dt: float, n_steps: int,
-                    lam: float | None = None):
-    """Each step's SSP-RK3 stages, in step order, as (start, end, mid): the
-    stage times t, t + dt and t + dt/2, with t accumulated by repeated + dt.
-    A stage is (speeds at the edges, their largest magnitude, and with lam the
-    cells' _limiter_coefficients at those speeds, else None).
+def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
+                    n_steps: int, lam: float | None = None):
+    """Each step's SSP-RK3 stages, in step order, as ((start, end, mid),
+    smax): the stage times t, t + dt and t + dt/2, with t accumulated by
+    repeated + dt, and for each drift the largest speed magnitude over the
+    three.  A stage is (the speeds at the edges, one column per drift, and
+    with lam the cells' _limiter_coefficients at the first drift's speeds,
+    else None).
 
-    The rows are built a block of steps at a time, in one buffer allocated
-    per solve: one drift.speed call covers the block's stage times in time
-    order (node, mid, node, ..., node), and the block's last node row, with
+    The tables are built a block of steps at a time, in buffers allocated
+    per solve: one speed call per drift covers the block's stage times in
+    time order (node, mid, node, ..., node), and the block's last node, with
     what was derived from it, is carried over as the next block's first.  So
-    a solve of n steps reads the speeds at 2n + 1 times, in one call a block.
-    The stages are views of that buffer: a step's stages hold until the next
-    step is drawn."""
+    each drift of a solve of n steps is read at 2n + 1 times, in one call a
+    block.  The stages are views of those buffers: a step's stages hold until
+    the next step is drawn."""
     n_edges = grid.n_cells + 1
     block = min(n_steps, max(1, _BLOCK_DOUBLES // n_edges))
     size = 2 * block + 1
-    # one allocation per solve for the speed rows and the float coefficient
-    # tables: fresh tables for every block fragment the heap
-    speeds, *coefs = np.empty((1 if lam is None else 5, size, n_edges))
-    coefs = [c[:, :-1] for c in coefs]
-    if coefs:
+    # buffers per solve, not per block: fresh tables for every block
+    # fragment the heap
+    speeds = np.empty((size, n_edges, len(drifts)))
+    smax = np.empty((size, len(drifts)))
+    coefs = []
+    if lam is not None:
+        coefs = [c[:, :-1] for c in np.empty((4, size, n_edges))]
         coefs.append(np.empty((size, n_edges - 1), bool))
-    smax = np.empty(size)
     times, done = [t], 0
     while done < n_steps:
         k = min(block, n_steps - done)
@@ -303,17 +317,22 @@ def _stage_schedule(drift: DriftSpec, grid: Grid1D, t: float, dt: float, n_steps
             t = t + dt
         n_rows = 2 * k + 1
         new = slice(n_rows - len(times), n_rows)  # all rows but a carried one
-        fresh = drift.speed(grid.edges, np.array(times))
-        speeds[new] = fresh
-        np.max(np.abs(fresh, out=fresh), axis=1, out=smax[new])
+        times = np.array(times)
+        for r, drift in enumerate(drifts):
+            fresh = drift.speed(grid.edges, times)
+            speeds[new, :, r] = fresh
+            np.max(np.abs(fresh, out=fresh), axis=1, out=smax[new, r])
         limiters = itertools.repeat(None)
         if coefs:
-            _limiter_coefficients(speeds[new, :-1], speeds[new, 1:], lam,
+            _limiter_coefficients(speeds[new, :-1, 0], speeds[new, 1:, 0], lam,
                                   [c[new] for c in coefs])
             limiters = zip(*(c[:n_rows] for c in coefs))
-        stages = list(zip(speeds[:n_rows], smax[:n_rows].tolist(), limiters))
+        stages = list(zip(speeds[:n_rows], limiters))
+        maxima = smax[:n_rows].tolist()
         for j in range(0, 2 * k, 2):
-            yield stages[j], stages[j + 2], stages[j + 1]
+            # a step's largest speed per drift: over its start, end and mid
+            yield (stages[j], stages[j + 2], stages[j + 1]), list(
+                map(max, maxima[j], maxima[j + 2], maxima[j + 1]))
         for table in (speeds, smax, *coefs):
             table[0] = table[n_rows - 1]
         times, done = [], done + k
@@ -321,11 +340,11 @@ def _stage_schedule(drift: DriftSpec, grid: Grid1D, t: float, dt: float, n_steps
 
 def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages) -> tuple[np.ndarray, float]:
     """One SSP-RK3 step through the schedule's (start, end, mid) stages: the
-    advanced averages and the mass that left through the boundary."""
+    advanced averages and the mass that left row 0 through the boundary."""
     net = []
 
     def rhs(u, k):
-        speed, _, limiter = stages[k]
+        speed, limiter = stages[k]
         du, out = _rhs(u, grid, speed, limiter)
         net.append(out)
         return du
@@ -341,7 +360,8 @@ def solve_transport(
     grid: TimeGrid,
     cfl: float = 0.45,
     limit_positive: bool | None = None,
-) -> list[DensityField]:
+    adjoint: tuple[DensityField, DriftSpec] | None = None,
+) -> list[DensityField] | tuple[list[DensityField], list[DensityField] | None]:
     """Snapshots of the field at every node of the time grid (n_steps + 1).
 
     A forward (not time-reversed) solve carries a probability density and
@@ -354,57 +374,85 @@ def solve_transport(
     default it is on exactly for forward solves, since the adjoint field is
     signed and must not be clipped.
 
+    adjoint, a start field on the same grid and time and its drift, adds a
+    second, never limited or checked row to the same sweep; the call then
+    returns both rows' snapshots, each bitwise those of its own solve.  Each
+    row logs its own CFL warning.  An adjoint row whose speeds break the hard
+    stability margin fails alone: its snapshots come back as None, and the
+    first row goes on.
+
     The work that depends only on the controls is done before the stages
     that use it (_stage_schedule): the speeds at the edges for every stage
     time, their largest magnitude for the CFL check, and the limiter's
     speed-only coefficients.  They are built _BLOCK_DOUBLES // (n_cells + 1)
-    steps at a time (at least one), with one DriftSpec.speed call a block.
+    steps at a time (at least one), with one DriftSpec.speed call a block
+    and row.
     """
+    starts, drifts = [f0], [drift]
+    if adjoint is not None:
+        if adjoint[0].grid != f0.grid or adjoint[0].time != f0.time:
+            raise ValueError("the adjoint row must start on the grid and at the time of f0")
+        starts.append(adjoint[0])
+        drifts.append(adjoint[1])
     forward = not drift.time_reversed
     if limit_positive is None:
         limit_positive = forward
     space, dt = f0.grid, grid.dt
     lam = dt / space.dx if limit_positive else None
-    snapshots = [f0]
-    field = f0
-    worst_nu = 0.0
+    state = np.stack([f.averages for f in starts], axis=1)  # cells x rows
+    snapshots = [[f] for f in starts]
+    live = [True] * len(starts)
+    worst_nu = [0.0] * len(starts)
+    t = f0.time
     outflow = 0.0
     worst_min = float(np.min(f0.averages)) if forward else 0.0
-    for stages in _stage_schedule(drift, space, f0.time, dt, grid.n_steps, lam):
-        t = field.time
-        smax = max(stages[0][1], stages[1][1], stages[2][1])
-        nu = smax * dt / space.dx
-        if nu > _CFL_HARD:
-            raise CFLViolationError(
-                f"time step dt={dt:g} unstable: max interface speed {smax:.6g} gives "
-                f"CFL number {nu:.4g} > hard bound {_CFL_HARD} (configured cfl={cfl:g})"
-            )
-        if nu > cfl:
-            log.debug("step at t=%.6g exceeds configured cfl: %.4g > %.4g", t, nu, cfl)
-        new, out = _step(field.averages, space, dt, stages)
-        field = DensityField(space, new, t + dt)
-        worst_nu = max(worst_nu, nu)
+    for stages, step_max in _stage_schedule(drifts, space, t, dt, grid.n_steps, lam):
+        for r, smax in enumerate(step_max):
+            if not live[r]:
+                continue
+            nu = smax * dt / space.dx
+            if nu > _CFL_HARD:
+                if r == 0:
+                    raise CFLViolationError(
+                        f"time step dt={dt:g} unstable: max interface speed {smax:.6g} gives "
+                        f"CFL number {nu:.4g} > hard bound {_CFL_HARD} (configured cfl={cfl:g})"
+                    )
+                # a zero row stays zero at any speed: no overflow, no effect
+                # on the other rows
+                live[r] = False
+                state[:, r] = 0.0
+                continue
+            if nu > cfl:
+                log.debug("step at t=%.6g exceeds configured cfl: %.4g > %.4g", t, nu, cfl)
+            worst_nu[r] = max(worst_nu[r], nu)
+        state, out = _step(state, space, dt, stages)
+        t = t + dt
+        # one contiguous copy of both rows, or a view of a single row
+        for row, snaps in zip(np.ascontiguousarray(state.T), snapshots):
+            snaps.append(DensityField(space, row, t))
         outflow += out
         if forward:
-            worst_min = min(worst_min, float(np.min(field.averages)))
-        snapshots.append(field)
-    # paths projected exactly onto the speed cap land at nu == cfl up to
-    # roundoff; only a real excess is worth a warning
-    if worst_nu > cfl * (1.0 + 1e-9):
-        log.warning(
-            "transport solve exceeded configured cfl=%.3g (worst step CFL number %.4g); "
-            "still inside the hard stability margin %.3g",
-            cfl, worst_nu, _CFL_HARD,
-        )
+            worst_min = min(worst_min, float(np.min(snapshots[0][-1].averages)))
+    for nu, ok in zip(worst_nu, live):
+        # paths projected exactly onto the speed cap land at nu == cfl up to
+        # roundoff; only a real excess is worth a warning
+        if ok and nu > cfl * (1.0 + 1e-9):
+            log.warning(
+                "transport solve exceeded configured cfl=%.3g (worst step CFL number %.4g); "
+                "still inside the hard stability margin %.3g",
+                cfl, nu, _CFL_HARD,
+            )
     if forward:
         # mass carried out through the zero-inflow boundary is not drift
-        drift_mass = abs(field.mass - f0.mass + outflow)
+        drift_mass = abs(snapshots[0][-1].mass - f0.mass + outflow)
         if drift_mass > 1e-10:
             log.warning("forward solve mass drift %.3e (net of boundary outflow) "
                         "exceeds 1e-10", drift_mass)
         if worst_min < -1e-8:
             log.warning("forward solve produced cell average %.3e below -1e-8", worst_min)
-    return snapshots
+    if adjoint is None:
+        return snapshots[0]
+    return snapshots[0], snapshots[1] if live[1] else None
 
 
 def project_initial(density, grid: Grid1D, renormalize: bool = True) -> DensityField:

@@ -1,12 +1,14 @@
 """Training of the control pair by adjoint gradients and backtracking descent.
 
-One outer iteration takes the forward transport under the current controls
-(solved once at the start, afterwards handed over by the line search that
-accepted them), solves the adjoint transport (same conservative solver, drift
-negated and controls read in reversed time), assembles the two gradient
-curves, and takes a backtracking step that re-pins the controls at t = 0.  The
-stopping rule is the relative change of the control pair between iterates in
-the max norm over time nodes.
+One outer iteration takes the forward and the adjoint transport under the
+current controls (the adjoint is the same conservative solver, drift negated
+and controls read in reversed time), assembles the two gradient curves, and
+takes a backtracking step that re-pins the controls at t = 0.  The adjoint of
+controls depends on them and the target alone, so every forward solve of
+training advances the adjoint in the same sweep, and the line search hands
+the controls it accepts over with both solves.  The stopping rule is the
+relative change of the control pair between iterates in the max norm over
+time nodes.
 
 For unbounded activations a descent step can push the induced advection speeds
 past what the fixed time step tolerates; candidates are screened against the
@@ -130,16 +132,30 @@ def reduced_cost(
     cfg: RunConfig,
     *,
     trajectory: list[DensityField] | None = None,
+    adjoint: list[DensityField] | None = None,
 ) -> float:
     """Terminal mean-field loss plus Tikhonov terms, via a fresh forward solve.
 
     A list passed as trajectory receives the solve's snapshots, so a caller
-    that goes on with these controls need not solve them again.
+    that goes on with these controls need not solve them again.  A list
+    passed as adjoint receives the adjoint solve of the same controls, made
+    in the same sweep; it stays empty if that row broke the hard CFL bound.
     """
-    traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl)
+    if adjoint is None:
+        f_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl)
+    else:
+        f_traj, lam_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl,
+                                           adjoint=_adjoint_row(c, g, act, f0.grid))
+        adjoint.extend(lam_traj or ())
     if trajectory is not None:
-        trajectory.extend(traj)
-    return _terminal_cost(traj[-1], g) + _regularization(c, cfg)
+        trajectory.extend(f_traj)
+    return _terminal_cost(f_traj[-1], g) + _regularization(c, cfg)
+
+
+def _adjoint_row(c: ControlPath, g: TargetMeasure, act: Activation, grid: Grid1D):
+    """The adjoint start field and drift of controls c: solve_transport's
+    adjoint row."""
+    return adjoint_initial(g, grid), DriftSpec(c, act, time_reversed=True)
 
 
 def control_gradient(
@@ -254,14 +270,17 @@ def armijo_search(
     cfg: RunConfig,
     current_cost: float,
     current_traj: list[DensityField],
-) -> tuple[ControlPath, float, float, list[DensityField]]:
+) -> tuple[ControlPath, float, float, list[DensityField], list[DensityField] | None]:
     """Backtracking step from c, whose cost and forward trajectory are
     current_cost and current_traj, returning (new controls, accepted rho,
-    their cost, their forward trajectory).
+    their cost, their forward trajectory, their adjoint trajectory).
 
     Accepts the first step size with sufficient decrease; if none qualifies,
     falls back to the best-cost candidate that still improves on the current
-    cost, else returns the controls unchanged with rho = 0.
+    cost, else returns the controls unchanged with rho = 0.  Each trial
+    solves its adjoint in the sweep of its forward solve, and the returned
+    candidate brings it along; the adjoint is None when c comes back
+    unchanged or the candidate's adjoint row failed.
 
     Unbounded activations get their candidates projected nodewise onto the
     speed range the configured CFL number admits at the fixed time step, so
@@ -273,10 +292,10 @@ def armijo_search(
     g_b = _projected(grad[1])
     sq_norm = _trapezoid(g_w**2 + g_b**2, c.grid.dt)
     if sq_norm == 0.0:
-        return c, ARMIJO_RHO0, current_cost, current_traj
+        return c, ARMIJO_RHO0, current_cost, current_traj, None
 
     speed_cap = cfg.cfl * f0.grid.dx / c.grid.dt
-    best: tuple[float, ControlPath, float, list[DensityField]] | None = None
+    best = None
     rho = ARMIJO_RHO0
     for _ in range(cfg.max_armijo):
         w_c = c.w - rho * g_w
@@ -291,20 +310,21 @@ def armijo_search(
         )
         if inner < 0.0:
             traj: list[DensityField] = []
+            lam_traj: list[DensityField] = []
             try:
-                cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj)
+                cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
             except CFLViolationError:
                 cost = math.inf
             if math.isfinite(cost):
                 if cost <= current_cost + ARMIJO_DECREASE * inner:
-                    return cand, rho, cost, traj
+                    return cand, rho, cost, traj, lam_traj or None
                 if best is None or cost < best[0]:
-                    best = (cost, cand, rho, traj)
+                    best = (cost, cand, rho, traj, lam_traj or None)
         rho *= ARMIJO_HALVING
     if best is not None and best[0] < current_cost:
-        cost, cand, rho, traj = best
-        return cand, rho, cost, traj
-    return c, 0.0, current_cost, current_traj
+        cost, cand, rho, traj, lam_traj = best
+        return cand, rho, cost, traj, lam_traj
+    return c, 0.0, current_cost, current_traj, None
 
 
 def gauss_seidel_train(
@@ -317,12 +337,15 @@ def gauss_seidel_train(
 ) -> OptimState:
     """Alternating forward/adjoint sweeps with backtracking gradient updates.
 
+    Each iterate's adjoint comes from the sweep that solved its forward
+    transport; it is solved alone only when the iterate has none (an adjoint
+    row that broke the hard CFL bound).
+
     Stops when the relative control change e = ||c_new - c_old|| / ||c_new||
     (max over time nodes, max over the two components) drops to cfg.tol, or
     after max_outer updates.  A non-finite cost aborts with diagnostics.
     """
     c = c0.pinned()
-    lam0 = adjoint_initial(g, f0.grid)
     costs: list[float] = []
     errors: list[float] = []
     rhos: list[float] = []
@@ -331,9 +354,10 @@ def gauss_seidel_train(
     converged = False
     log.info("training start: Lipschitz budget of initial controls = %.6g", c.lipschitz_budget())
 
-    # the first iterate is solved here; every later one was solved by the
-    # line search that accepted it
-    f_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl)
+    # the first iterate is solved here, its adjoint in the same sweep; every
+    # later one was solved by the line search that accepted it
+    f_traj, lam_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl,
+                                       adjoint=_adjoint_row(c, g, act, f0.grid))
     cost = _terminal_cost(f_traj[-1], g) + _regularization(c, cfg)
     for k in range(max_outer):
         if not math.isfinite(cost):
@@ -342,11 +366,13 @@ def gauss_seidel_train(
                 f"(controls C0 norm {c.c0_norm():.6g})"
             )
         costs.append(cost)
-        lam_traj = solve_transport(lam0, DriftSpec(c, act, time_reversed=True), c.grid, cfl=cfg.cfl)
+        if lam_traj is None:
+            lam_traj = solve_transport(*_adjoint_row(c, g, act, f0.grid), c.grid, cfl=cfg.cfl)
         g_w, g_b = control_gradient(c, f_traj, lam_traj, act, cfg)
+        del lam_traj  # the trials' adjoints take its place
         gw_hist.append(float(np.max(np.abs(_projected(g_w)))))
         gb_hist.append(float(np.max(np.abs(_projected(g_b)))))
-        new_c, rho, new_cost, new_traj = armijo_search(
+        new_c, rho, new_cost, new_traj, lam_traj = armijo_search(
             c, (g_w, g_b), f0, g, act, cfg, cost, f_traj
         )
         dist = new_c.c0_distance(c)

@@ -127,10 +127,11 @@ def test_traced_arguments_bind_by_name(qualname):
 
 
 def test_training_goes_through_the_traced_entry_points(monkeypatch):
-    """Every solve reads the controls through DriftSpec.speed and
+    """Every row a solve advances (the forward row, and the adjoint row of a
+    paired sweep) reads the controls through DriftSpec.speed and
     ControlPath.eval_w/eval_b, and every line-search trial is a reduced_cost
     call made inside gauss_seidel_train."""
-    calls = {}
+    calls = {"rows": 0}
 
     def count(owner, name, key):
         fn = getattr(owner, name)
@@ -144,8 +145,14 @@ def test_training_goes_through_the_traced_entry_points(monkeypatch):
     count(ControlPath, "eval_w", "eval_w")
     count(ControlPath, "eval_b", "eval_b")
     count(DriftSpec, "speed", "speed")
-    count(optim, "solve_transport", "solves")
     count(optim, "reduced_cost", "trials")
+    solve = optim.solve_transport
+
+    def counted_solve(*args, **kwargs):
+        calls["rows"] += 1 + (kwargs.get("adjoint") is not None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "solve_transport", counted_solve)
     grid = Grid1D(-2.0, 3.0, 40)
     tg = TimeGrid.from_step(1.0, 5e-2)
     f0 = project_initial(gaussian_density(0.3, 0.25), grid)
@@ -155,9 +162,11 @@ def test_training_goes_through_the_traced_entry_points(monkeypatch):
                                Activation("tanh"), cfg, max_outer=3)
     assert state.iteration == 3
     assert calls["trials"] >= state.iteration
-    # a solve reads its speeds one block of steps at a time, and the 20
+    # a row reads its speeds one block of steps at a time, and the 20
     # steps of 41 edges fit in one block
     assert tg.n_steps * (grid.n_cells + 1) <= _BLOCK_DOUBLES
-    assert calls["speed"] == calls["solves"]
+    # the first iterate and every trial: a forward and an adjoint row
+    assert calls["rows"] == 2 * (1 + calls["trials"])
+    assert calls["speed"] == calls["rows"]
     assert calls["eval_w"] == calls["eval_b"] == calls["speed"]
     assert np.isfinite(state.cost_history).all()

@@ -436,6 +436,7 @@ class TestCompare:
     BAD_INPUTS = {
         "manifest_without_config": "not a run manifest",
         "manifest_is_a_list": "not a run manifest",
+        "manifest_not_json": f"{os.path.join('bad', 'manifest.json')}: not valid JSON: ",
         "controls_value_abc": "controls.csv:4: could not convert string to float: 'abc'",
         "out_under_a_missing_directory": "cannot write comparison: ",
     }
@@ -451,6 +452,8 @@ class TestCompare:
             manifest.write_text(json.dumps(data))
         elif case == "manifest_is_a_list":
             manifest.write_text("[1, 2]")
+        elif case == "manifest_not_json":
+            manifest.write_text("{ not json")
         elif case == "controls_value_abc":
             lines = (bad / "controls.csv").read_text().splitlines()
             t, _, b = lines[3].split(",")

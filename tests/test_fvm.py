@@ -247,11 +247,12 @@ class TestLeanKernelsAreBitwiseTheFormulas:
             limiter = None
             if positivity_dt is not None:
                 limiter = coefficients(speed[:-1], speed[1:], positivity_dt / grid.dx)
-            return _rhs(avg, grid, speed, limiter)
+            return _rhs(avg[:, None], grid, speed[:, None], limiter)
 
         du, out = quiet(stage)
         want_du, want_out = reference_rhs(avg, grid, speed, positivity_dt)
-        assert np.array_equal(du, want_du)
+        assert du.shape == (avg.size, 1)
+        assert np.array_equal(du[:, 0], want_du)
         assert out == want_out
 
 
@@ -300,11 +301,16 @@ class TestFlux:
         assert llf_flux(2.0, 0.0, -1.0) == 0.0
 
 
+def one_row_rhs(avg, grid, speed):
+    """The unlimited stage derivative of a single row (cells on axis 0)."""
+    return _rhs(avg[:, None], grid, speed[:, None])[0][:, 0]
+
+
 class TestSemidiscreteRhs:
     def test_constant_field_constant_speed_interior_zero(self):
         grid = Grid1D(-2.0, 3.0, 64)
         field = DensityField(grid, np.full(64, 1.0))
-        rhs, _ = _rhs(field.averages, grid, constant_speed(0.7).speed(grid.edges, 0.0))
+        rhs = one_row_rhs(field.averages, grid, constant_speed(0.7).speed(grid.edges, 0.0))
         # zero-inflow ghosts perturb two cells per side; the interior is exact
         assert np.max(np.abs(rhs[2:-2])) <= 1e-13
         assert rhs.sum() <= 1e-13
@@ -317,7 +323,7 @@ class TestSemidiscreteRhs:
             anti = lambda x: -(2.0 / np.pi) * np.cos(0.5 * np.pi * x)
             exact_avg = (anti(grid.edges[1:]) - anti(grid.edges[:-1])) / grid.dx
             field = DensityField(grid, exact_avg)
-            rhs, _ = _rhs(field.averages, grid, constant_speed(1.0).speed(grid.edges, 0.0))
+            rhs = one_row_rhs(field.averages, grid, constant_speed(1.0).speed(grid.edges, 0.0))
             point = lambda x: np.sin(0.5 * np.pi * x)
             exact_rhs = -(point(grid.edges[1:]) - point(grid.edges[:-1])) / grid.dx
             errs.append(np.max(np.abs(rhs - exact_rhs)[4:-4]))
@@ -362,8 +368,8 @@ class TestSemidiscreteRhs:
         grid = Grid1D(-2.0, 3.0, 100)
         field = project_initial(gaussian_density(0.3, 0.25), grid)
         for t in tg.nodes[::25]:
-            a, _ = _rhs(field.averages, grid, rev.speed(grid.edges, float(t)))
-            b, _ = _rhs(field.averages, grid, fwd.speed(grid.edges, float(t)))
+            a = one_row_rhs(field.averages, grid, rev.speed(grid.edges, float(t)))
+            b = one_row_rhs(field.averages, grid, fwd.speed(grid.edges, float(t)))
             assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
@@ -580,6 +586,103 @@ class TestTransportSolve:
         assert caplog.records == []
 
 
+def _warnings(caplog, solve):
+    """The fvm warnings a solve logs, sorted, and what it returned."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="mfrn.fvm"):
+        out = solve()
+    return sorted(r.getMessage() for r in caplog.records), out
+
+
+def _assert_same_snapshots(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.time == b.time
+        assert a.averages.tobytes() == b.averages.tobytes()
+
+
+class TestPairedSweep:
+    """A limited forward row and an adjoint row in one sweep are the two
+    solves on their own."""
+
+    @pytest.mark.parametrize("cells, n_steps", [(200, 23), (1100, 6)],
+                             ids=["200-cells", "1100-cells"])
+    @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])
+    def test_rows_are_the_solves(self, caplog, act, cells, n_steps):
+        # 23 steps are two blocks of 10 and one of 3 at 200 cells; at 1100
+        # cells a block holds a single step
+        block = max(1, _BLOCK_DOUBLES // (cells + 1))
+        assert block == (10 if cells == 200 else 1)
+        dt = 1e-2 if cells == 200 else 1e-3
+        tg = TimeGrid.from_step(n_steps * dt, dt)
+        c = ControlPath.from_functions(
+            tg, lambda t: 0.8 * np.sin(30.0 * t), lambda t: 4.0 * t - 0.5
+        )
+        grid = Grid1D(-2.0, 3.0, cells)
+        # the box's edges make the limiter act on the forward row
+        f0 = project_initial(lambda x: ((x >= -0.75) & (x <= -0.25)).astype(float), grid)
+        lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
+        fwd = DriftSpec(c, Activation(act))
+        rev = DriftSpec(c, Activation(act), time_reversed=True)
+        said_f, want_f = _warnings(caplog, lambda: solve_transport(f0, fwd, tg))
+        said_a, want_a = _warnings(caplog, lambda: solve_transport(lam0, rev, tg))
+        said, (got_f, got_a) = _warnings(
+            caplog, lambda: solve_transport(f0, fwd, tg, adjoint=(lam0, rev)))
+        _assert_same_snapshots(got_f, want_f)
+        _assert_same_snapshots(got_a, want_a)
+        assert said == sorted(said_f + said_a)
+
+    @pytest.mark.parametrize("t_final, bias", [
+        # the adjoint speed -b(T - t) = -150 t passes the hard bound halfway
+        # (CFL 1.5 at t = 0.05)
+        (0.1, lambda t: 150.0 * (0.1 - t)),
+        # CFL 1.6 from the start; run on for 500 steps, the unstable row
+        # would overflow
+        (5.0, lambda t: 0.0 * t + 8.0),
+    ], ids=["halfway", "from-the-start"])
+    def test_an_adjoint_row_past_the_hard_bound_fails_alone(self, caplog, t_final, bias):
+        # the forward row, at CFL 0.5, warns and goes on
+        grid = Grid1D(-2.0, 3.0, 100)
+        tg = TimeGrid.from_step(t_final, 1e-2)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        lam0 = DensityField(grid, np.sin(7.0 * grid.centers) + 2.0 * grid.centers)
+        fwd = DriftSpec(ControlPath.constant(tg, w=0.0, b=2.5), Activation("identity"))
+        fast = ControlPath.from_functions(tg, lambda t: 0.0 * t, bias)
+        rev = DriftSpec(fast, Activation("identity"), time_reversed=True)
+        with pytest.raises(CFLViolationError, match="interface speed"):
+            solve_transport(lam0, rev, tg)
+        said_f, want_f = _warnings(caplog, lambda: solve_transport(f0, fwd, tg))
+        assert any("configured cfl" in m for m in said_f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            said, (got_f, got_a) = _warnings(
+                caplog, lambda: solve_transport(f0, fwd, tg, adjoint=(lam0, rev)))
+        assert got_a is None
+        _assert_same_snapshots(got_f, want_f)
+        assert said == said_f
+
+    def test_a_forward_row_past_the_hard_bound_fails_the_sweep(self):
+        grid = Grid1D(-2.0, 3.0, 100)
+        tg = TimeGrid.from_step(0.1, 1e-2)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
+        fast = DriftSpec(ControlPath.constant(tg, w=0.0, b=10.0), Activation("identity"))
+        rev = DriftSpec(ControlPath.zero(tg), Activation("identity"), time_reversed=True)
+        with pytest.raises(CFLViolationError, match="interface speed"):
+            solve_transport(f0, fast, tg, adjoint=(lam0, rev))
+
+    def test_the_adjoint_row_starts_with_the_forward_row(self):
+        grid = Grid1D(-2.0, 3.0, 100)
+        tg = TimeGrid.from_step(0.1, 1e-2)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        fwd = DriftSpec(ControlPath.zero(tg), Activation("identity"))
+        rev = DriftSpec(ControlPath.zero(tg), Activation("identity"), time_reversed=True)
+        for lam0 in (DensityField(Grid1D(-2.0, 3.0, 50), np.zeros(50)),
+                     DensityField(grid, np.zeros(100), time=0.5)):
+            with pytest.raises(ValueError, match="adjoint row"):
+                solve_transport(f0, fwd, tg, adjoint=(lam0, rev))
+
+
 class TestStageSchedule:
     @pytest.mark.parametrize("cells, n_steps", [(200, 47), (3200, 4)],
                              ids=["200-cells", "3200-cells"])
@@ -596,7 +699,9 @@ class TestStageSchedule:
         c = ControlPath.from_functions(
             tg, lambda t: 0.8 * np.sin(30.0 * t), lambda t: 4.0 * t - 0.5
         )
-        drift = DriftSpec(c, Activation(act), time_reversed=reversed_)
+        # row 0 in the given direction, row 1 in the other one
+        drifts = [DriftSpec(c, Activation(act), time_reversed=rev)
+                  for rev in (reversed_, not reversed_)]
         grid = Grid1D(-2.0, 3.0, cells)
         lam = None if reversed_ else dt / grid.dx
         calls = []
@@ -610,22 +715,27 @@ class TestStageSchedule:
         # a step's rows are checked before the next step is drawn: the
         # schedule reuses its buffers from block to block
         t, n_seen = 0.0, 0
-        for stages in _stage_schedule(drift, grid, 0.0, dt, n_steps, lam):
-            for (speed, smax, limiter), when in zip(stages, (t, t + dt, t + 0.5 * dt)):
-                want = original(drift, grid.edges, when)
-                assert speed.tobytes() == want.tobytes()
-                assert smax == float(np.max(np.abs(want)))
+        for stages, step_max in _stage_schedule(drifts, grid, 0.0, dt, n_steps, lam):
+            wants = []
+            for (speed, limiter), when in zip(stages, (t, t + dt, t + 0.5 * dt)):
+                want = [original(d, grid.edges, when) for d in drifts]
+                wants.append(want)
+                assert speed.shape == (cells + 1, 2)
+                for r in range(2):
+                    assert speed[:, r].tobytes() == want[r].tobytes()
                 if lam is None:
                     assert limiter is None
                     continue
-                out_l = lam * np.maximum(-want[:-1], 0.0)
-                out_r = lam * np.maximum(want[1:], 0.0)
+                out_l = lam * np.maximum(-want[0][:-1], 0.0)
+                out_r = lam * np.maximum(want[0][1:], 0.0)
                 s_out = out_l + out_r
                 for got, ref in zip(limiter, (out_l, out_r, s_out, 1.0 - s_out, s_out < 1.0)):
                     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert step_max == [max(float(np.max(np.abs(w[r]))) for w in wants)
+                                for r in range(2)]
             t, n_seen = t + dt, n_seen + 1
         assert n_seen == n_steps
-        assert len(calls) == -(-n_steps // block)
+        assert len(calls) == 2 * -(-n_steps // block)
 
     @pytest.mark.parametrize("reversed_", [False, True], ids=["forward", "adjoint"])
     @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])

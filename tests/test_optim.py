@@ -161,6 +161,16 @@ def assert_same_trajectory(traj, c, f0, act, cfg):
         assert np.array_equal(got.averages, want.averages)
 
 
+def assert_same_adjoint(lam_traj, c, f0, g, act, cfg):
+    """lam_traj is bitwise the adjoint solve of the controls c on its own."""
+    fresh = solve_transport(adjoint_initial(g, f0.grid), DriftSpec(c, act, time_reversed=True),
+                            c.grid, cfl=cfg.cfl)
+    assert len(lam_traj) == len(fresh)
+    for got, want in zip(lam_traj, fresh):
+        assert got.time == want.time
+        assert got.averages.tobytes() == want.averages.tobytes()
+
+
 def projected_gradient_residual(c, f_traj, f0, g, act, cfg):
     """Largest |r| of the w and b parts of r = c - pin(P(c - grad)), where
     f_traj is the forward solve of c and P is the line search's projection
@@ -202,9 +212,10 @@ class TestArmijo:
         act = Activation("tanh")
         traj0 = []
         cost0 = reduced_cost(c, f0, g, act, cfg, trajectory=traj0)
-        new_c, rho, cost, traj = armijo_search(
+        new_c, rho, cost, traj, lam_traj = armijo_search(
             c, (zeros, zeros), f0, g, act, cfg, cost0, traj0
         )
+        assert lam_traj is None
         assert rho == ARMIJO_RHO0
         assert cost == cost0
         assert np.array_equal(new_c.w, c.w) and np.array_equal(new_c.b, c.b)
@@ -224,12 +235,14 @@ class TestArmijo:
         )
         grad = control_gradient(c, f_traj, lam_traj, act, cfg)
         cost0 = reduced_cost(c, f0, g, act, cfg)
-        new_c, rho, cost, traj = armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj)
+        new_c, rho, cost, traj, lam_traj = armijo_search(c, grad, f0, g, act, cfg, cost0,
+                                                         f_traj)
         assert rho > 0.0
         assert cost == reduced_cost(new_c, f0, g, act, cfg)
         assert cost < cost0
         assert new_c.w[0] == 0.0 and new_c.b[0] == 0.0
         assert_same_trajectory(traj, new_c, f0, act, cfg)
+        assert_same_adjoint(lam_traj, new_c, f0, g, act, cfg)
 
 
 class TestTraining:
@@ -288,24 +301,37 @@ class TestTraining:
         assert max(end_w, end_b) <= start / 10.0
         assert end_w <= 1e-12
 
-    def test_accepted_line_search_solve_is_reused(self, monkeypatch):
-        # forward solves: the first iterate's plus one per line-search trial;
-        # adjoint solves: one per iteration
-        solves = {False: 0, True: 0}
-        trials = 0
-        solve, cost = optim.solve_transport, optim.reduced_cost
+    @staticmethod
+    def _counted_training(monkeypatch, drop_adjoints=False):
+        """A short identity training run, with its solves counted by kind
+        (paired sweeps, lone forward and lone adjoint solves), its line-search
+        trials, and whether each line search handed over an adjoint.  With
+        drop_adjoints every sweep's adjoint row is discarded, as if it had
+        broken the hard CFL bound."""
+        counts = {"sweeps": 0, "forward": 0, "adjoint": 0, "trials": 0}
+        handed_over = []
+        solve, cost, search = optim.solve_transport, optim.reduced_cost, optim.armijo_search
 
         def counted_solve(f0, drift, *args, **kwargs):
-            solves[drift.time_reversed] += 1
+            if kwargs.get("adjoint") is not None:
+                counts["sweeps"] += 1
+                f_traj, lam_traj = solve(f0, drift, *args, **kwargs)
+                return f_traj, None if drop_adjoints else lam_traj
+            counts["adjoint" if drift.time_reversed else "forward"] += 1
             return solve(f0, drift, *args, **kwargs)
 
         def counted_cost(*args, **kwargs):
-            nonlocal trials
-            trials += 1
+            counts["trials"] += 1
             return cost(*args, **kwargs)
+
+        def counted_search(*args, **kwargs):
+            out = search(*args, **kwargs)
+            handed_over.append(out[4] is not None)
+            return out
 
         monkeypatch.setattr(optim, "solve_transport", counted_solve)
         monkeypatch.setattr(optim, "reduced_cost", counted_cost)
+        monkeypatch.setattr(optim, "armijo_search", counted_search)
         grid = Grid1D(-2.0, 3.0, 40)
         f0 = project_initial(gaussian_density(0.3, 0.25), grid)
         g = TargetMeasure(1.0, 1.01)
@@ -314,14 +340,46 @@ class TestTraining:
         state = gauss_seidel_train(
             f0, g, ControlPath.zero(TimeGrid.from_step(1.0, 5e-2)), act, cfg, max_outer=8
         )
+        monkeypatch.undo()
+        return state, counts, handed_over, (f0, g, act, cfg)
+
+    def test_accepted_line_search_solve_is_reused(self, monkeypatch):
+        # sweeps: the first iterate's plus one per line-search trial, each
+        # solving the adjoint of its controls beside their forward transport;
+        # lone adjoint solves: one per iteration that entered without an
+        # adjoint, which here is none
+        state, counts, handed_over, (f0, g, act, cfg) = self._counted_training(monkeypatch)
         # backtracking and a final rejected search both occur in this run
-        assert trials > state.iteration >= 3
+        assert counts["trials"] > state.iteration >= 3
         assert 0.0 < np.min(state.rho_history[:-1]) < ARMIJO_RHO0
         assert state.rho_history[-1] == 0.0
-        assert solves[False] == 1 + trials
-        assert solves[True] == state.iteration
-        monkeypatch.undo()
+        assert len(handed_over) == state.iteration
+        # iteration k > 0 enters with what line search k - 1 handed over; the
+        # final, rejected search hands over nothing and ends the run
+        entered_without = handed_over[:-1].count(False)
+        assert handed_over[-1] is False and entered_without == 0
+        assert counts["sweeps"] == 1 + counts["trials"]
+        assert counts["forward"] == 0
+        assert counts["adjoint"] == entered_without
         assert state.cost_history[-1] == reduced_cost(state.controls, f0, g, act, cfg)
+
+    def test_an_iterate_without_an_adjoint_solves_it_alone(self, monkeypatch):
+        # every sweep's adjoint row discarded: each iteration solves its
+        # adjoint alone, and the run is bitwise the paired one
+        paired, *_ = self._counted_training(monkeypatch)
+        state, counts, handed_over, _ = self._counted_training(monkeypatch, drop_adjoints=True)
+        assert not any(handed_over)
+        assert counts["sweeps"] == 1 + counts["trials"]
+        assert counts["forward"] == 0
+        assert counts["adjoint"] == state.iteration
+        assert state.iteration == paired.iteration
+        for field in ("cost_history", "rel_error_history", "rho_history",
+                      "grad_w_max_history", "grad_b_max_history"):
+            assert getattr(state, field).tobytes() == getattr(paired, field).tobytes()
+        assert state.controls.w.tobytes() == paired.controls.w.tobytes()
+        assert state.controls.b.tobytes() == paired.controls.b.tobytes()
+        for got, want in zip(state.trajectory, paired.trajectory, strict=True):
+            assert got.averages.tobytes() == want.averages.tobytes()
 
     def test_nonfinite_cost_aborts(self):
         grid = Grid1D(-2.0, 3.0, 200)

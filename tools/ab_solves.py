@@ -6,18 +6,24 @@ Each argument is a checkout of this repository (or its ``src`` directory).
 Both trees' ``mfrn`` packages are imported into this one process, under the
 names ``mfrn_base`` and ``mfrn_head``, so the two sides share the interpreter,
 the heap and the machine's load at every moment.  For every case (200, 400
-and 1600 cells; identity, sigmoid and tanh; a forward and an adjoint solve of
-100 steps) the two sides' solves alternate, the side that goes first
-alternating too, and the script prints each side's median time, the ratio
-head / base, and whether the two final snapshots are bitwise equal.  The last
-line is the geometric mean of the ratios.  Plain timings of one tree on a
-shared machine can drift by 2x within minutes; two runs of this script on
-the same tree read within a few percent of 1.  Standard library and numpy.
+and 1600 cells; identity, sigmoid and tanh; a forward solve, an adjoint
+solve, and the pair of them that training makes, all of 100 steps) the two
+sides' solves alternate, the side that goes first alternating too, and the
+script prints each side's median time, the ratio head / base, and whether
+the final snapshots are bitwise equal.  In the paired case the base tree
+makes the two solves one after the other and the head tree one sweep of both
+rows (``solve_transport(..., adjoint=...)``), when its solver takes one; both
+final snapshots are compared.  The last line is the geometric mean of the
+ratios.  Plain timings of one tree on a shared machine can drift by 2x
+within minutes; two runs of this script on the same tree read within a few
+percent of 1 on a quiet machine, and the 200- and 400-cell cases spread to
+about 0.88-1.18 under other tenants' load.  Standard library and numpy.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import logging
 import math
 import statistics
@@ -29,6 +35,7 @@ import numpy as np
 
 CELLS = (200, 400, 1600)
 ACTIVATIONS = ("identity", "sigmoid", "tanh")
+KINDS = ("forward", "adjoint", "paired")
 STEPS = 100
 ROUNDS = 15
 
@@ -47,21 +54,30 @@ def _load(tree: Path, name: str):
     raise SystemExit(f"{tree}: no mfrn package in it or in its src/")
 
 
-def _case(pkg, n_cells: int, act: str, adjoint: bool):
-    """A solve of STEPS steps at CFL number at most 0.32 (|w x + b| <= 0.8
-    on [-2, 3]), as a zero-argument callable."""
+def _case(pkg, n_cells: int, act: str, kind: str, sweep: bool):
+    """The solves of one case, of STEPS steps at CFL number at most 0.32
+    (|w x + b| <= 0.8 on [-2, 3]), as a zero-argument callable that returns
+    their final snapshots.  A paired case is one sweep when sweep is set."""
     fvm, core = pkg.fvm, pkg.core
     dt = 0.01 * 200 / n_cells
     tg = core.TimeGrid.from_step(STEPS * dt, dt)
     controls = core.ControlPath.from_functions(
         tg, lambda t: 0.2 * np.sin(np.pi * t), lambda t: 0.4 * t - 0.2)
     grid = fvm.Grid1D(-2.0, 3.0, n_cells)
-    drift = fvm.DriftSpec(controls, core.Activation(act), time_reversed=adjoint)
-    if adjoint:
-        f0 = fvm.DensityField(grid, 2.0 * grid.centers - 1.0)
-    else:
-        f0 = fvm.project_initial(lambda x: np.exp(-((x - 0.3) ** 2) / 0.125), grid)
-    return lambda: fvm.solve_transport(f0, drift, tg)
+    fwd = fvm.DriftSpec(controls, core.Activation(act))
+    rev = fvm.DriftSpec(controls, core.Activation(act), time_reversed=True)
+    f0 = fvm.project_initial(lambda x: np.exp(-((x - 0.3) ** 2) / 0.125), grid)
+    lam0 = fvm.DensityField(grid, 2.0 * grid.centers - 1.0)
+    if kind == "forward":
+        return lambda: [fvm.solve_transport(f0, fwd, tg)[-1]]
+    if kind == "adjoint":
+        return lambda: [fvm.solve_transport(lam0, rev, tg)[-1]]
+    if sweep:
+        def paired():
+            f_traj, lam_traj = fvm.solve_transport(f0, fwd, tg, adjoint=(lam0, rev))
+            return [f_traj[-1], lam_traj[-1]]
+        return paired
+    return lambda: [fvm.solve_transport(f0, fwd, tg)[-1], fvm.solve_transport(lam0, rev, tg)[-1]]
 
 
 def main(argv: list[str]) -> int:
@@ -71,15 +87,17 @@ def main(argv: list[str]) -> int:
     logging.disable(logging.WARNING)
     sides = {"base": _load(Path(argv[0]).resolve(), "mfrn_base"),
              "head": _load(Path(argv[1]).resolve(), "mfrn_head")}
+    sweep = "adjoint" in inspect.signature(sides["head"].fvm.solve_transport).parameters
     print(f"{'cells':>5} {'activation':>10} {'solve':>7} {'base ms':>9} {'head ms':>9} "
           f"{'ratio':>6}  same bits")
     ratios = []
     for n_cells in CELLS:
         for act in ACTIVATIONS:
-            for adjoint in (False, True):
-                solves = {side: _case(pkg, n_cells, act, adjoint) for side, pkg in sides.items()}
+            for kind in KINDS:
+                solves = {side: _case(pkg, n_cells, act, kind, sweep and side == "head")
+                          for side, pkg in sides.items()}
                 times = {side: [] for side in sides}
-                finals = {side: solve()[-1].averages for side, solve in solves.items()}
+                finals = {side: solve() for side, solve in solves.items()}
                 for r in range(ROUNDS):
                     for side in (("base", "head") if r % 2 == 0 else ("head", "base")):
                         t0 = time.perf_counter()
@@ -88,8 +106,9 @@ def main(argv: list[str]) -> int:
                 med = {side: statistics.median(ts) for side, ts in times.items()}
                 ratio = med["head"] / med["base"]
                 ratios.append(ratio)
-                same = np.array_equal(finals["base"], finals["head"])
-                print(f"{n_cells:>5} {act:>10} {'adjoint' if adjoint else 'forward':>7} "
+                same = all(a.averages.tobytes() == b.averages.tobytes()
+                           for a, b in zip(finals["base"], finals["head"], strict=True))
+                print(f"{n_cells:>5} {act:>10} {kind:>7} "
                       f"{1e3 * med['base']:>9.2f} {1e3 * med['head']:>9.2f} {ratio:>6.3f}  "
                       f"{'yes' if same else 'NO'}", flush=True)
     geo = math.exp(sum(map(math.log, ratios)) / len(ratios))
