@@ -135,8 +135,8 @@ class TimeGrid:
 
     @classmethod
     def from_step(cls, t_final: float, dt: float) -> "TimeGrid":
-        if not dt > 0:
-            raise ConfigValueError("dt", f"must be > 0, got {dt!r}")
+        if not 0 < dt < math.inf:
+            raise ConfigValueError("dt", f"must be finite and > 0, got {dt!r}")
         if not 0 < t_final < math.inf:
             raise ConfigValueError("t_final", f"must be finite and > 0, got {t_final!r}")
         return cls(t_final=t_final, dt=dt, n_steps=round(t_final / dt))
@@ -242,8 +242,8 @@ class ControlPath:
         enforced as a hard constraint.
         """
         dt = self.grid.dt
-        lw = float(np.max(np.abs(np.diff(self.w)))) / dt if self.grid.n_steps else 0.0
-        lb = float(np.max(np.abs(np.diff(self.b)))) / dt if self.grid.n_steps else 0.0
+        lw = float(np.max(np.abs(np.diff(self.w)))) / dt
+        lb = float(np.max(np.abs(np.diff(self.b)))) / dt
         return lw + lb
 
 

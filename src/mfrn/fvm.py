@@ -16,10 +16,10 @@ request the adjoint of the same controls, which training needs beside every
 forward solve.  The rows' cell averages form one array, cells on axis 0 and
 rows on axis 1, so every numpy call of a stage serves both rows and the
 stencil's shifted views stay contiguous.  Rows do not interact, so each is
-bitwise its own solve.  Each row has its own drift, CFL check and warning;
-the positivity limiter and the mass and sign checks apply to the first row
-only.  An adjoint row that breaks the hard margin is dropped, and the first
-row goes on.
+bitwise its own solve.  The adjoint row's drift is the first row's read in
+reversed time.  Each row has its own CFL check and warning, and a row that
+breaks the hard margin fails the sweep; the positivity limiter and the mass
+and sign checks apply to the first row only.
 """
 
 from __future__ import annotations
@@ -360,8 +360,8 @@ def solve_transport(
     grid: TimeGrid,
     cfl: float = 0.45,
     limit_positive: bool | None = None,
-    adjoint: tuple[DensityField, DriftSpec] | None = None,
-) -> list[DensityField] | tuple[list[DensityField], list[DensityField] | None]:
+    adjoint: DensityField | None = None,
+) -> list[DensityField] | tuple[list[DensityField], list[DensityField]]:
     """Snapshots of the field at every node of the time grid (n_steps + 1).
 
     A forward (not time-reversed) solve carries a probability density and
@@ -374,12 +374,11 @@ def solve_transport(
     default it is on exactly for forward solves, since the adjoint field is
     signed and must not be clipped.
 
-    adjoint, a start field on the same grid and time and its drift, adds a
-    second, never limited or checked row to the same sweep; the call then
-    returns both rows' snapshots, each bitwise those of its own solve.  Each
-    row logs its own CFL warning.  An adjoint row whose speeds break the hard
-    stability margin fails alone: its snapshots come back as None, and the
-    first row goes on.
+    adjoint, a start field on the same grid and time, adds a second, never
+    limited or checked row to the same sweep, with drift read in reversed
+    time (drift itself must then be forward); the call then returns both
+    rows' snapshots, each bitwise those of its own solve.  Each row logs its
+    own CFL warning.
 
     The work that depends only on the controls is done before the stages
     that use it (_stage_schedule): the speeds at the edges for every stage
@@ -390,10 +389,12 @@ def solve_transport(
     """
     starts, drifts = [f0], [drift]
     if adjoint is not None:
-        if adjoint[0].grid != f0.grid or adjoint[0].time != f0.time:
+        if adjoint.grid != f0.grid or adjoint.time != f0.time:
             raise ValueError("the adjoint row must start on the grid and at the time of f0")
-        starts.append(adjoint[0])
-        drifts.append(adjoint[1])
+        if drift.time_reversed:
+            raise ValueError("the adjoint row reverses drift, which must be forward")
+        starts.append(adjoint)
+        drifts.append(DriftSpec(drift.control, drift.activation, time_reversed=True))
     forward = not drift.time_reversed
     if limit_positive is None:
         limit_positive = forward
@@ -401,27 +402,18 @@ def solve_transport(
     lam = dt / space.dx if limit_positive else None
     state = np.stack([f.averages for f in starts], axis=1)  # cells x rows
     snapshots = [[f] for f in starts]
-    live = [True] * len(starts)
     worst_nu = [0.0] * len(starts)
     t = f0.time
     outflow = 0.0
     worst_min = float(np.min(f0.averages)) if forward else 0.0
     for stages, step_max in _stage_schedule(drifts, space, t, dt, grid.n_steps, lam):
         for r, smax in enumerate(step_max):
-            if not live[r]:
-                continue
             nu = smax * dt / space.dx
             if nu > _CFL_HARD:
-                if r == 0:
-                    raise CFLViolationError(
-                        f"time step dt={dt:g} unstable: max interface speed {smax:.6g} gives "
-                        f"CFL number {nu:.4g} > hard bound {_CFL_HARD} (configured cfl={cfl:g})"
-                    )
-                # a zero row stays zero at any speed: no overflow, no effect
-                # on the other rows
-                live[r] = False
-                state[:, r] = 0.0
-                continue
+                raise CFLViolationError(
+                    f"time step dt={dt:g} unstable: max interface speed {smax:.6g} gives "
+                    f"CFL number {nu:.4g} > hard bound {_CFL_HARD} (configured cfl={cfl:g})"
+                )
             if nu > cfl:
                 log.debug("step at t=%.6g exceeds configured cfl: %.4g > %.4g", t, nu, cfl)
             worst_nu[r] = max(worst_nu[r], nu)
@@ -433,10 +425,10 @@ def solve_transport(
         outflow += out
         if forward:
             worst_min = min(worst_min, float(np.min(snapshots[0][-1].averages)))
-    for nu, ok in zip(worst_nu, live):
+    for nu in worst_nu:
         # paths projected exactly onto the speed cap land at nu == cfl up to
         # roundoff; only a real excess is worth a warning
-        if ok and nu > cfl * (1.0 + 1e-9):
+        if nu > cfl * (1.0 + 1e-9):
             log.warning(
                 "transport solve exceeded configured cfl=%.3g (worst step CFL number %.4g); "
                 "still inside the hard stability margin %.3g",
@@ -450,9 +442,7 @@ def solve_transport(
                         "exceeds 1e-10", drift_mass)
         if worst_min < -1e-8:
             log.warning("forward solve produced cell average %.3e below -1e-8", worst_min)
-    if adjoint is None:
-        return snapshots[0]
-    return snapshots[0], snapshots[1] if live[1] else None
+    return snapshots[0] if adjoint is None else tuple(snapshots)
 
 
 def project_initial(density, grid: Grid1D, renormalize: bool = True) -> DensityField:

@@ -139,23 +139,17 @@ def reduced_cost(
     A list passed as trajectory receives the solve's snapshots, so a caller
     that goes on with these controls need not solve them again.  A list
     passed as adjoint receives the adjoint solve of the same controls, made
-    in the same sweep; it stays empty if that row broke the hard CFL bound.
+    in the same sweep.
     """
     if adjoint is None:
         f_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl)
     else:
         f_traj, lam_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl,
-                                           adjoint=_adjoint_row(c, g, act, f0.grid))
-        adjoint.extend(lam_traj or ())
+                                           adjoint=adjoint_initial(g, f0.grid))
+        adjoint.extend(lam_traj)
     if trajectory is not None:
         trajectory.extend(f_traj)
     return _terminal_cost(f_traj[-1], g) + _regularization(c, cfg)
-
-
-def _adjoint_row(c: ControlPath, g: TargetMeasure, act: Activation, grid: Grid1D):
-    """The adjoint start field and drift of controls c: solve_transport's
-    adjoint row."""
-    return adjoint_initial(g, grid), DriftSpec(c, act, time_reversed=True)
 
 
 def control_gradient(
@@ -279,8 +273,8 @@ def armijo_search(
     falls back to the best-cost candidate that still improves on the current
     cost, else returns the controls unchanged with rho = 0.  Each trial
     solves its adjoint in the sweep of its forward solve, and the returned
-    candidate brings it along; the adjoint is None when c comes back
-    unchanged or the candidate's adjoint row failed.
+    candidate brings it along; the adjoint is None exactly when c comes back
+    unchanged.  A trial whose sweep breaks the hard CFL bound is rejected.
 
     Unbounded activations get their candidates projected nodewise onto the
     speed range the configured CFL number admits at the fixed time step, so
@@ -317,9 +311,9 @@ def armijo_search(
                 cost = math.inf
             if math.isfinite(cost):
                 if cost <= current_cost + ARMIJO_DECREASE * inner:
-                    return cand, rho, cost, traj, lam_traj or None
+                    return cand, rho, cost, traj, lam_traj
                 if best is None or cost < best[0]:
-                    best = (cost, cand, rho, traj, lam_traj or None)
+                    best = (cost, cand, rho, traj, lam_traj)
         rho *= ARMIJO_HALVING
     if best is not None and best[0] < current_cost:
         cost, cand, rho, traj, lam_traj = best
@@ -338,8 +332,7 @@ def gauss_seidel_train(
     """Alternating forward/adjoint sweeps with backtracking gradient updates.
 
     Each iterate's adjoint comes from the sweep that solved its forward
-    transport; it is solved alone only when the iterate has none (an adjoint
-    row that broke the hard CFL bound).
+    transport.
 
     Stops when the relative control change e = ||c_new - c_old|| / ||c_new||
     (max over time nodes, max over the two components) drops to cfg.tol, or
@@ -357,7 +350,7 @@ def gauss_seidel_train(
     # the first iterate is solved here, its adjoint in the same sweep; every
     # later one was solved by the line search that accepted it
     f_traj, lam_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl,
-                                       adjoint=_adjoint_row(c, g, act, f0.grid))
+                                       adjoint=adjoint_initial(g, f0.grid))
     cost = _terminal_cost(f_traj[-1], g) + _regularization(c, cfg)
     for k in range(max_outer):
         if not math.isfinite(cost):
@@ -366,8 +359,6 @@ def gauss_seidel_train(
                 f"(controls C0 norm {c.c0_norm():.6g})"
             )
         costs.append(cost)
-        if lam_traj is None:
-            lam_traj = solve_transport(*_adjoint_row(c, g, act, f0.grid), c.grid, cfl=cfg.cfl)
         g_w, g_b = control_gradient(c, f_traj, lam_traj, act, cfg)
         del lam_traj  # the trials' adjoints take its place
         gw_hist.append(float(np.max(np.abs(_projected(g_w)))))

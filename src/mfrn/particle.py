@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Activation, ControlPath, is_number
+from .core import Activation, ControlPath, TimeGrid, is_number
 from .fvm import DriftSpec
 
 # Rows per block of an ensemble integration: 16384 one-dimensional particles
@@ -75,17 +75,6 @@ def resnet_forward(x0: np.ndarray, c: ControlPath, cfg: ResNetConfig) -> np.ndar
     return x
 
 
-def _steps_for(t_final: float, dt: float) -> int:
-    if not (is_number(dt) and dt > 0):
-        raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
-    if not is_number(t_final):
-        raise ValueError(f"t_final must be a finite number, got {t_final!r}")
-    n = round(t_final / dt)
-    if n < 1 or abs(n * dt - t_final) > 1e-10 * max(1.0, t_final):
-        raise ValueError(f"t_final = {t_final!r} is not an integer multiple of dt = {dt!r}")
-    return n
-
-
 def ode_integrate(
     ens: ParticleEnsemble,
     c: ControlPath,
@@ -104,7 +93,7 @@ def ode_integrate(
     every operation is elementwise with the same scalar controls, so the
     result is bitwise that of the whole ensemble at once.
     """
-    n = _steps_for(t_final, dt)
+    n = TimeGrid.from_step(t_final, dt).n_steps
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown integrator {method!r}; expected 'euler' or 'rk4'")
     drift = DriftSpec(c, act)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
+from mfrn import fvm
 from mfrn.core import Activation, ControlPath, TimeGrid
 from mfrn.fvm import (
     CFLViolationError,
@@ -627,39 +628,10 @@ class TestPairedSweep:
         said_f, want_f = _warnings(caplog, lambda: solve_transport(f0, fwd, tg))
         said_a, want_a = _warnings(caplog, lambda: solve_transport(lam0, rev, tg))
         said, (got_f, got_a) = _warnings(
-            caplog, lambda: solve_transport(f0, fwd, tg, adjoint=(lam0, rev)))
+            caplog, lambda: solve_transport(f0, fwd, tg, adjoint=lam0))
         _assert_same_snapshots(got_f, want_f)
         _assert_same_snapshots(got_a, want_a)
         assert said == sorted(said_f + said_a)
-
-    @pytest.mark.parametrize("t_final, bias", [
-        # the adjoint speed -b(T - t) = -150 t passes the hard bound halfway
-        # (CFL 1.5 at t = 0.05)
-        (0.1, lambda t: 150.0 * (0.1 - t)),
-        # CFL 1.6 from the start; run on for 500 steps, the unstable row
-        # would overflow
-        (5.0, lambda t: 0.0 * t + 8.0),
-    ], ids=["halfway", "from-the-start"])
-    def test_an_adjoint_row_past_the_hard_bound_fails_alone(self, caplog, t_final, bias):
-        # the forward row, at CFL 0.5, warns and goes on
-        grid = Grid1D(-2.0, 3.0, 100)
-        tg = TimeGrid.from_step(t_final, 1e-2)
-        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
-        lam0 = DensityField(grid, np.sin(7.0 * grid.centers) + 2.0 * grid.centers)
-        fwd = DriftSpec(ControlPath.constant(tg, w=0.0, b=2.5), Activation("identity"))
-        fast = ControlPath.from_functions(tg, lambda t: 0.0 * t, bias)
-        rev = DriftSpec(fast, Activation("identity"), time_reversed=True)
-        with pytest.raises(CFLViolationError, match="interface speed"):
-            solve_transport(lam0, rev, tg)
-        said_f, want_f = _warnings(caplog, lambda: solve_transport(f0, fwd, tg))
-        assert any("configured cfl" in m for m in said_f)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            said, (got_f, got_a) = _warnings(
-                caplog, lambda: solve_transport(f0, fwd, tg, adjoint=(lam0, rev)))
-        assert got_a is None
-        _assert_same_snapshots(got_f, want_f)
-        assert said == said_f
 
     def test_a_forward_row_past_the_hard_bound_fails_the_sweep(self):
         grid = Grid1D(-2.0, 3.0, 100)
@@ -667,20 +639,45 @@ class TestPairedSweep:
         f0 = project_initial(gaussian_density(0.3, 0.25), grid)
         lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
         fast = DriftSpec(ControlPath.constant(tg, w=0.0, b=10.0), Activation("identity"))
-        rev = DriftSpec(ControlPath.zero(tg), Activation("identity"), time_reversed=True)
         with pytest.raises(CFLViolationError, match="interface speed"):
-            solve_transport(f0, fast, tg, adjoint=(lam0, rev))
+            solve_transport(f0, fast, tg, adjoint=lam0)
+
+    def test_an_adjoint_row_past_the_hard_bound_fails_the_sweep(self, monkeypatch):
+        # with b(t) = 80 t the forward speed reaches CFL 1.6 only in the last
+        # of ten steps, the adjoint speed -b(T - t) in the first
+        grid = Grid1D(-2.0, 3.0, 100)
+        tg = TimeGrid.from_step(0.1, 1e-2)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
+        fast = DriftSpec(ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: 80.0 * t),
+                         Activation("identity"))
+        steps, step = [], fvm._step
+        monkeypatch.setattr(fvm, "_step", lambda *args: steps.append(1) or step(*args))
+        with pytest.raises(CFLViolationError, match="interface speed"):
+            solve_transport(f0, fast, tg)
+        assert len(steps) == 9
+        steps.clear()
+        with pytest.raises(CFLViolationError, match="interface speed"):
+            solve_transport(f0, fast, tg, adjoint=lam0)
+        assert steps == []
 
     def test_the_adjoint_row_starts_with_the_forward_row(self):
         grid = Grid1D(-2.0, 3.0, 100)
         tg = TimeGrid.from_step(0.1, 1e-2)
         f0 = project_initial(gaussian_density(0.3, 0.25), grid)
         fwd = DriftSpec(ControlPath.zero(tg), Activation("identity"))
-        rev = DriftSpec(ControlPath.zero(tg), Activation("identity"), time_reversed=True)
         for lam0 in (DensityField(Grid1D(-2.0, 3.0, 50), np.zeros(50)),
                      DensityField(grid, np.zeros(100), time=0.5)):
             with pytest.raises(ValueError, match="adjoint row"):
-                solve_transport(f0, fwd, tg, adjoint=(lam0, rev))
+                solve_transport(f0, fwd, tg, adjoint=lam0)
+
+    def test_the_adjoint_row_reverses_a_forward_drift(self):
+        grid = Grid1D(-2.0, 3.0, 100)
+        tg = TimeGrid.from_step(0.1, 1e-2)
+        lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
+        rev = DriftSpec(ControlPath.zero(tg), Activation("identity"), time_reversed=True)
+        with pytest.raises(ValueError, match="must be forward"):
+            solve_transport(lam0, rev, tg, adjoint=lam0)
 
 
 class TestStageSchedule:

@@ -12,8 +12,11 @@ sides' solves alternate, the side that goes first alternating too, and the
 script prints each side's median time, the ratio head / base, and whether
 the final snapshots are bitwise equal.  In the paired case the base tree
 makes the two solves one after the other and the head tree one sweep of both
-rows (``solve_transport(..., adjoint=...)``), when its solver takes one; both
-final snapshots are compared.  The last line is the geometric mean of the
+rows (``solve_transport(..., adjoint=lam0)``), when its solver has an
+``adjoint`` parameter; both final snapshots are compared.  That parameter
+must take the adjoint's start field alone, as it does from the change that
+derived the adjoint row's drift onward; a head whose ``adjoint`` takes a
+(field, drift) pair fails here.  The last line is the geometric mean of the
 ratios.  Plain timings of one tree on a shared machine can drift by 2x
 within minutes; two runs of this script on the same tree read within a few
 percent of 1 on a quiet machine, and the 200- and 400-cell cases spread to
@@ -74,7 +77,7 @@ def _case(pkg, n_cells: int, act: str, kind: str, sweep: bool):
         return lambda: [fvm.solve_transport(lam0, rev, tg)[-1]]
     if sweep:
         def paired():
-            f_traj, lam_traj = fvm.solve_transport(f0, fwd, tg, adjoint=(lam0, rev))
+            f_traj, lam_traj = fvm.solve_transport(f0, fwd, tg, adjoint=lam0)
             return [f_traj[-1], lam_traj[-1]]
         return paired
     return lambda: [fvm.solve_transport(f0, fwd, tg)[-1], fvm.solve_transport(lam0, rev, tg)[-1]]
