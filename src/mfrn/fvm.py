@@ -6,10 +6,11 @@ Runge-Kutta time stepper.  Boundary handling is zero-inflow: ghost cell
 averages are zero, so compactly supported densities see no boundary effect and
 anything advected across the boundary leaves the domain.
 
-The step size is fixed by the caller's time grid.  Each step measures the
-largest interface speed: exceeding the configured CFL number is logged (the
-scheme loses its nominal non-oscillatory guarantee but remains linearly
-stable), while exceeding the hard stability margin raises, naming the speed.
+The step size is fixed by the caller's time grid.  Each block of steps
+measures its largest interface speed before it runs: exceeding the hard
+stability margin raises, naming the speed, while a solve that exceeded the
+configured CFL number logs it once at its end (the scheme loses its nominal
+non-oscillatory guarantee but remains linearly stable).
 
 One stepping loop advances one or two rows: a solve's own field, and on
 request the adjoint of the same controls, which training needs beside every
@@ -242,11 +243,13 @@ def _limited_faces(uc, uL, uR, coefs):
     return (uL1 - uc) * theta + uc, (uR1 - uc) * theta + uc
 
 
-def _interface_fluxes(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
-                      limiter=None) -> np.ndarray:
-    """Fluxes through the n_cells + 1 edges of each row (cells on axis 0,
-    rows on axis 1), given the rows' speeds there and, for a limited stage,
-    the cells' _limiter_coefficients at row 0's speeds."""
+def _rhs(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
+         limiter=None) -> tuple[np.ndarray, float]:
+    """d/dt of the rows' cell averages (cells on axis 0, rows on axis 1) under
+    the conservative advection flux, given the rows' speeds at the n_cells + 1
+    edges and, for a limited stage, the cells' _limiter_coefficients at row
+    0's speeds; and the net rate at which row 0's mass leaves through the
+    boundary edges."""
     n = grid.n_cells
     padded = np.zeros((n + 4, avg.shape[1]))  # zero-inflow ghosts
     padded[2:-2] = avg
@@ -261,43 +264,27 @@ def _interface_fluxes(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
         )
     # reconstruction k covers padded cell k+1; interface i has cell i-1 on its
     # left (faces index i) and cell i on its right (faces index i+1)
-    u_minus = right_faces[0 : n + 1]
-    u_plus = left_faces[1 : n + 2]
-    return llf_flux(u_minus, u_plus, speed)
-
-
-def _rhs(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
-         limiter=None) -> tuple[np.ndarray, float]:
-    """d/dt of the rows' cell averages under the conservative advection flux,
-    and the net rate at which row 0's mass leaves through the boundary edges."""
-    flux = _interface_fluxes(avg, grid, speed, limiter)
+    flux = llf_flux(right_faces[0 : n + 1], left_faces[1 : n + 2], speed)
     return -(flux[1:] - flux[:-1]) / grid.dx, float(flux[-1, 0] - flux[0, 0])
-
-
-def _ssp_rk3(u: np.ndarray, dt: float, rhs) -> np.ndarray:
-    """Three-stage strong-stability-preserving Runge-Kutta combination;
-    rhs(v, k) is the time derivative at stage k (times t, t + dt, t + dt/2)."""
-    u1 = u + dt * rhs(u, 0)
-    u2 = 0.75 * u + 0.25 * (u1 + dt * rhs(u1, 1))
-    return (u + 2.0 * (u2 + dt * rhs(u2, 2))) / 3.0
 
 
 def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
                     n_steps: int, lam: float | None = None):
-    """Each step's SSP-RK3 stages, in step order, as ((start, end, mid),
-    smax): the stage times t, t + dt and t + dt/2, with t accumulated by
-    repeated + dt, and for each drift the largest speed magnitude over the
-    three.  A stage is (the speeds at the edges, one column per drift, and
-    with lam the cells' _limiter_coefficients at the first drift's speeds,
-    else None).
+    """The SSP-RK3 stages of the solve, one block of steps at a time, as
+    (steps, smax).  steps lists each step of the block as its (start, end,
+    mid) stages, at the times t, t + dt and t + dt/2, with t accumulated by
+    repeated + dt.  A stage is (the speeds at the edges, one column per
+    drift, and with lam the cells' _limiter_coefficients at the first
+    drift's speeds, else None).  smax holds, for each of the block's stage
+    times in time order (node, mid, node, ..., node) and each drift, the
+    largest speed magnitude.
 
-    The tables are built a block of steps at a time, in buffers allocated
-    per solve: one speed call per drift covers the block's stage times in
-    time order (node, mid, node, ..., node), and the block's last node, with
-    what was derived from it, is carried over as the next block's first.  So
-    each drift of a solve of n steps is read at 2n + 1 times, in one call a
-    block.  The stages are views of those buffers: a step's stages hold until
-    the next step is drawn."""
+    The tables live in buffers allocated per solve: one speed call per drift
+    covers a block's stage times, and the block's last node, with what was
+    derived from it, is carried over as the next block's first.  So each
+    drift of a solve of n steps is read at 2n + 1 times, in one call a
+    block.  A block's stages and smax are views of those buffers: they hold
+    until the next block is drawn."""
     n_edges = grid.n_cells + 1
     block = min(n_steps, max(1, _BLOCK_DOUBLES // n_edges))
     size = 2 * block + 1
@@ -328,11 +315,7 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
                                   [c[new] for c in coefs])
             limiters = zip(*(c[:n_rows] for c in coefs))
         stages = list(zip(speeds[:n_rows], limiters))
-        maxima = smax[:n_rows].tolist()
-        for j in range(0, 2 * k, 2):
-            # a step's largest speed per drift: over its start, end and mid
-            yield (stages[j], stages[j + 2], stages[j + 1]), list(
-                map(max, maxima[j], maxima[j + 2], maxima[j + 1]))
+        yield list(zip(stages[:-1:2], stages[2::2], stages[1::2])), smax[:n_rows]
         for table in (speeds, smax, *coefs):
             table[0] = table[n_rows - 1]
         times, done = [], done + k
@@ -341,17 +324,14 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
 def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages) -> tuple[np.ndarray, float]:
     """One SSP-RK3 step through the schedule's (start, end, mid) stages: the
     advanced averages and the mass that left row 0 through the boundary."""
-    net = []
-
-    def rhs(u, k):
-        speed, limiter = stages[k]
-        du, out = _rhs(u, grid, speed, limiter)
-        net.append(out)
-        return du
-
-    new = _ssp_rk3(avg, dt, rhs)
+    (s0, l0), (s1, l1), (s2, l2) = stages
+    du, o0 = _rhs(avg, grid, s0, l0)
+    u1 = avg + dt * du
+    du, o1 = _rhs(u1, grid, s1, l1)
+    u2 = 0.75 * avg + 0.25 * (u1 + dt * du)
+    du, o2 = _rhs(u2, grid, s2, l2)
     # the stepper's own weights: u_new = u + dt (L0/6 + L1/6 + 2 L2/3)
-    return new, dt * (net[0] / 6.0 + net[1] / 6.0 + 2.0 * net[2] / 3.0)
+    return (avg + 2.0 * (u2 + dt * du)) / 3.0, dt * (o0 / 6.0 + o1 / 6.0 + 2.0 * o2 / 3.0)
 
 
 def solve_transport(
@@ -385,7 +365,7 @@ def solve_transport(
     time, their largest magnitude for the CFL check, and the limiter's
     speed-only coefficients.  They are built _BLOCK_DOUBLES // (n_cells + 1)
     steps at a time (at least one), with one DriftSpec.speed call a block
-    and row.
+    and row, and each block's CFL check runs before any of its steps.
     """
     starts, drifts = [f0], [drift]
     if adjoint is not None:
@@ -405,26 +385,24 @@ def solve_transport(
     worst_nu = [0.0] * len(starts)
     t = f0.time
     outflow = 0.0
-    worst_min = float(np.min(f0.averages)) if forward else 0.0
-    for stages, step_max in _stage_schedule(drifts, space, t, dt, grid.n_steps, lam):
-        for r, smax in enumerate(step_max):
-            nu = smax * dt / space.dx
+    for steps, smax in _stage_schedule(drifts, space, t, dt, grid.n_steps, lam):
+        # rounding is monotone: the block's largest speed gives its largest
+        # step CFL number
+        for r, m in enumerate(np.max(smax, axis=0).tolist()):
+            nu = m * dt / space.dx
             if nu > _CFL_HARD:
                 raise CFLViolationError(
-                    f"time step dt={dt:g} unstable: max interface speed {smax:.6g} gives "
+                    f"time step dt={dt:g} unstable: max interface speed {m:.6g} gives "
                     f"CFL number {nu:.4g} > hard bound {_CFL_HARD} (configured cfl={cfl:g})"
                 )
-            if nu > cfl:
-                log.debug("step at t=%.6g exceeds configured cfl: %.4g > %.4g", t, nu, cfl)
             worst_nu[r] = max(worst_nu[r], nu)
-        state, out = _step(state, space, dt, stages)
-        t = t + dt
-        # one contiguous copy of both rows, or a view of a single row
-        for row, snaps in zip(np.ascontiguousarray(state.T), snapshots):
-            snaps.append(DensityField(space, row, t))
-        outflow += out
-        if forward:
-            worst_min = min(worst_min, float(np.min(snapshots[0][-1].averages)))
+        for stages in steps:
+            state, out = _step(state, space, dt, stages)
+            t = t + dt
+            # one contiguous copy of both rows, or a view of a single row
+            for row, snaps in zip(np.ascontiguousarray(state.T), snapshots):
+                snaps.append(DensityField(space, row, t))
+            outflow += out
     for nu in worst_nu:
         # paths projected exactly onto the speed cap land at nu == cfl up to
         # roundoff; only a real excess is worth a warning
@@ -440,6 +418,7 @@ def solve_transport(
         if drift_mass > 1e-10:
             log.warning("forward solve mass drift %.3e (net of boundary outflow) "
                         "exceeds 1e-10", drift_mass)
+        worst_min = min(float(np.min(f.averages)) for f in snapshots[0])
         if worst_min < -1e-8:
             log.warning("forward solve produced cell average %.3e below -1e-8", worst_min)
     return snapshots[0] if adjoint is None else tuple(snapshots)

@@ -10,10 +10,12 @@ the controls it accepts over with both solves.  The stopping rule is the
 relative change of the control pair between iterates in the max norm over
 time nodes.
 
-For unbounded activations a descent step can push the induced advection speeds
-past what the fixed time step tolerates; candidates are screened against the
-configured CFL number before they are accepted (see armijo_search).  Bounded
-activations cap their own speeds, so no screen applies.
+Every line-search candidate is projected nodewise before it is solved (see
+armijo_search): for every activation the shear |w| is capped at
+SHEAR_FRACTION of the speed the configured CFL number admits, divided by the
+domain's largest |x|, and for unbounded activations, whose induced speeds a
+descent step can push past what the fixed time step tolerates, w x + b is
+also capped at the domain corners.
 """
 
 from __future__ import annotations
@@ -276,11 +278,14 @@ def armijo_search(
     candidate brings it along; the adjoint is None exactly when c comes back
     unchanged.  A trial whose sweep breaks the hard CFL bound is rejected.
 
-    Unbounded activations get their candidates projected nodewise onto the
-    speed range the configured CFL number admits at the fixed time step, so
-    the search never wastes trials on solves that would go unstable; the
-    decrease test uses the inner product with the projected step, which
-    reduces to the usual -rho*|grad|^2 whenever the projection is inactive.
+    Every candidate is projected nodewise (_project_to_speed): for every
+    activation onto the shear cap |w| <= SHEAR_FRACTION * cap / max(|a|, |b|),
+    with cap the speed the configured CFL number admits at the fixed time
+    step, and for unbounded activations also onto |w x + b| <= cap at the
+    domain corners, so the search never wastes trials on solves that would go
+    unstable.  The decrease test uses the inner product with the projected
+    step, which reduces to the usual -rho*|grad|^2 whenever the projection is
+    inactive.
     """
     g_w = _projected(grad[0])
     g_b = _projected(grad[1])
@@ -404,7 +409,8 @@ def identity_w_root(c: float) -> float:
 
     The left-hand side increases up to its maximum 1/(2e) at w = 1/2, so any
     c <= 1/(2e) has exactly one root on the branch; larger c has none.
-    Safeguarded Newton: bisection bracket kept alongside the Newton iterate.
+    Bisection on the branch bracket until no float lies between its ends;
+    the end with the smaller residual is the root.
     """
     if c > W_EQUATION_BOUND:
         raise ValueError(
@@ -419,27 +425,15 @@ def identity_w_root(c: float) -> float:
     lo, hi = (0.0, 0.5) if c >= 0.0 else (-1.0, 0.0)
     while h(lo) > 0.0:
         lo *= 2.0
-    w = 0.5 * (lo + hi)
-    for _ in range(200):
-        hw = h(w)
-        if hw == 0.0:
-            break
-        if hw > 0.0:
-            hi = w
+    # h(lo) <= 0 < h(hi) throughout
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if h(mid) > 0.0:
+            hi = mid
         else:
-            lo = w
-        slope = (1.0 - 2.0 * w) * math.exp(-2.0 * w)
-        step_ok = False
-        if slope != 0.0:
-            w_new = w - hw / slope
-            step_ok = lo < w_new < hi
-        if not step_ok:
-            w_new = 0.5 * (lo + hi)
-        if abs(w_new - w) < 1e-15 * max(1.0, abs(w)):
-            w = w_new
-            break
-        w = w_new
-    return w
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return lo if abs(h(lo)) <= abs(h(hi)) else hi
 
 
 def identity_closed_form(

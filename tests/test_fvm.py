@@ -1,6 +1,7 @@
 """Finite-volume transport solver: reconstruction, fluxes, stepping, invariants."""
 
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,6 @@ from mfrn.fvm import (
     _limited_faces,
     _limiter_coefficients,
     _rhs,
-    _ssp_rk3,
     _stage_schedule,
 )
 from mfrn.measures import variance, moments, wasserstein1
@@ -155,6 +155,14 @@ def reference_rhs(avg, grid, speed, positivity_dt=None):
         left[1 : n + 1], right[1 : n + 1] = lf, rf
     flux = llf_flux(right[0 : n + 1], left[1 : n + 2], speed)
     return -(flux[1:] - flux[:-1]) / grid.dx, float(flux[-1] - flux[0])
+
+
+def reference_ssp_rk3(u, dt, rhs):
+    """The three-stage SSP Runge-Kutta combination as the textbook writes it;
+    rhs(v, k) is the time derivative at stage k (times t, t + dt, t + dt/2)."""
+    u1 = u + dt * rhs(u, 0)
+    u2 = 0.75 * u + 0.25 * (u1 + dt * rhs(u1, 1))
+    return (u + 2.0 * (u2 + dt * rhs(u2, 2))) / 3.0
 
 
 def quiet(fn, *args, **kwargs):
@@ -397,7 +405,7 @@ class TestStepper:
     def test_scalar_decay_single_step_value(self):
         dt = 0.1
         u = np.array([1.0])
-        out = _ssp_rk3(u, dt, lambda v, k: -v)
+        out = reference_ssp_rk3(u, dt, lambda v, k: -v)
         want = 1.0 - dt + dt**2 / 2.0 - dt**3 / 6.0
         assert_allclose(out[0], want, rtol=1e-15)
 
@@ -406,7 +414,7 @@ class TestStepper:
         for dt in (0.1, 0.05, 0.025):
             u = np.array([1.0])
             for _ in range(round(1.0 / dt)):
-                u = _ssp_rk3(u, dt, lambda v, k: -v)
+                u = reference_ssp_rk3(u, dt, lambda v, k: -v)
             errs.append(abs(u[0] - np.exp(-1.0)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 2.9)
@@ -536,8 +544,8 @@ class TestTransportSolve:
         u, t = f0.averages, f0.time
         for snap in snaps[1:]:
             speeds = [drift.speed(grid.edges, s) for s in (t, t + tg.dt, t + 0.5 * tg.dt)]
-            u = _ssp_rk3(u, tg.dt,
-                         lambda v, k: reference_rhs(v, grid, speeds[k], pos_dt)[0])
+            u = reference_ssp_rk3(u, tg.dt,
+                                  lambda v, k: reference_rhs(v, grid, speeds[k], pos_dt)[0])
             t = t + tg.dt
             assert snap.time == t
             assert snap.averages.tobytes() == u.tobytes()
@@ -643,19 +651,22 @@ class TestPairedSweep:
             solve_transport(f0, fast, tg, adjoint=lam0)
 
     def test_an_adjoint_row_past_the_hard_bound_fails_the_sweep(self, monkeypatch):
-        # with b(t) = 80 t the forward speed reaches CFL 1.6 only in the last
-        # of ten steps, the adjoint speed -b(T - t) in the first
+        # 40 steps at 100 cells are two blocks of 20.  With b(t) = 20 t the
+        # forward speed passes the hard bound (CFL 1.45) only in the second
+        # block, reaching CFL 1.6 at its end; the adjoint speed -b(T - t)
+        # passes it in the first
         grid = Grid1D(-2.0, 3.0, 100)
-        tg = TimeGrid.from_step(0.1, 1e-2)
+        assert _BLOCK_DOUBLES // (grid.n_cells + 1) == 20
+        tg = TimeGrid.from_step(0.4, 1e-2)
         f0 = project_initial(gaussian_density(0.3, 0.25), grid)
         lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
-        fast = DriftSpec(ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: 80.0 * t),
+        fast = DriftSpec(ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: 20.0 * t),
                          Activation("identity"))
         steps, step = [], fvm._step
         monkeypatch.setattr(fvm, "_step", lambda *args: steps.append(1) or step(*args))
         with pytest.raises(CFLViolationError, match="interface speed"):
             solve_transport(f0, fast, tg)
-        assert len(steps) == 9
+        assert len(steps) == 20
         steps.clear()
         with pytest.raises(CFLViolationError, match="interface speed"):
             solve_transport(f0, fast, tg, adjoint=lam0)
@@ -678,6 +689,76 @@ class TestPairedSweep:
         rev = DriftSpec(ControlPath.zero(tg), Activation("identity"), time_reversed=True)
         with pytest.raises(ValueError, match="must be forward"):
             solve_transport(lam0, rev, tg, adjoint=lam0)
+
+
+def stage_by_stage_cfl(drift, grid, tg):
+    """Each step's CFL number max(|speed|) * dt / dx over its three stage
+    times, the speeds read by scalar calls."""
+    nus, t = [], 0.0
+    for _ in range(tg.n_steps):
+        m = max(float(np.max(np.abs(drift.speed(grid.edges, s))))
+                for s in (t, t + tg.dt, t + 0.5 * tg.dt))
+        nus.append(m * tg.dt / grid.dx)
+        t = t + tg.dt
+    return nus
+
+
+class TestBlockCFLCheck:
+    """The CFL check runs once per block of steps, before any of them."""
+
+    def test_a_block_past_the_hard_bound_takes_no_step(self, monkeypatch):
+        # 30 steps at 100 cells are blocks of 20 and 10.  With b(t) = 30 t a
+        # step's CFL number first passes the hard bound in step 24, inside
+        # the second block; the solve takes the first block's 20 steps, then
+        # raises naming the second block's largest speed, at t = 0.3
+        grid = Grid1D(-2.0, 3.0, 100)
+        assert _BLOCK_DOUBLES // (grid.n_cells + 1) == 20
+        tg = TimeGrid.from_step(0.3, 1e-2)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        drift = DriftSpec(ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: 30.0 * t),
+                          Activation("identity"))
+        nus = stage_by_stage_cfl(drift, grid, tg)
+        assert max(nus[:24]) < fvm._CFL_HARD < nus[24]
+        largest = float(np.max(np.abs(drift.speed(grid.edges, 0.3))))
+        steps, step = [], fvm._step
+        monkeypatch.setattr(fvm, "_step", lambda *args: steps.append(1) or step(*args))
+        said = f"max interface speed {largest:.6g} gives CFL number {max(nus):.4g}"
+        assert said == "max interface speed 9 gives CFL number 1.8"
+        with pytest.raises(CFLViolationError, match=re.escape(said)):
+            solve_transport(f0, drift, tg)
+        assert len(steps) == 20
+
+    # blocks of 20, 10, 2 and 1 steps
+    @pytest.mark.parametrize("cells", [100, 200, 700, 1100])
+    @pytest.mark.parametrize("kind", ["forward", "adjoint", "paired"])
+    @pytest.mark.parametrize("peak", [6.5, 25.0], ids=["mid-time", "end"])
+    def test_the_warned_cfl_number_is_the_largest_step_value(self, caplog, kind, cells,
+                                                            peak):
+        # the controls live on a grid of half steps, and b spikes at a step's
+        # mid time or at T, which is where the adjoint row starts
+        grid = Grid1D(-2.0, 3.0, cells)
+        dt = 0.5 * grid.dx
+        tg = TimeGrid.from_step(25 * dt, dt)
+        c = ControlPath.from_functions(
+            TimeGrid.from_step(25 * dt, 0.5 * dt), lambda t: 0.1 * np.sin(3.0 * t / tg.t_final),
+            lambda t: 1.0 + 0.8 * np.exp(-(((t - peak * dt) / dt) ** 2)))
+        fwd = DriftSpec(c, Activation("identity"))
+        rev = DriftSpec(c, Activation("identity"), time_reversed=True)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
+        solve, drifts = {
+            "forward": (lambda: solve_transport(f0, fwd, tg), [fwd]),
+            "adjoint": (lambda: solve_transport(lam0, rev, tg), [rev]),
+            "paired": (lambda: solve_transport(f0, fwd, tg, adjoint=lam0), [fwd, rev]),
+        }[kind]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mfrn.fvm"):
+            solve()
+        warned = [r.args[1] for r in caplog.records
+                  if "exceeded configured cfl" in r.getMessage()]
+        want = [max(stage_by_stage_cfl(d, grid, tg)) for d in drifts]
+        assert all(nu > 0.45 for nu in want)
+        assert sorted(warned) == sorted(want)
 
 
 class TestStageSchedule:
@@ -709,30 +790,36 @@ class TestStageSchedule:
             return original(self, x, t)
 
         monkeypatch.setattr(DriftSpec, "speed", counted)
-        # a step's rows are checked before the next step is drawn: the
+        # a block's rows are checked before the next block is drawn: the
         # schedule reuses its buffers from block to block
-        t, n_seen = 0.0, 0
-        for stages, step_max in _stage_schedule(drifts, grid, 0.0, dt, n_steps, lam):
-            wants = []
-            for (speed, limiter), when in zip(stages, (t, t + dt, t + 0.5 * dt)):
-                want = [original(d, grid.edges, when) for d in drifts]
-                wants.append(want)
-                assert speed.shape == (cells + 1, 2)
-                for r in range(2):
-                    assert speed[:, r].tobytes() == want[r].tobytes()
-                if lam is None:
-                    assert limiter is None
-                    continue
-                out_l = lam * np.maximum(-want[0][:-1], 0.0)
-                out_r = lam * np.maximum(want[0][1:], 0.0)
-                s_out = out_l + out_r
-                for got, ref in zip(limiter, (out_l, out_r, s_out, 1.0 - s_out, s_out < 1.0)):
-                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-            assert step_max == [max(float(np.max(np.abs(w[r]))) for w in wants)
-                                for r in range(2)]
-            t, n_seen = t + dt, n_seen + 1
-        assert n_seen == n_steps
-        assert len(calls) == 2 * -(-n_steps // block)
+        t, sizes = 0.0, []
+        for steps, smax in _stage_schedule(drifts, grid, 0.0, dt, n_steps, lam):
+            # the block's stage times in time order: node, mid, node, ..., node
+            maxima = [[float(np.max(np.abs(original(d, grid.edges, t)))) for d in drifts]]
+            for stages in steps:
+                wants = []
+                for (speed, limiter), when in zip(stages, (t, t + dt, t + 0.5 * dt)):
+                    want = [original(d, grid.edges, when) for d in drifts]
+                    wants.append(want)
+                    assert speed.shape == (cells + 1, 2)
+                    for r in range(2):
+                        assert speed[:, r].tobytes() == want[r].tobytes()
+                    if lam is None:
+                        assert limiter is None
+                        continue
+                    out_l = lam * np.maximum(-want[0][:-1], 0.0)
+                    out_r = lam * np.maximum(want[0][1:], 0.0)
+                    s_out = out_l + out_r
+                    for got, ref in zip(limiter, (out_l, out_r, s_out, 1.0 - s_out,
+                                                  s_out < 1.0)):
+                        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+                maxima += [[float(np.max(np.abs(w[r]))) for r in range(2)]
+                           for w in (wants[2], wants[1])]
+                t = t + dt
+            assert smax.tolist() == maxima
+            sizes.append(len(steps))
+        assert sizes == [block] * (n_steps // block) + [n_steps % block] * (n_steps % block > 0)
+        assert len(calls) == 2 * len(sizes)
 
     @pytest.mark.parametrize("reversed_", [False, True], ids=["forward", "adjoint"])
     @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])

@@ -10,17 +10,18 @@ and 1600 cells; identity, sigmoid and tanh; a forward solve, an adjoint
 solve, and the pair of them that training makes, all of 100 steps) the two
 sides' solves alternate, the side that goes first alternating too, and the
 script prints each side's median time, the ratio head / base, and whether
-the final snapshots are bitwise equal.  In the paired case the base tree
-makes the two solves one after the other and the head tree one sweep of both
-rows (``solve_transport(..., adjoint=lam0)``), when its solver has an
-``adjoint`` parameter; both final snapshots are compared.  That parameter
-must take the adjoint's start field alone, as it does from the change that
-derived the adjoint row's drift onward; a head whose ``adjoint`` takes a
-(field, drift) pair fails here.  The last line is the geometric mean of the
-ratios.  Plain timings of one tree on a shared machine can drift by 2x
-within minutes; two runs of this script on the same tree read within a few
-percent of 1 on a quiet machine, and the 200- and 400-cell cases spread to
-about 0.88-1.18 under other tenants' load.  Standard library and numpy.
+the final snapshots are bitwise equal.  In the paired case each tree whose
+solver has an ``adjoint`` parameter makes one sweep of both rows
+(``solve_transport(..., adjoint=lam0)``), and a tree without it makes the two
+solves one after the other, so two trees that both sweep are timed sweep
+against sweep; both final snapshots are compared.  That parameter must take
+the adjoint's start field alone, as it does from the change that derived the
+adjoint row's drift onward; a tree whose ``adjoint`` takes a (field, drift)
+pair fails here.  The last line is the geometric mean of the ratios.  Plain
+timings of one tree on a shared machine can drift by 2x within minutes; two
+runs of this script on the same tree read within a few percent of 1 on a
+quiet machine, and the 200- and 400-cell cases spread to about 0.88-1.18
+under other tenants' load.  Standard library and numpy.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ def _load(tree: Path, name: str):
     raise SystemExit(f"{tree}: no mfrn package in it or in its src/")
 
 
-def _case(pkg, n_cells: int, act: str, kind: str, sweep: bool):
+def _case(pkg, n_cells: int, act: str, kind: str):
     """The solves of one case, of STEPS steps at CFL number at most 0.32
     (|w x + b| <= 0.8 on [-2, 3]), as a zero-argument callable that returns
-    their final snapshots.  A paired case is one sweep when sweep is set."""
+    their final snapshots.  A paired case is one sweep when the tree's solver
+    takes an adjoint row."""
     fvm, core = pkg.fvm, pkg.core
     dt = 0.01 * 200 / n_cells
     tg = core.TimeGrid.from_step(STEPS * dt, dt)
@@ -75,7 +77,7 @@ def _case(pkg, n_cells: int, act: str, kind: str, sweep: bool):
         return lambda: [fvm.solve_transport(f0, fwd, tg)[-1]]
     if kind == "adjoint":
         return lambda: [fvm.solve_transport(lam0, rev, tg)[-1]]
-    if sweep:
+    if "adjoint" in inspect.signature(fvm.solve_transport).parameters:
         def paired():
             f_traj, lam_traj = fvm.solve_transport(f0, fwd, tg, adjoint=lam0)
             return [f_traj[-1], lam_traj[-1]]
@@ -90,15 +92,13 @@ def main(argv: list[str]) -> int:
     logging.disable(logging.WARNING)
     sides = {"base": _load(Path(argv[0]).resolve(), "mfrn_base"),
              "head": _load(Path(argv[1]).resolve(), "mfrn_head")}
-    sweep = "adjoint" in inspect.signature(sides["head"].fvm.solve_transport).parameters
     print(f"{'cells':>5} {'activation':>10} {'solve':>7} {'base ms':>9} {'head ms':>9} "
           f"{'ratio':>6}  same bits")
     ratios = []
     for n_cells in CELLS:
         for act in ACTIVATIONS:
             for kind in KINDS:
-                solves = {side: _case(pkg, n_cells, act, kind, sweep and side == "head")
-                          for side, pkg in sides.items()}
+                solves = {side: _case(pkg, n_cells, act, kind) for side, pkg in sides.items()}
                 times = {side: [] for side in sides}
                 finals = {side: solve() for side, solve in solves.items()}
                 for r in range(ROUNDS):
