@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -90,82 +91,56 @@ def load_config(path: str) -> tuple[Scenario, bytes]:
     return sc, raw
 
 
-def _write_manifest(out_dir: str, sc: Scenario, config_raw: bytes,
-                    timings: dict | None) -> None:
-    manifest = {
-        "scenario": sc.name,
-        "activation": sc.activation,
-        "seed": sc.seed,
-        "config": scenario_to_config(sc),
-        "config_sha256": hashlib.sha256(config_raw).hexdigest(),
-        "out_dir": os.path.abspath(out_dir),
-        "timings": timings or {},
-        "provenance": {
-            "mfrn": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "threads": 1,
-        },
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_csv(path: str, header: str, *columns) -> None:
+    """Write the header line, then one line per row of the columns.
 
-
-def _write_field(path: str, field: DensityField, t: float) -> None:
+    A column is one string for every row, an array of numbers, or a sequence
+    of values; a number is written by `_fmt`, None as an empty field and a
+    string as it is."""
+    cells = [itertools.repeat(c) if isinstance(c, str)
+             else list(map(_fmt, c.tolist())) if isinstance(c, np.ndarray)
+             else ["" if v is None else v if isinstance(v, str) else _fmt(v) for v in c]
+             for c in columns]
     with open(path, "w") as fh:
-        fh.write("t,x_center,value\n")
-        ts = _fmt(t)
-        for x, v in zip(field.grid.centers, field.averages):
-            fh.write(f"{ts},{_fmt(x)},{_fmt(v)}\n")
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
-def _write_controls(path: str, controls) -> None:
+def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        fh.write("t,w,b\n")
-        for t, w, b in zip(controls.grid.nodes, controls.w, controls.b):
-            fh.write(f"{_fmt(t)},{_fmt(w)},{_fmt(b)}\n")
-
-
-def _write_iteration_log(path: str, state) -> None:
-    with open(path, "w") as fh:
-        fh.write("k,cost,e_k,rho_star,max_gw,max_gb\n")
-        for k, cost in enumerate(state.cost_history):
-            if k == 0:
-                fh.write(f"0,{_fmt(cost)},,,,\n")
-            else:
-                i = k - 1
-                fh.write(
-                    f"{k},{_fmt(cost)},{_fmt(state.rel_error_history[i])},"
-                    f"{_fmt(state.rho_history[i])},"
-                    f"{_fmt(state.grad_w_max_history[i])},"
-                    f"{_fmt(state.grad_b_max_history[i])}\n"
-                )
-
-
-def _write_summary(out_dir: str, payload: dict) -> None:
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _emit_training(out_dir: str, report: TrainingReport) -> None:
+def _emit_fields(out_dir: str, report, controls, f_final: DensityField,
+                 snapshots) -> None:
+    """Write controls.csv, f0.csv, target.csv, f_final.csv and each snapshot
+    (file name, field, t)."""
+    sc = report.scenario
+    _write_csv(os.path.join(out_dir, "controls.csv"), "t,w,b",
+               controls.grid.nodes, controls.w, controls.b)
+    for name, field, t in (("f0.csv", report.f0, 0.0),
+                           ("target.csv", report.target_field, sc.t_final),
+                           ("f_final.csv", f_final, sc.t_final), *snapshots):
+        _write_csv(os.path.join(out_dir, name), "t,x_center,value",
+                   _fmt(t), field.grid.centers, field.averages)
+
+
+def _emit_training(out_dir: str, report: TrainingReport) -> dict:
     sc = report.scenario
     state = report.state
-    _write_iteration_log(os.path.join(out_dir, "iteration_log.csv"), state)
-    _write_controls(os.path.join(out_dir, "controls.csv"), state.controls)
-    _write_field(os.path.join(out_dir, "f0.csv"), report.f0, 0.0)
-    _write_field(os.path.join(out_dir, "target.csv"), report.target_field,
-                 sc.t_final)
+    _write_csv(os.path.join(out_dir, "iteration_log.csv"),
+               "k,cost,e_k,rho_star,max_gw,max_gb",
+               range(len(state.cost_history)), state.cost_history,
+               *([None, *h] for h in (state.rel_error_history, state.rho_history,
+                                      state.grad_w_max_history, state.grad_b_max_history)))
     traj = state.trajectory
-    _write_field(os.path.join(out_dir, "f_final.csv"), traj[-1], sc.t_final)
     n = len(traj) - 1
+    snapshots = []
     for frac in _SNAPSHOT_FRACTIONS:
         k = round(frac * n)
-        _write_field(os.path.join(out_dir, f"f_t{frac:.2f}.csv"), traj[k], k * sc.dt)
-    _write_summary(out_dir, {
-        "scenario": sc.name,
-        "activation": sc.activation,
+        snapshots.append((f"f_t{frac:.2f}.csv", traj[k], k * sc.dt))
+    _emit_fields(out_dir, report, state.controls, traj[-1], snapshots)
+    return {
         "final_cost": state.cost_history[-1],
         "w1_final": report.w1_final,
         "iterations": state.iteration,
@@ -177,43 +152,28 @@ def _emit_training(out_dir: str, report: TrainingReport) -> None:
         "var_f_T": report.var_f_T,
         "mean_target": report.mean_target,
         "var_target": report.var_target,
-    })
+    }
 
 
-def _emit_exact(out_dir: str, report: ExactControlReport) -> None:
-    sc = report.scenario
-    _write_controls(os.path.join(out_dir, "controls.csv"), report.controls)
-    _write_field(os.path.join(out_dir, "f0.csv"), report.f0, 0.0)
-    _write_field(os.path.join(out_dir, "target.csv"), report.target_field,
-                 sc.t_final)
-    _write_field(os.path.join(out_dir, "f_final.csv"), report.f_T, sc.t_final)
-    _write_summary(out_dir, {
-        "scenario": sc.name,
-        "activation": sc.activation,
+def _emit_exact(out_dir: str, report: ExactControlReport) -> dict:
+    _emit_fields(out_dir, report, report.controls, report.f_T, ())
+    return {
         "final_cost": None,
         "w1_final": report.w1,
         "iterations": 0,
         "converged": None,
-    })
+    }
 
 
-def _emit_convergence(out_dir: str, report: ConvergenceReport) -> None:
-    sc = report.scenario
-    n_seeds = report.w1_by_seed.shape[0]
-    with open(os.path.join(out_dir, "convergence.csv"), "w") as fh:
-        seed_cols = ",".join(f"w1_seed{i}" for i in range(n_seeds))
-        fh.write(f"M,w1_mean,{seed_cols}\n")
-        for j, M in enumerate(report.M_list):
-            row = ",".join(_fmt(report.w1_by_seed[i, j])
-                           for i in range(n_seeds))
-            fh.write(f"{M},{_fmt(report.w1_mean[j])},{row}\n")
-    _write_summary(out_dir, {
-        "scenario": sc.name,
-        "activation": sc.activation,
+def _emit_convergence(out_dir: str, report: ConvergenceReport) -> dict:
+    seed_cols = ",".join(f"w1_seed{i}" for i in range(len(report.w1_by_seed)))
+    _write_csv(os.path.join(out_dir, "convergence.csv"), f"M,w1_mean,{seed_cols}",
+               report.M_list, report.w1_mean, *report.w1_by_seed)
+    return {
         "slope": report.slope,
         "M_list": list(report.M_list),
         "w1_mean": [float(v) for v in report.w1_mean],
-    })
+    }
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -231,9 +191,25 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"{args.config}:{e.line}: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
+    manifest = {
+        "scenario": sc.name,
+        "activation": sc.activation,
+        "seed": sc.seed,
+        "config": scenario_to_config(sc),
+        "config_sha256": hashlib.sha256(raw).hexdigest(),
+        "out_dir": os.path.abspath(args.out),
+        "timings": {},
+        "provenance": {
+            "mfrn": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "threads": 1,
+        },
+    }
+    manifest_path = os.path.join(args.out, "manifest.json")
     try:
         os.makedirs(args.out, exist_ok=True)
-        _write_manifest(args.out, sc, raw, timings=None)
+        _write_json(manifest_path, manifest)
     except OSError as e:
         print(f"cannot write output directory: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -252,22 +228,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
 
     if isinstance(report, TrainingReport):
-        _emit_training(args.out, report)
+        summary = _emit_training(args.out, report)
     elif isinstance(report, ExactControlReport):
-        _emit_exact(args.out, report)
+        summary = _emit_exact(args.out, report)
     else:
-        _emit_convergence(args.out, report)
-    _write_manifest(args.out, sc, raw, timings={**report.timings, "total": wall})
+        summary = _emit_convergence(args.out, report)
+    _write_json(os.path.join(args.out, "summary.json"),
+                {"scenario": sc.name, "activation": sc.activation, **summary})
+    _write_json(manifest_path, {**manifest, "timings": {**report.timings, "total": wall}})
     print(f"run complete: {args.out}")
     return EXIT_OK
 
 
-def _load_run_dir(path: str) -> tuple[dict, list[dict], list[dict]]:
-    """A run's config and its iteration log and controls as rows of strings.
+def _load_run_dir(path: str) -> tuple[dict, list, list]:
+    """A run's config, and its iteration log and controls as rows of (first
+    field's text, {column: float, or None where empty}).
 
-    A missing file raises OSError; a manifest that is not JSON or holds no
-    run config, or a CSV value that is not a number, raises ValueError naming
-    the file."""
+    A missing manifest or controls.csv raises OSError; a manifest that is not
+    JSON or holds no run config, or a malformed CSV row, raises ValueError
+    naming the file."""
     man_path = os.path.join(path, "manifest.json")
     with open(man_path) as fh:
         try:
@@ -279,26 +258,28 @@ def _load_run_dir(path: str) -> tuple[dict, list[dict], list[dict]]:
             and "dt" in config and "t_final" in config):
         raise ValueError(f"{man_path}: not a run manifest (needs config with run, dt, t_final)")
 
-    def read_csv(name):
-        p = os.path.join(path, name)
-        if not os.path.exists(p):
-            return []
+    def read_csv(p):
         rows = []
         with open(p) as fh:
-            header = fh.readline().strip().split(",")
-            for n, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                row = dict(zip(header, line.strip().split(",")))
+            for n, line in enumerate(fh, start=1):
+                fields = line.strip().split(",")
                 try:
-                    for v in filter(None, row.values()):
-                        float(v)
+                    if not line.endswith("\n"):
+                        raise ValueError("the last line has no newline")
+                    if n == 1:
+                        header = fields
+                    elif line.strip():
+                        if len(fields) != len(header):
+                            raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
+                        rows.append((fields[0], {key: float(v) if v else None
+                                                 for key, v in zip(header, fields)}))
                 except ValueError as e:
                     raise ValueError(f"{p}:{n}: {e}") from None
-                rows.append(row)
         return rows
 
-    return config, read_csv("iteration_log.csv"), read_csv("controls.csv")
+    log = os.path.join(path, "iteration_log.csv")
+    return (config, read_csv(log) if os.path.exists(log) else [],
+            read_csv(os.path.join(path, "controls.csv")))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -319,32 +300,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("mismatched grids: time discretization differs", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    def delta(ra, rb, key):
-        if ra is None or rb is None or not ra.get(key) or not rb.get(key):
-            return "", "", ""
-        va, vb = float(ra[key]), float(rb[key])
-        return _fmt(va), _fmt(vb), _fmt(vb - va)
-
-    lines = ["kind,idx,cost_a,cost_b,cost_delta,e_a,e_b,e_delta,"
-             "w_a,w_b,w_delta,b_a,b_b,b_delta"]
-    for k in range(max(len(iters_a), len(iters_b))):
-        ra = iters_a[k] if k < len(iters_a) else None
-        rb = iters_b[k] if k < len(iters_b) else None
-        ca, cb, cd = delta(ra, rb, "cost")
-        ea, eb, ed = delta(ra, rb, "e_k")
-        idx = ra["k"] if ra else rb["k"]
-        lines.append(f"iteration,{idx},{ca},{cb},{cd},{ea},{eb},{ed},,,,,,")
-    for k in range(max(len(ctr_a), len(ctr_b))):
-        ra = ctr_a[k] if k < len(ctr_a) else None
-        rb = ctr_b[k] if k < len(ctr_b) else None
-        wa, wb, wd = delta(ra, rb, "w")
-        ba, bb, bd = delta(ra, rb, "b")
-        idx = ra["t"] if ra else rb["t"]
-        lines.append(f"control,{idx},,,,,,,{wa},{wb},{wd},{ba},{bb},{bd}")
-
+    # an iteration row has no w or b, a control row no cost or e_k
+    rows = []
+    for kind, a, b in (("iteration", iters_a, iters_b), ("control", ctr_a, ctr_b)):
+        for k in range(max(len(a), len(b))):
+            (idx_a, ra), (idx_b, rb) = (r[k] if k < len(r) else (None, {}) for r in (a, b))
+            row = [kind, idx_b if idx_a is None else idx_a]
+            for key in ("cost", "e_k", "w", "b"):
+                va, vb = ra.get(key), rb.get(key)
+                row += (None,) * 3 if va is None or vb is None else (va, vb, vb - va)
+            rows.append(row)
     try:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(args.out, "kind,idx,cost_a,cost_b,cost_delta,e_a,e_b,e_delta,"
+                   "w_a,w_b,w_delta,b_a,b_b,b_delta", *zip(*rows))
     except OSError as e:
         print(f"cannot write comparison: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -382,6 +382,31 @@ class TestCompare:
             for key in ("cost_delta", "e_delta", "w_delta", "b_delta"):
                 if row[key]:
                     assert float(row[key]) == 0.0
+        # a parsed 0.0 is falsy: a zero must still be written, not left empty
+        assert "control,0,,,,,,,0,0,0,0,0,0" in out.read_text().splitlines()
+
+    def test_exact_control_runs_compare_their_controls_only(self, tmp_path):
+        # neither run writes iteration_log.csv: one control row per time node
+        runs = [cli_run(SCENARIO_DIR / "shift_identity.json", tmp_path / f"run{k}")
+                for k in range(2)]
+        assert [rc for rc, _ in runs] == [0, 0]
+        out = tmp_path / "cmp.csv"
+        assert cli.main(["compare", *(str(d) for _, d in runs), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        sc = shipped("shift_identity")
+        assert len(rows) == round(sc.t_final / sc.dt) + 1
+        assert {r["kind"] for r in rows} == {"control"}
+        assert all(r["w_delta"] == r["b_delta"] == "0" for r in rows)
+
+    def test_run_without_controls_rejected(self, conv_run, tmp_path, capsys):
+        # a convergence study writes no controls.csv: nothing to align
+        rc = cli.main(["compare", str(conv_run), str(conv_run),
+                       "--out", str(tmp_path / "cmp.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load run directory: ") and "controls.csv" in err
+        assert not (tmp_path / "cmp.csv").exists()
 
     def test_distinct_guesses_land_close_in_cost_far_in_bias(
         self, t3_zero_run, t3_linear_run, tmp_path
@@ -406,10 +431,10 @@ class TestCompare:
         )
 
     def test_mismatched_grids_rejected(self, t1_run, workspace, tmp_path, capsys):
-        sc = _small_study()
+        sc = shipped("shift_identity")
         sc = replace(sc, config=replace(sc.config, n_cells=100))
-        cfgp = write_config(sc, workspace / "conv100.json")
-        rc, other = cli_run(cfgp, workspace / "conv100")
+        cfgp = write_config(sc, workspace / "shift100.json")
+        rc, other = cli_run(cfgp, workspace / "shift100")
         assert rc == 0
         capsys.readouterr()
         rc = cli.main(["compare", str(t1_run), str(other),
@@ -438,6 +463,9 @@ class TestCompare:
         "manifest_is_a_list": "not a run manifest",
         "manifest_not_json": f"{os.path.join('bad', 'manifest.json')}: not valid JSON: ",
         "controls_value_abc": "controls.csv:4: could not convert string to float: 'abc'",
+        "controls_row_cut_short": "controls.csv:4: 2 fields, the header has 3",
+        "controls_row_with_an_extra_field": "controls.csv:4: 4 fields, the header has 3",
+        "iteration_log_cut_mid_row": "iteration_log.csv:5: the last line has no newline",
         "out_under_a_missing_directory": "cannot write comparison: ",
     }
 
@@ -459,6 +487,14 @@ class TestCompare:
             t, _, b = lines[3].split(",")
             lines[3] = f"{t},abc,{b}"
             (bad / "controls.csv").write_text("\n".join(lines) + "\n")
+        elif case.startswith("controls_row"):
+            lines = (bad / "controls.csv").read_text().splitlines()
+            lines[3] = lines[3].rsplit(",", 1)[0] if "short" in case else lines[3] + ",0"
+            (bad / "controls.csv").write_text("\n".join(lines) + "\n")
+        elif case == "iteration_log_cut_mid_row":
+            # as an interrupted write leaves it: four whole lines, part of the fifth
+            lines = (bad / "iteration_log.csv").read_text().splitlines()
+            (bad / "iteration_log.csv").write_text("\n".join(lines[:4] + [lines[4][:10]]))
         else:
             out = tmp_path / "missing" / "cmp.csv"
         assert_named_error("compare", t1_run, bad, "--out", out, says=self.BAD_INPUTS[case])

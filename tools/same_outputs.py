@@ -5,19 +5,24 @@
 Each argument is a checkout of this repository (or its ``src`` directory).
 Every ``scenarios/*.json`` of HEAD_SRC is run with ``python -m mfrn run``
 under both trees, the two runs of a config side by side, and every artifact
-except ``manifest.json`` (which records timings and the output path) is
-compared byte for byte.  The script prints the files that differ, and for
-each config the number of "exceeded configured cfl" lines and of density
-warnings ("mass drift", "below -1e-8") each side logged on stderr.  It exits
-1 on any difference, failed run, or config for which HEAD logs more of
-either kind of line than BASE; 0 otherwise.  It also prints the line count
-of each tree's ``mfrn`` package (``wc -l`` summed over its ``*.py``), the
-other gate of a change that should only simplify.  Standard library only.
+except ``manifest.json`` is compared byte for byte.  The two manifests are
+compared as JSON without ``timings`` and ``out_dir``, the only keys that
+differ between identical runs.  For each training config (one that writes
+``iteration_log.csv``), ``python -m mfrn compare BASE_OUT HEAD_OUT`` runs
+under both trees, and the two comparison CSVs are compared byte for byte.
+The script prints the files that differ, and for each config the number of
+"exceeded configured cfl" lines and of density warnings ("mass drift",
+"below -1e-8") each side logged on stderr.  It exits 1 on any difference,
+failed run, or config for which HEAD logs more of either kind of line than
+BASE; 0 otherwise.  It also prints the line count of each tree's ``mfrn``
+package (``wc -l`` summed over its ``*.py``), the other gate of a change that
+should only simplify.  Standard library only.
 """
 
 from __future__ import annotations
 
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +32,7 @@ from pathlib import Path
 CFL_LINE = "exceeded configured cfl"
 DENSITY_LINES = ("mass drift", "below -1e-8")
 SKIP = {"manifest.json"}
+RUN_KEYS = ("timings", "out_dir")   # what differs between identical runs
 
 
 def _package_dir(tree: Path) -> Path:
@@ -42,12 +48,24 @@ def _line_count(src: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (src / "mfrn").glob("*.py"))
 
 
-def _start(src: Path, config: Path, out: Path) -> subprocess.Popen:
+def _start(src: Path, *args) -> subprocess.Popen:
+    """``python -m mfrn *args`` with the package of ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.Popen(
-        [sys.executable, "-m", "mfrn", "run", "--config", str(config), "--out", str(out)],
+        [sys.executable, "-m", "mfrn", *map(str, args)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
+
+
+def _manifest(out: Path) -> dict | None:
+    """The run's manifest without the keys that differ between identical runs."""
+    try:
+        manifest = json.loads((out / "manifest.json").read_text())
+    except (OSError, ValueError):
+        return None
+    for key in RUN_KEYS:
+        manifest.pop(key, None)
+    return manifest
 
 
 def _artifacts(out: Path) -> set[str]:
@@ -62,7 +80,8 @@ def compare(base: Path, head: Path, configs: list[Path], work: Path) -> int:
     bad = 0
     for config in configs:
         outs = {side: work / side / config.stem for side in srcs}
-        procs = {side: _start(src, config, outs[side]) for side, src in srcs.items()}
+        procs = {side: _start(src, "run", "--config", config, "--out", outs[side])
+                 for side, src in srcs.items()}
         cfl, density = {}, {}
         for side, proc in procs.items():
             _, err = proc.communicate()
@@ -84,13 +103,33 @@ def compare(base: Path, head: Path, configs: list[Path], work: Path) -> int:
             else:
                 bad += 1
                 print(f"{config.name}: {name} differs")
+        manifests = {side: _manifest(out) for side, out in outs.items()}
+        if manifests["base"] is None or manifests["base"] != manifests["head"]:
+            bad += 1
+            print(f"{config.name}: manifests differ beyond {', '.join(RUN_KEYS)}")
+        compared = ""
+        if "iteration_log.csv" in names["base"] | names["head"]:
+            cmps = {side: work / f"{config.stem}.compare.{side}.csv" for side in srcs}
+            for side, src in srcs.items():
+                proc = _start(src, "compare", outs["base"], outs["head"], "--out", cmps[side])
+                _, err = proc.communicate()
+                if proc.returncode != 0:
+                    bad += 1
+                    print(f"{config.name}: {side} compare exited {proc.returncode}\n{err}")
+            if not all(p.is_file() for p in cmps.values()) or not filecmp.cmp(
+                    cmps["base"], cmps["head"], shallow=False):
+                bad += 1
+                print(f"{config.name}: compare CSVs differ")
+            else:
+                compared = "; compare CSVs identical"
         for kind, counts in (("cfl", cfl), ("density", density)):
             if counts["head"] > counts["base"]:
                 bad += 1
                 print(f"{config.name}: head logs more {kind} warnings than base")
         print(f"{config.name}: {same} identical file(s); "
               f"'{CFL_LINE}' lines base {cfl['base']}, head {cfl['head']}; "
-              f"density warnings base {density['base']}, head {density['head']}", flush=True)
+              f"density warnings base {density['base']}, head {density['head']}{compared}",
+              flush=True)
     return bad
 
 
