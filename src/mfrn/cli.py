@@ -245,8 +245,9 @@ def _load_run_dir(path: str) -> tuple[dict, list, list]:
     field's text, {column: float, or None where empty}).
 
     A missing manifest or controls.csv raises OSError; a manifest that is not
-    JSON or holds no run config, or a malformed CSV row, raises ValueError
-    naming the file."""
+    JSON or holds no run config, a CSV without a header line or without the
+    columns compare aligns, or a malformed CSV row, raises ValueError naming
+    the file."""
     man_path = os.path.join(path, "manifest.json")
     with open(man_path) as fh:
         try:
@@ -258,8 +259,9 @@ def _load_run_dir(path: str) -> tuple[dict, list, list]:
             and "dt" in config and "t_final" in config):
         raise ValueError(f"{man_path}: not a run manifest (needs config with run, dt, t_final)")
 
-    def read_csv(p):
+    def read_csv(p, columns):
         rows = []
+        header = None
         with open(p) as fh:
             for n, line in enumerate(fh, start=1):
                 fields = line.strip().split(",")
@@ -268,6 +270,9 @@ def _load_run_dir(path: str) -> tuple[dict, list, list]:
                         raise ValueError("the last line has no newline")
                     if n == 1:
                         header = fields
+                        missing = [key for key in columns if key not in header]
+                        if missing:
+                            raise ValueError(f"the header lacks {', '.join(missing)}")
                     elif line.strip():
                         if len(fields) != len(header):
                             raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
@@ -275,11 +280,13 @@ def _load_run_dir(path: str) -> tuple[dict, list, list]:
                                                  for key, v in zip(header, fields)}))
                 except ValueError as e:
                     raise ValueError(f"{p}:{n}: {e}") from None
+        if header is None:
+            raise ValueError(f"{p}: empty, no header line")
         return rows
 
     log = os.path.join(path, "iteration_log.csv")
-    return (config, read_csv(log) if os.path.exists(log) else [],
-            read_csv(os.path.join(path, "controls.csv")))
+    return (config, read_csv(log, ("cost", "e_k")) if os.path.exists(log) else [],
+            read_csv(os.path.join(path, "controls.csv"), ("w", "b")))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -10,6 +10,14 @@ the controls it accepts over with both solves.  The stopping rule is the
 relative change of the control pair between iterates in the max norm over
 time nodes.
 
+The step is spectral projected gradient (Barzilai & Borwein 1988; Birgin,
+Martinez & Raydan 2000): each line search starts at rho0 = <s,s> / <s,y>,
+with s the change of the controls since the last iterate and y the change
+of the projected gradient, both inner products trapezoidal over time and
+summed over the two components.  The first search, and any whose <s,y> is
+not positive, starts at ARMIJO_RHO0.  From there the search is the usual
+monotone Armijo backtracking.
+
 Every line-search candidate is projected nodewise before it is solved (see
 armijo_search): for every activation the shear |w| is capped at
 SHEAR_FRACTION of the speed the configured CFL number admits, divided by the
@@ -92,7 +100,8 @@ class OptimState:
     rel_error_history: np.ndarray   # stopping quantity after each update
     iteration: int                  # number of outer updates performed
     converged: bool
-    rho_history: np.ndarray         # accepted step sizes (0 = no acceptable step)
+    rho_history: np.ndarray         # accepted step sizes (0 = no acceptable step);
+                                    # a spectral start may exceed 1
     grad_w_max_history: np.ndarray  # max |projected w-gradient| per iteration
     grad_b_max_history: np.ndarray
 
@@ -266,17 +275,19 @@ def armijo_search(
     cfg: RunConfig,
     current_cost: float,
     current_traj: list[DensityField],
+    rho0: float = ARMIJO_RHO0,
 ) -> tuple[ControlPath, float, float, list[DensityField], list[DensityField] | None]:
     """Backtracking step from c, whose cost and forward trajectory are
     current_cost and current_traj, returning (new controls, accepted rho,
     their cost, their forward trajectory, their adjoint trajectory).
 
-    Accepts the first step size with sufficient decrease; if none qualifies,
-    falls back to the best-cost candidate that still improves on the current
-    cost, else returns the controls unchanged with rho = 0.  Each trial
-    solves its adjoint in the sweep of its forward solve, and the returned
-    candidate brings it along; the adjoint is None exactly when c comes back
-    unchanged.  A trial whose sweep breaks the hard CFL bound is rejected.
+    Tries rho0, then halves it.  Accepts the first step size with sufficient
+    decrease; if none qualifies, falls back to the best-cost candidate that
+    still improves on the current cost, else returns the controls unchanged
+    with rho = 0.  Each trial solves its adjoint in the sweep of its forward
+    solve, and the returned candidate brings it along; the adjoint is None
+    exactly when c comes back unchanged.  A trial whose sweep breaks the hard
+    CFL bound is rejected.
 
     Every candidate is projected nodewise (_project_to_speed): for every
     activation onto the shear cap |w| <= SHEAR_FRACTION * cap / max(|a|, |b|),
@@ -291,11 +302,11 @@ def armijo_search(
     g_b = _projected(grad[1])
     sq_norm = _trapezoid(g_w**2 + g_b**2, c.grid.dt)
     if sq_norm == 0.0:
-        return c, ARMIJO_RHO0, current_cost, current_traj, None
+        return c, rho0, current_cost, current_traj, None
 
     speed_cap = cfg.cfl * f0.grid.dx / c.grid.dt
     best = None
-    rho = ARMIJO_RHO0
+    rho = rho0
     for _ in range(cfg.max_armijo):
         w_c = c.w - rho * g_w
         b_c = c.b - rho * g_b
@@ -334,10 +345,13 @@ def gauss_seidel_train(
     cfg: RunConfig,
     max_outer: int = MAX_OUTER_ITERATIONS,
 ) -> OptimState:
-    """Alternating forward/adjoint sweeps with backtracking gradient updates.
+    """Alternating forward/adjoint sweeps with spectral projected-gradient
+    updates.
 
     Each iterate's adjoint comes from the sweep that solved its forward
-    transport.
+    transport.  Each line search starts at the Barzilai-Borwein step
+    <s,s> / <s,y> of the last update (see the module docstring), or at
+    ARMIJO_RHO0 on the first iteration and wherever <s,y> <= 0.
 
     Stops when the relative control change e = ||c_new - c_old|| / ||c_new||
     (max over time nodes, max over the two components) drops to cfg.tol, or
@@ -366,10 +380,19 @@ def gauss_seidel_train(
         costs.append(cost)
         g_w, g_b = control_gradient(c, f_traj, lam_traj, act, cfg)
         del lam_traj  # the trials' adjoints take its place
-        gw_hist.append(float(np.max(np.abs(_projected(g_w)))))
-        gb_hist.append(float(np.max(np.abs(_projected(g_b)))))
+        pg_w, pg_b = _projected(g_w), _projected(g_b)
+        gw_hist.append(float(np.max(np.abs(pg_w))))
+        gb_hist.append(float(np.max(np.abs(pg_b))))
+        rho0 = ARMIJO_RHO0
+        if k > 0:  # s and y: the changes of the controls and the projected gradient
+            s_w, s_b = c.w - last[0], c.b - last[1]
+            y_w, y_b = pg_w - last[2], pg_b - last[3]
+            sy = _trapezoid(s_w * y_w + s_b * y_b, c.grid.dt)
+            if sy > 0.0:
+                rho0 = _trapezoid(s_w**2 + s_b**2, c.grid.dt) / sy
+        last = (c.w, c.b, pg_w, pg_b)
         new_c, rho, new_cost, new_traj, lam_traj = armijo_search(
-            c, (g_w, g_b), f0, g, act, cfg, cost, f_traj
+            c, (g_w, g_b), f0, g, act, cfg, cost, f_traj, rho0=rho0
         )
         dist = new_c.c0_distance(c)
         denom = new_c.c0_norm()

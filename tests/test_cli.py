@@ -466,6 +466,9 @@ class TestCompare:
         "controls_row_cut_short": "controls.csv:4: 2 fields, the header has 3",
         "controls_row_with_an_extra_field": "controls.csv:4: 4 fields, the header has 3",
         "iteration_log_cut_mid_row": "iteration_log.csv:5: the last line has no newline",
+        "controls_empty": "controls.csv: empty, no header line",
+        "controls_header_without_w_and_b": "controls.csv:1: the header lacks w, b",
+        "iteration_log_header_without_cost": "iteration_log.csv:1: the header lacks cost",
         "out_under_a_missing_directory": "cannot write comparison: ",
     }
 
@@ -495,6 +498,16 @@ class TestCompare:
             # as an interrupted write leaves it: four whole lines, part of the fifth
             lines = (bad / "iteration_log.csv").read_text().splitlines()
             (bad / "iteration_log.csv").write_text("\n".join(lines[:4] + [lines[4][:10]]))
+        elif case == "controls_empty":
+            # as a write cut off before its first flush leaves it
+            (bad / "controls.csv").write_bytes(b"")
+        elif case == "controls_header_without_w_and_b":
+            # the rows stay as they are; only the column names change
+            lines = (bad / "controls.csv").read_text().splitlines()
+            (bad / "controls.csv").write_text("\n".join(["t,x,y"] + lines[1:]) + "\n")
+        elif case == "iteration_log_header_without_cost":
+            log = bad / "iteration_log.csv"
+            log.write_text(log.read_text().replace("cost", "loss", 1))
         else:
             out = tmp_path / "missing" / "cmp.csv"
         assert_named_error("compare", t1_run, bad, "--out", out, says=self.BAD_INPUTS[case])

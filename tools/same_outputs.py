@@ -12,7 +12,10 @@ differ between identical runs.  For each training config (one that writes
 under both trees, and the two comparison CSVs are compared byte for byte.
 The script prints the files that differ, and for each config the number of
 "exceeded configured cfl" lines and of density warnings ("mass drift",
-"below -1e-8") each side logged on stderr.  It exits 1 on any difference,
+"below -1e-8") each side logged on stderr.  For each config whose
+``summary.json`` differs it prints base -> head for ``iterations``,
+``final_cost`` (with its relative change) and ``w1_final``, what a change
+gated on a tolerance moved.  It exits 1 on any difference,
 failed run, or config for which HEAD logs more of either kind of line than
 BASE; 0 otherwise.  It also prints the line count of each tree's ``mfrn``
 package (``wc -l`` summed over its ``*.py``), the other gate of a change that
@@ -68,6 +71,22 @@ def _manifest(out: Path) -> dict | None:
     return manifest
 
 
+def _moved(outs: dict[str, Path]) -> str:
+    """base -> head of the summary fields a training change moves."""
+    summaries = {side: json.loads((out / "summary.json").read_text())
+                 for side, out in outs.items()}
+    moved = []
+    for key in ("iterations", "final_cost", "w1_final"):
+        base, head = (summaries[side].get(key) for side in ("base", "head"))
+        if base is None and head is None:
+            continue
+        text = f"{key} {base!r} -> {head!r}"
+        if key == "final_cost" and isinstance(base, float) and isinstance(head, float) and base:
+            text += f" ({(head - base) / abs(base):+.2e} relative)"
+        moved.append(text)
+    return "; ".join(moved)
+
+
 def _artifacts(out: Path) -> set[str]:
     return {p.name for p in out.iterdir() if p.is_file() and p.name not in SKIP}
 
@@ -103,6 +122,8 @@ def compare(base: Path, head: Path, configs: list[Path], work: Path) -> int:
             else:
                 bad += 1
                 print(f"{config.name}: {name} differs")
+                if name == "summary.json":
+                    print(f"{config.name}: {_moved(outs)}")
         manifests = {side: _manifest(out) for side, out in outs.items()}
         if manifests["base"] is None or manifests["base"] != manifests["head"]:
             bad += 1
