@@ -12,15 +12,18 @@ stability margin raises, naming the speed, while a solve that exceeded the
 configured CFL number logs it once at its end (the scheme loses its nominal
 non-oscillatory guarantee but remains linearly stable).
 
-One stepping loop advances one or two rows: a solve's own field, and on
-request the adjoint of the same controls, which training needs beside every
-forward solve.  The rows' cell averages form one array, cells on axis 0 and
-rows on axis 1, so every numpy call of a stage serves both rows and the
-stencil's shifted views stay contiguous.  Rows do not interact, so each is
-bitwise its own solve.  The adjoint row's drift is the first row's read in
-reversed time.  Each row has its own CFL check and warning, and a row that
-breaks the hard margin fails the sweep; the positivity limiter and the mass
-and sign checks apply to the first row only.
+One stepping loop advances every row of a sweep: a solve's own field and, on
+request, the adjoint of the same controls, which training needs beside a
+forward solve (solve_transport); or the forward solves of several controls
+from one start, keeping only their final fields, as a line search costs its
+trials (solve_final_fields).  The rows' cell averages form one array, cells
+on axis 0 and rows on axis 1, so every numpy call of a stage serves every
+row and the stencil's shifted views stay contiguous.  Rows do not interact,
+so each is bitwise its own solve.  The adjoint row's drift is the first
+row's read in reversed time.  Each row has its own CFL check and warning,
+the positivity limiter and the mass and sign checks apply to each forward
+row, and a row past the hard margin fails its own solve only; a paired
+sweep raises.
 """
 
 from __future__ import annotations
@@ -46,8 +49,10 @@ _D_LEFT, _D_CENTER, _D_RIGHT = 0.25, 0.5, 0.25
 # linearly stable up to roughly 1.6; beyond _CFL_HARD the step refuses to run.
 _CFL_HARD = 1.45
 
-# Edge values per block of a solve's stage schedule: the speeds are built
-# _BLOCK_DOUBLES // (n_cells + 1) steps at a time, and at least one.
+# Edge values per block and row of a solve's stage schedule: the speeds of
+# one or two rows are built _BLOCK_DOUBLES // (n_cells + 1) steps at a time,
+# and at least one.  More rows share the budget of two, so that a sweep's
+# tables keep the size of a paired sweep's however many rows it has.
 _BLOCK_DOUBLES = 2048
 
 # 3-point Gauss-Legendre rule on [-1/2, 1/2] (nodes scaled by cell width).
@@ -244,40 +249,48 @@ def _limited_faces(uc, uL, uR, coefs):
 
 
 def _rhs(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
-         limiter=None) -> tuple[np.ndarray, float]:
+         limiter=None) -> tuple[np.ndarray, np.ndarray]:
     """d/dt of the rows' cell averages (cells on axis 0, rows on axis 1) under
     the conservative advection flux, given the rows' speeds at the n_cells + 1
-    edges and, for a limited stage, the cells' _limiter_coefficients at row
-    0's speeds; and the net rate at which row 0's mass leaves through the
-    boundary edges."""
-    n = grid.n_cells
+    edges and, for a limited stage, the _limiter_coefficients of the leading
+    rows, flat and cell-major (one entry a cell and limited row, the rows
+    varying fastest); and the net rate at which each row's mass leaves
+    through the boundary edges."""
+    n, dx = grid.n_cells, grid.dx
     padded = np.zeros((n + 4, avg.shape[1]))  # zero-inflow ghosts
     padded[2:-2] = avg
     left_faces, right_faces = _cweno3_faces(
-        padded[:-2], padded[1:-1], padded[2:], eps=grid.dx
+        padded[:-2], padded[1:-1], padded[2:], eps=dx
     )
     if limiter is not None:
-        # physical cell j owns faces index j + 1 and edge speeds j, j + 1;
-        # the reconstruction's face arrays are fresh, so row 0 is limited in place
-        left_faces[1 : n + 1, 0], right_faces[1 : n + 1, 0] = _limited_faces(
-            avg[:, 0], left_faces[1 : n + 1, 0], right_faces[1 : n + 1, 0], limiter
-        )
+        # physical cell j owns faces index j + 1 and edge speeds j, j + 1.
+        # The limited rows are the first one or all of them, so reshape gives
+        # flat views, cell-major like the coefficients, and the limiter writes
+        # through them: its many numpy calls run faster on 1-d arrays
+        f = limiter[0].size // n
+        uL = left_faces[1 : n + 1, :f].reshape(-1)
+        uR = right_faces[1 : n + 1, :f].reshape(-1)
+        uL[...], uR[...] = _limited_faces(avg[:, :f].reshape(-1), uL, uR, limiter)
     # reconstruction k covers padded cell k+1; interface i has cell i-1 on its
     # left (faces index i) and cell i on its right (faces index i+1)
     flux = llf_flux(right_faces[0 : n + 1], left_faces[1 : n + 2], speed)
-    return -(flux[1:] - flux[:-1]) / grid.dx, float(flux[-1, 0] - flux[0, 0])
+    du = flux[1:] - flux[:-1]
+    np.negative(du, out=du)
+    du /= dx
+    return du, flux[-1] - flux[0]
 
 
 def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
-                    n_steps: int, lam: float | None = None):
+                    n_steps: int, lam: float | None = None, limited: int = 1):
     """The SSP-RK3 stages of the solve, one block of steps at a time, as
     (steps, smax).  steps lists each step of the block as its (start, end,
     mid) stages, at the times t, t + dt and t + dt/2, with t accumulated by
     repeated + dt.  A stage is (the speeds at the edges, one column per
-    drift, and with lam the cells' _limiter_coefficients at the first
-    drift's speeds, else None).  smax holds, for each of the block's stage
-    times in time order (node, mid, node, ..., node) and each drift, the
-    largest speed magnitude.
+    drift, and with lam the cells' _limiter_coefficients at the speeds of
+    the first `limited` drifts, flat and cell-major as _rhs takes them, else
+    None).  smax holds, for each of the block's stage times in time order
+    (node, mid, node, ..., node) and each drift, the largest speed
+    magnitude.
 
     The tables live in buffers allocated per solve: one speed call per drift
     covers a block's stage times, and the block's last node, with what was
@@ -286,7 +299,7 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
     block.  A block's stages and smax are views of those buffers: they hold
     until the next block is drawn."""
     n_edges = grid.n_cells + 1
-    block = min(n_steps, max(1, _BLOCK_DOUBLES // n_edges))
+    block = min(n_steps, max(1, 2 * _BLOCK_DOUBLES // (n_edges * max(2, len(drifts)))))
     size = 2 * block + 1
     # buffers per solve, not per block: fresh tables for every block
     # fragment the heap
@@ -294,8 +307,9 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
     smax = np.empty((size, len(drifts)))
     coefs = []
     if lam is not None:
-        coefs = [c[:, :-1] for c in np.empty((4, size, n_edges))]
-        coefs.append(np.empty((size, n_edges - 1), bool))
+        coefs = [*np.empty((4, size, n_edges - 1, limited)),
+                 np.empty((size, n_edges - 1, limited), bool)]
+    flat = [c.reshape(size, -1) for c in coefs]  # views: a stage's cells and rows on one axis
     times, done = [t], 0
     while done < n_steps:
         k = min(block, n_steps - done)
@@ -311,9 +325,9 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
             np.max(np.abs(fresh, out=fresh), axis=1, out=smax[new, r])
         limiters = itertools.repeat(None)
         if coefs:
-            _limiter_coefficients(speeds[new, :-1, 0], speeds[new, 1:, 0], lam,
-                                  [c[new] for c in coefs])
-            limiters = zip(*(c[:n_rows] for c in coefs))
+            lead = speeds[new, :, :limited]
+            _limiter_coefficients(lead[:, :-1], lead[:, 1:], lam, [c[new] for c in coefs])
+            limiters = zip(*(c[:n_rows] for c in flat))
         stages = list(zip(speeds[:n_rows], limiters))
         yield list(zip(stages[:-1:2], stages[2::2], stages[1::2])), smax[:n_rows]
         for table in (speeds, smax, *coefs):
@@ -321,17 +335,105 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
         times, done = [], done + k
 
 
-def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages) -> tuple[np.ndarray, float]:
+def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages):
     """One SSP-RK3 step through the schedule's (start, end, mid) stages: the
-    advanced averages and the mass that left row 0 through the boundary."""
+    advanced averages, and the rates at which each row's mass leaves through
+    the boundary in the three stages."""
     (s0, l0), (s1, l1), (s2, l2) = stages
-    du, o0 = _rhs(avg, grid, s0, l0)
-    u1 = avg + dt * du
+    # the stepper's own weights, u_new = u + dt (L0/6 + L1/6 + 2 L2/3), as the
+    # formulas avg + dt du, 0.75 avg + 0.25 (u1 + dt du) and
+    # (avg + 2 (u2 + dt du)) / 3, worked operation for operation in place on
+    # each fresh derivative
+    u1, o0 = _rhs(avg, grid, s0, l0)
+    u1 *= dt
+    u1 += avg
     du, o1 = _rhs(u1, grid, s1, l1)
-    u2 = 0.75 * avg + 0.25 * (u1 + dt * du)
+    du *= dt
+    du += u1
+    du *= 0.25
+    u2 = 0.75 * avg
+    u2 += du
     du, o2 = _rhs(u2, grid, s2, l2)
-    # the stepper's own weights: u_new = u + dt (L0/6 + L1/6 + 2 L2/3)
-    return (avg + 2.0 * (u2 + dt * du)) / 3.0, dt * (o0 / 6.0 + o1 / 6.0 + 2.0 * o2 / 3.0)
+    du *= dt
+    du += u2
+    du *= 2.0
+    du += avg
+    du /= 3.0
+    return du, (o0, o1, o2)
+
+
+def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, cfl: float,
+           lead: int, lam: float | None, check: bool,
+           snapshots: list[list[DensityField]] | None = None) -> list[DensityField | None]:
+    """Advance row r from starts[r] under drifts[r], all rows in one SSP-RK3
+    loop, and return the final fields of the first `lead` rows: every row,
+    or the forward row of a paired sweep, whose second row is its adjoint.
+    The lead rows are limited with lam and checked with check.  A row past
+    the hard CFL margin fails its lead row, which is zeroed, logs nothing
+    and comes back as None while the others run on; once every lead row has
+    failed, the sweep raises the first failure.  snapshots, one list a row,
+    receive every step's fields."""
+    space, dt = starts[0].grid, grid.dt
+    state = np.stack([f.averages for f in starts], axis=1)  # cells x rows
+    fate = [min(r, lead - 1) for r in range(len(starts))]  # each row's lead row
+    failed: list[CFLViolationError | None] = [None] * lead
+    worst_nu = [0.0] * len(starts)
+    outflow = np.zeros(lead)  # mass each lead row has lost through the boundary
+    low = state[:, :lead].copy()  # each cell's smallest average so far
+    t = starts[0].time
+    for steps, smax in _stage_schedule(drifts, space, t, dt, grid.n_steps, lam, lead):
+        # rounding is monotone: the block's largest speed gives its largest
+        # step CFL number
+        for r, m in enumerate(np.max(smax, axis=0).tolist()):
+            nu = m * dt / space.dx
+            if nu > _CFL_HARD and failed[fate[r]] is None:
+                failed[fate[r]] = CFLViolationError(
+                    f"time step dt={dt:g} unstable: max interface speed {m:.6g} gives "
+                    f"CFL number {nu:.4g} > hard bound {_CFL_HARD} (configured cfl={cfl:g})"
+                )
+                if all(failed):
+                    raise failed[fate[r]]
+                state[:, r] = 0.0  # several lead rows: the row is its own lead
+            worst_nu[r] = max(worst_nu[r], nu)
+        rates = []  # the block's three stage outflow rates a step
+        for stages in steps:
+            state, rate = _step(state, space, dt, stages)
+            t = t + dt
+            if snapshots is not None:
+                # one contiguous copy of the rows, or a view of a single row
+                for row, snaps in zip(np.ascontiguousarray(state.T), snapshots):
+                    snaps.append(DensityField(space, row, t))
+            if check:
+                rates.append(rate)
+                np.minimum(low, state[:, :lead], out=low)
+        if check:
+            o = np.array(rates)[..., :lead]
+            # each step's outflow by the stepper's weights, added in step order
+            outflow = sum(dt * (o[:, 0] / 6.0 + o[:, 1] / 6.0 + 2.0 * o[:, 2] / 3.0), outflow)
+    for r, nu in enumerate(worst_nu):
+        # paths projected exactly onto the speed cap land at nu == cfl up to
+        # roundoff; only a real excess is worth a warning
+        if failed[fate[r]] is None and nu > cfl * (1.0 + 1e-9):
+            log.warning(
+                "transport solve exceeded configured cfl=%.3g (worst step CFL number %.4g); "
+                "still inside the hard stability margin %.3g",
+                cfl, nu, _CFL_HARD,
+            )
+    finals = [None if fail else DensityField(space, row, t)
+              for fail, row in zip(failed, np.ascontiguousarray(state[:, :lead].T))]
+    if check:
+        for f0, f_T, out, worst in zip(starts, finals, outflow.tolist(),
+                                       np.min(low, axis=0).tolist()):
+            if f_T is None:
+                continue
+            # mass carried out through the zero-inflow boundary is not drift
+            drift_mass = abs(f_T.mass - f0.mass + out)
+            if drift_mass > 1e-10:
+                log.warning("forward solve mass drift %.3e (net of boundary outflow) "
+                            "exceeds 1e-10", drift_mass)
+            if worst < -1e-8:
+                log.warning("forward solve produced cell average %.3e below -1e-8", worst)
+    return finals
 
 
 def solve_transport(
@@ -358,7 +460,7 @@ def solve_transport(
     limited or checked row to the same sweep, with drift read in reversed
     time (drift itself must then be forward); the call then returns both
     rows' snapshots, each bitwise those of its own solve.  Each row logs its
-    own CFL warning.
+    own CFL warning, and a row past the hard CFL bound fails the sweep.
 
     The work that depends only on the controls is done before the stages
     that use it (_stage_schedule): the speeds at the edges for every stage
@@ -378,50 +480,31 @@ def solve_transport(
     forward = not drift.time_reversed
     if limit_positive is None:
         limit_positive = forward
-    space, dt = f0.grid, grid.dt
-    lam = dt / space.dx if limit_positive else None
-    state = np.stack([f.averages for f in starts], axis=1)  # cells x rows
+    lam = grid.dt / f0.grid.dx if limit_positive else None
     snapshots = [[f] for f in starts]
-    worst_nu = [0.0] * len(starts)
-    t = f0.time
-    outflow = 0.0
-    for steps, smax in _stage_schedule(drifts, space, t, dt, grid.n_steps, lam):
-        # rounding is monotone: the block's largest speed gives its largest
-        # step CFL number
-        for r, m in enumerate(np.max(smax, axis=0).tolist()):
-            nu = m * dt / space.dx
-            if nu > _CFL_HARD:
-                raise CFLViolationError(
-                    f"time step dt={dt:g} unstable: max interface speed {m:.6g} gives "
-                    f"CFL number {nu:.4g} > hard bound {_CFL_HARD} (configured cfl={cfl:g})"
-                )
-            worst_nu[r] = max(worst_nu[r], nu)
-        for stages in steps:
-            state, out = _step(state, space, dt, stages)
-            t = t + dt
-            # one contiguous copy of both rows, or a view of a single row
-            for row, snaps in zip(np.ascontiguousarray(state.T), snapshots):
-                snaps.append(DensityField(space, row, t))
-            outflow += out
-    for nu in worst_nu:
-        # paths projected exactly onto the speed cap land at nu == cfl up to
-        # roundoff; only a real excess is worth a warning
-        if nu > cfl * (1.0 + 1e-9):
-            log.warning(
-                "transport solve exceeded configured cfl=%.3g (worst step CFL number %.4g); "
-                "still inside the hard stability margin %.3g",
-                cfl, nu, _CFL_HARD,
-            )
-    if forward:
-        # mass carried out through the zero-inflow boundary is not drift
-        drift_mass = abs(snapshots[0][-1].mass - f0.mass + outflow)
-        if drift_mass > 1e-10:
-            log.warning("forward solve mass drift %.3e (net of boundary outflow) "
-                        "exceeds 1e-10", drift_mass)
-        worst_min = min(float(np.min(f.averages)) for f in snapshots[0])
-        if worst_min < -1e-8:
-            log.warning("forward solve produced cell average %.3e below -1e-8", worst_min)
+    _sweep(starts, drifts, grid, cfl, 1, lam, forward, snapshots)
     return snapshots[0] if adjoint is None else tuple(snapshots)
+
+
+def solve_final_fields(f0: DensityField, drifts: list[DriftSpec], grid: TimeGrid,
+                       cfl: float = 0.45) -> list[DensityField | None]:
+    """The last snapshot of solve_transport(f0, drift, grid, cfl) for each
+    drift, all from one sweep that keeps only the final fields.
+
+    Every drift must be forward.  Each row is limited and checked as that
+    forward solve is, logs its own warnings and is bitwise its final field.
+    A row past the hard CFL bound comes back as None and logs nothing; the
+    other rows run on.
+    """
+    if any(d.time_reversed for d in drifts):
+        raise ValueError("every row of a final-field sweep is a forward solve")
+    if not drifts:
+        return []
+    try:
+        return _sweep([f0] * len(drifts), list(drifts), grid, cfl, len(drifts),
+                      grid.dt / f0.grid.dx, True)
+    except CFLViolationError:
+        return [None] * len(drifts)
 
 
 def project_initial(density, grid: Grid1D, renormalize: bool = True) -> DensityField:

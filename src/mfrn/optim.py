@@ -4,9 +4,12 @@ One outer iteration takes the forward and the adjoint transport under the
 current controls (the adjoint is the same conservative solver, drift negated
 and controls read in reversed time), assembles the two gradient curves, and
 takes a backtracking step that re-pins the controls at t = 0.  The adjoint of
-controls depends on them and the target alone, so every forward solve of
-training advances the adjoint in the same sweep, and the line search hands
-the controls it accepts over with both solves.  The stopping rule is the
+controls depends on them and the target alone, so the solves whose controls
+training goes on with (the first iterate, and each line search's first trial
+and the step it takes) advance the adjoint in the same sweep as the forward
+transport, and the line search hands the controls it accepts over with both
+solves.  A search's other trials only need a cost: they are the rows of one
+forward sweep that keeps only their final fields.  The stopping rule is the
 relative change of the control pair between iterates in the max norm over
 time nodes.
 
@@ -41,6 +44,7 @@ from .fvm import (
     DriftSpec,
     Grid1D,
     project_initial,
+    solve_final_fields,
     solve_transport,
 )
 from .measures import moments
@@ -284,10 +288,18 @@ def armijo_search(
     Tries rho0, then halves it.  Accepts the first step size with sufficient
     decrease; if none qualifies, falls back to the best-cost candidate that
     still improves on the current cost, else returns the controls unchanged
-    with rho = 0.  Each trial solves its adjoint in the sweep of its forward
-    solve, and the returned candidate brings it along; the adjoint is None
-    exactly when c comes back unchanged.  A trial whose sweep breaks the hard
-    CFL bound is rejected.
+    with rho = 0.  The adjoint is None exactly when c comes back unchanged.
+    A trial whose sweep breaks the hard CFL bound is rejected.
+
+    The first trial, which the search usually accepts, is one paired sweep
+    (reduced_cost with its adjoint), handed over when accepted.  Otherwise
+    the other trials are the rows of one forward sweep that keeps only their
+    final fields (solve_final_fields).  Each row is bitwise its own solve,
+    so the costs, and the step chosen from them, are those of trials solved
+    one by one.  The chosen step is solved again as one paired sweep for the
+    trajectories it hands over; should that sweep's adjoint row break the
+    hard bound, the step is rejected like any such trial and the choice is
+    made again.
 
     Every candidate is projected nodewise (_project_to_speed): for every
     activation onto the shear cap |w| <= SHEAR_FRACTION * cap / max(|a|, |b|),
@@ -296,7 +308,7 @@ def armijo_search(
     domain corners, so the search never wastes trials on solves that would go
     unstable.  The decrease test uses the inner product with the projected
     step, which reduces to the usual -rho*|grad|^2 whenever the projection is
-    inactive.
+    inactive; a candidate whose projected step does not descend is no trial.
     """
     g_w = _projected(grad[0])
     g_b = _projected(grad[1])
@@ -305,36 +317,66 @@ def armijo_search(
         return c, rho0, current_cost, current_traj, None
 
     speed_cap = cfg.cfl * f0.grid.dx / c.grid.dt
-    best = None
-    rho = rho0
-    for _ in range(cfg.max_armijo):
-        w_c = c.w - rho * g_w
-        b_c = c.b - rho * g_b
-        w_c, b_c = _project_to_speed(
-            w_c, b_c, speed_cap, f0.grid.a, f0.grid.b,
-            linear_speed=not act.bounded,
-        )
-        cand = ControlPath(c.grid, w_c, b_c).pinned()
-        inner = _trapezoid(
-            g_w * (cand.w - c.w) + g_b * (cand.b - c.b), c.grid.dt
-        )
-        if inner < 0.0:
-            traj: list[DensityField] = []
-            lam_traj: list[DensityField] = []
-            try:
-                cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
-            except CFLViolationError:
-                cost = math.inf
-            if math.isfinite(cost):
-                if cost <= current_cost + ARMIJO_DECREASE * inner:
-                    return cand, rho, cost, traj, lam_traj
-                if best is None or cost < best[0]:
-                    best = (cost, cand, rho, traj, lam_traj)
-        rho *= ARMIJO_HALVING
-    if best is not None and best[0] < current_cost:
-        cost, cand, rho, traj, lam_traj = best
+
+    def trials():
+        """(rho, candidate, inner product of its step with the projected
+        gradient) for rho0, rho0 / 2, ..., wherever that step descends."""
+        rho = rho0
+        for _ in range(cfg.max_armijo):
+            w_c, b_c = _project_to_speed(
+                c.w - rho * g_w, c.b - rho * g_b, speed_cap, f0.grid.a, f0.grid.b,
+                linear_speed=not act.bounded,
+            )
+            cand = ControlPath(c.grid, w_c, b_c).pinned()
+            inner = _trapezoid(g_w * (cand.w - c.w) + g_b * (cand.b - c.b), c.grid.dt)
+            if inner < 0.0:
+                yield rho, cand, inner
+            rho *= ARMIJO_HALVING
+
+    def paired(trial):
+        """The trial solved as one paired sweep, as the search returns it, or
+        None if the sweep breaks the hard CFL bound."""
+        rho, cand, _ = trial
+        traj: list[DensityField] = []
+        lam_traj: list[DensityField] = []
+        try:
+            cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
+        except CFLViolationError:
+            return None
         return cand, rho, cost, traj, lam_traj
-    return c, 0.0, current_cost, current_traj, None
+
+    def accepted(cost: float, trial) -> bool:
+        return math.isfinite(cost) and cost <= current_cost + ARMIJO_DECREASE * trial[2]
+
+    unchanged = c, 0.0, current_cost, current_traj, None
+    pending = trials()  # the candidates after the first are built only if it is rejected
+    first = next(pending, None)
+    if first is None:
+        return unchanged
+    step = paired(first)
+    cost = math.inf if step is None else step[2]
+    if accepted(cost, first):
+        return step
+    del step  # a rejected trial holds no trajectories
+    rest = list(pending)
+    finals = solve_final_fields(f0, [DriftSpec(cand, act) for _, cand, _ in rest], c.grid,
+                                cfg.cfl)
+    tried = [first, *rest]
+    costs = [cost] + [math.inf if f_T is None else _terminal_cost(f_T, g) + _regularization(cand, cfg)
+                      for f_T, (_, cand, _) in zip(finals, rest)]
+    while True:  # each pass either returns or rejects one more trial
+        pick = next((i for i, t in enumerate(tried) if accepted(costs[i], t)), None)
+        if pick is None:
+            # the fallback: the first of the lowest finite costs, as a scan in
+            # order that keeps a strictly lower one finds it
+            pick = min((i for i, cost in enumerate(costs) if math.isfinite(cost)),
+                       key=costs.__getitem__, default=None)
+            if pick is None or not costs[pick] < current_cost:
+                return unchanged
+        step = paired(tried[pick])
+        if step is not None:
+            return step
+        costs[pick] = math.inf  # its adjoint row broke the hard bound: a rejected trial
 
 
 def gauss_seidel_train(
@@ -355,7 +397,10 @@ def gauss_seidel_train(
 
     Stops when the relative control change e = ||c_new - c_old|| / ||c_new||
     (max over time nodes, max over the two components) drops to cfg.tol, or
-    after max_outer updates.  A non-finite cost aborts with diagnostics.
+    after max_outer updates.  A line search that finds no acceptable step
+    leaves the controls unchanged, so e = 0 stops the run too; the closing
+    log line names which of the three ended it.  A non-finite cost aborts
+    with diagnostics.
     """
     c = c0.pinned()
     costs: list[float] = []
@@ -409,11 +454,16 @@ def gauss_seidel_train(
             converged = True
             break
     costs.append(cost)
-    log.info(
-        "training %s after %d iteration(s): cost %.8g, Lipschitz budget %.6g",
-        "converged" if converged else "stopped at the iteration cap",
-        len(errors), cost, c.lipschitz_budget(),
-    )
+    # the rule that stopped the run: a search that returned the controls
+    # unchanged (rho 0) also meets the relative-change rule, with e = 0
+    if not converged:
+        stop = "stopped at the iteration cap"
+    elif rhos[-1] == 0.0:
+        stop = "stopped on a line search that found no acceptable step"
+    else:
+        stop = f"converged on the relative control change {errors[-1]:.3g} <= tol {cfg.tol:g}"
+    log.info("training %s after %d iteration(s): cost %.8g, Lipschitz budget %.6g",
+             stop, len(errors), cost, c.lipschitz_budget())
     return OptimState(
         controls=c,
         trajectory=f_traj,

@@ -127,11 +127,13 @@ def test_traced_arguments_bind_by_name(qualname):
 
 
 def test_training_goes_through_the_traced_entry_points(monkeypatch):
-    """Every row a solve advances (the forward row, and the adjoint row of a
-    paired sweep) reads the controls through DriftSpec.speed and
-    ControlPath.eval_w/eval_b, and every line-search trial is a reduced_cost
-    call made inside gauss_seidel_train."""
-    calls = {"rows": 0}
+    """Every row a solve advances (the forward row, the adjoint row of a
+    paired sweep, and each row of a final-field sweep) reads the controls
+    through DriftSpec.speed and ControlPath.eval_w/eval_b.  Each paired sweep
+    of a line search (its first trial, and the step it takes after a
+    final-field sweep of its other trials) is a reduced_cost call made
+    inside gauss_seidel_train."""
+    calls = {"sweeps": 0, "batches": []}
 
     def count(owner, name, key):
         fn = getattr(owner, name)
@@ -145,28 +147,42 @@ def test_training_goes_through_the_traced_entry_points(monkeypatch):
     count(ControlPath, "eval_w", "eval_w")
     count(ControlPath, "eval_b", "eval_b")
     count(DriftSpec, "speed", "speed")
-    count(optim, "reduced_cost", "trials")
-    solve = optim.solve_transport
+    count(optim, "reduced_cost", "costs")
+    solve, batch = optim.solve_transport, optim.solve_final_fields
 
     def counted_solve(*args, **kwargs):
-        calls["rows"] += 1 + (kwargs.get("adjoint") is not None)
+        assert kwargs.get("adjoint") is not None  # training makes no lone solve
+        calls["sweeps"] += 1
         return solve(*args, **kwargs)
 
+    def counted_batch(f0, drifts, *args, **kwargs):
+        calls["batches"].append(len(drifts))
+        return batch(f0, drifts, *args, **kwargs)
+
     monkeypatch.setattr(optim, "solve_transport", counted_solve)
+    monkeypatch.setattr(optim, "solve_final_fields", counted_batch)
     grid = Grid1D(-2.0, 3.0, 40)
     tg = TimeGrid.from_step(1.0, 5e-2)
     f0 = project_initial(gaussian_density(0.3, 0.25), grid)
     cfg = RunConfig(gamma_w=1e-3, gamma_b=1e-3, tol=1e-4, max_armijo=10, cfl=0.45,
                     domain=(-2.0, 3.0), n_cells=40, dimension=1)
     state = gauss_seidel_train(f0, TargetMeasure(1.0, 1.01), ControlPath.zero(tg),
-                               Activation("tanh"), cfg, max_outer=3)
-    assert state.iteration == 3
-    assert calls["trials"] >= state.iteration
-    # a row reads its speeds one block of steps at a time, and the 20
-    # steps of 41 edges fit in one block
-    assert tg.n_steps * (grid.n_cells + 1) <= _BLOCK_DOUBLES
-    # the first iterate and every trial: a forward and an adjoint row
-    assert calls["rows"] == 2 * (1 + calls["trials"])
-    assert calls["speed"] == calls["rows"]
+                               Activation("sigmoid"), cfg, max_outer=8)
+    # this run backtracks twice: one search takes a later trial, the last
+    # takes none
+    assert state.iteration == 5
+    assert calls["batches"] == [cfg.max_armijo - 1] * 2
+    # the first iterate's sweep is the one that is not a reduced_cost call
+    assert calls["costs"] == calls["sweeps"] - 1 == state.iteration + 1
+    # a sweep of one or two rows reads its speeds one block of steps at a
+    # time, and the 20 steps of 41 edges fit in one block; a sweep of more
+    # rows shares the budget of two rows, so its blocks are shorter
+    n_edges = grid.n_cells + 1
+    assert tg.n_steps * n_edges <= _BLOCK_DOUBLES
+    reads = 2 * calls["sweeps"]
+    for rows in calls["batches"]:
+        block = max(1, 2 * _BLOCK_DOUBLES // (n_edges * rows))
+        reads += rows * -(-tg.n_steps // block)
+    assert calls["speed"] == reads
     assert calls["eval_w"] == calls["eval_b"] == calls["speed"]
     assert np.isfinite(state.cost_history).all()

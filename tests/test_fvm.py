@@ -18,6 +18,7 @@ from mfrn.fvm import (
     Grid1D,
     llf_flux,
     project_initial,
+    solve_final_fields,
     solve_transport,
     _BLOCK_DOUBLES,
     _cweno3_faces,
@@ -262,7 +263,7 @@ class TestLeanKernelsAreBitwiseTheFormulas:
         want_du, want_out = reference_rhs(avg, grid, speed, positivity_dt)
         assert du.shape == (avg.size, 1)
         assert np.array_equal(du[:, 0], want_du)
-        assert out == want_out
+        assert out.tolist() == [want_out]
 
 
 # rounding allowance of the limiter's guarantees, relative to the cell's
@@ -691,6 +692,114 @@ class TestPairedSweep:
             solve_transport(lam0, rev, tg, adjoint=lam0)
 
 
+def scaled_trials(tg, act, w, b, rows=9):
+    """Drifts of the controls (w, b) scaled by 1, 1/2, ..., like the trials
+    of a line search."""
+    c = ControlPath.from_functions(tg, w, b)
+    return [DriftSpec(ControlPath(tg, 0.5**k * c.w, 0.5**k * c.b), Activation(act))
+            for k in range(rows)]
+
+
+class TestFinalFieldSweep:
+    """Forward solves of several controls from one start, made as one sweep
+    that keeps only the final fields, are the lone solves' last snapshots."""
+
+    @pytest.mark.parametrize("cells", [40, 400])
+    @pytest.mark.parametrize("act", ["identity", "tanh", "sigmoid"])
+    def test_rows_are_the_lone_solves(self, caplog, act, cells):
+        # 23 steps of 9 rows are blocks of 11, 11 and 1 at 40 cells and 23
+        # blocks of 1 at 400.  The box's edges make the limiter act, and the
+        # larger controls run past the configured CFL, so rows warn on their own
+        grid = Grid1D(-2.0, 3.0, cells)
+        dt = 0.6 * grid.dx
+        tg = TimeGrid.from_step(23 * dt, dt)
+        T = tg.t_final
+        drifts = scaled_trials(tg, act, lambda t: 0.2 * np.sin(8.0 * t / T),
+                               lambda t: 0.8 + 0.8 * t / T)
+        f0 = project_initial(lambda x: ((x >= -0.75) & (x <= -0.25)).astype(float), grid)
+        lone, said_lone = [], []
+        for drift in drifts:
+            said, snaps = _warnings(caplog, lambda: solve_transport(f0, drift, tg))
+            said_lone += said
+            lone.append(snaps[-1])
+        said, finals = _warnings(caplog, lambda: solve_final_fields(f0, drifts, tg))
+        assert len(finals) == len(drifts)
+        for got, want in zip(finals, lone):
+            assert got.time == want.time
+            assert np.array_equal(got.averages, want.averages)
+            assert got.averages.tobytes() == want.averages.tobytes()
+        assert said == sorted(said_lone)
+        assert any("exceeded configured cfl" in line for line in said)
+        unlimited = solve_transport(f0, drifts[0], tg, limit_positive=False)[-1]
+        assert not np.array_equal(unlimited.averages, finals[0].averages)
+
+    def test_each_row_checks_itself(self, caplog):
+        # a start with a negative average: every forward solve says so
+        grid = Grid1D(-2.0, 3.0, 100)
+        tg = TimeGrid.from_step(0.1, 1e-2)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        f0 = DensityField(grid, np.where(np.arange(100) == 30, -1e-6, f0.averages))
+        drifts = scaled_trials(tg, "tanh", lambda t: 0.3 + 0.0 * t, lambda t: t, rows=4)
+        said_lone = []
+        for drift in drifts:
+            said_lone += _warnings(caplog, lambda: solve_transport(f0, drift, tg))[0]
+        said, _ = _warnings(caplog, lambda: solve_final_fields(f0, drifts, tg))
+        assert len(said) == 4 and all("below -1e-8" in line for line in said)
+        assert said == sorted(said_lone)
+
+    def test_a_row_past_the_hard_bound_fails_alone(self, caplog, monkeypatch):
+        # 30 steps of 3 rows at 100 cells are blocks of 13, 13 and 4.  The
+        # fast row's b(t) = 30 t passes the configured CFL in the first block
+        # and the hard bound in the second; it comes back empty and logs
+        # nothing, while the other two rows take every step
+        grid = Grid1D(-2.0, 3.0, 100)
+        tg = TimeGrid.from_step(0.3, 1e-2)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        act = Activation("identity")
+        fast = DriftSpec(ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: 30.0 * t), act)
+        warm = DriftSpec(ControlPath.constant(tg, w=0.0, b=2.5), act)  # CFL 0.5
+        calm = DriftSpec(ControlPath.constant(tg, w=0.1, b=0.2), act)
+        with pytest.raises(CFLViolationError, match="interface speed"):
+            solve_transport(f0, fast, tg)
+        said_lone, lone = [], []
+        for drift in (warm, calm):
+            said, snaps = _warnings(caplog, lambda: solve_transport(f0, drift, tg))
+            said_lone += said
+            lone.append(snaps[-1])
+        assert len(said_lone) == 1
+        steps, step = [], fvm._step
+        monkeypatch.setattr(fvm, "_step", lambda *args: steps.append(1) or step(*args))
+        said, finals = _warnings(caplog, lambda: solve_final_fields(f0, [warm, fast, calm], tg))
+        assert len(steps) == tg.n_steps
+        assert finals[1] is None
+        for got, want in zip((finals[0], finals[2]), lone):
+            assert got.averages.tobytes() == want.averages.tobytes()
+        assert said == said_lone
+
+    def test_a_sweep_whose_rows_all_fail_stops_there(self, monkeypatch):
+        # two rows at 100 cells are blocks of 20.  The second row passes the
+        # hard bound in the first block, the first row in the second: the
+        # sweep takes the first block's steps, then gives up
+        grid = Grid1D(-2.0, 3.0, 100)
+        tg = TimeGrid.from_step(0.3, 1e-2)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        drifts = [DriftSpec(ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: s * t),
+                            Activation("identity")) for s in (30.0, -40.0)]
+        steps, step = [], fvm._step
+        monkeypatch.setattr(fvm, "_step", lambda *args: steps.append(1) or step(*args))
+        assert solve_final_fields(f0, drifts, tg) == [None, None]
+        assert len(steps) == 20
+
+    def test_every_row_is_forward(self):
+        grid = Grid1D(-2.0, 3.0, 100)
+        tg = TimeGrid.from_step(0.1, 1e-2)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        rev = DriftSpec(ControlPath.zero(tg), Activation("identity"), time_reversed=True)
+        with pytest.raises(ValueError, match="forward solve"):
+            solve_final_fields(f0, [rev], tg)
+        assert solve_final_fields(f0, [], tg) == []
+
+
 def stage_by_stage_cfl(drift, grid, tg):
     """Each step's CFL number max(|speed|) * dt / dx over its three stage
     times, the speeds read by scalar calls."""
@@ -820,6 +929,20 @@ class TestStageSchedule:
             sizes.append(len(steps))
         assert sizes == [block] * (n_steps // block) + [n_steps % block] * (n_steps % block > 0)
         assert len(calls) == 2 * len(sizes)
+
+    @pytest.mark.parametrize("rows, block", [(1, 10), (2, 10), (3, 6), (9, 2), (30, 1)])
+    def test_more_rows_share_the_budget_of_two(self, rows, block):
+        # at 200 cells one or two rows take blocks of 10 steps, and more rows
+        # shorter ones, so that a block's tables stay within those of two
+        # rows, down to a single step
+        grid = Grid1D(-2.0, 3.0, 200)
+        tg = TimeGrid.from_step(0.47, 1e-2)
+        drifts = scaled_trials(tg, "tanh", lambda t: 0.0 * t, lambda t: t, rows)
+        sizes = [len(steps) for steps, _ in
+                 _stage_schedule(drifts, grid, 0.0, tg.dt, tg.n_steps, 0.5, rows)]
+        assert sum(sizes) == tg.n_steps
+        assert sizes[:-1] == [block] * (len(sizes) - 1) and sizes[-1] <= block
+        assert block == 1 or block * (grid.n_cells + 1) * max(rows, 2) <= 2 * _BLOCK_DOUBLES
 
     @pytest.mark.parametrize("reversed_", [False, True], ids=["forward", "adjoint"])
     @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])

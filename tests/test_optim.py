@@ -1,6 +1,8 @@
 """Loss, adjoint gradient, line search, training loop, closed-form controls."""
 
 import inspect
+import logging
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mfrn.fvm import (
     CFLViolationError, DensityField, DriftSpec, Grid1D, project_initial, solve_transport,
 )
 from mfrn.optim import (
+    ARMIJO_DECREASE,
     ARMIJO_HALVING,
     ARMIJO_RHO0,
     SolverDivergenceError,
@@ -205,6 +208,86 @@ def residual_at_start_and_end(report):
     return start, end_w, end_b
 
 
+def reference_armijo_search(c, grad, f0, g, act, cfg, current_cost, current_traj,
+                            rho0=ARMIJO_RHO0):
+    """The line search as it was written first: each trial in turn is one
+    paired sweep, the first with sufficient decrease is taken, else the
+    first of the lowest costs below current_cost.  Returns what armijo_search
+    returns, and how the search ended: the index of the accepted trial,
+    "fallback" or "rejected"."""
+    g_w = optim._projected(grad[0])
+    g_b = optim._projected(grad[1])
+    assert optim._trapezoid(g_w**2 + g_b**2, c.grid.dt) > 0.0
+    speed_cap = cfg.cfl * f0.grid.dx / c.grid.dt
+    best, rho, tried = None, rho0, 0
+    for _ in range(cfg.max_armijo):
+        w_c, b_c = optim._project_to_speed(c.w - rho * g_w, c.b - rho * g_b, speed_cap,
+                                           f0.grid.a, f0.grid.b, linear_speed=not act.bounded)
+        cand = ControlPath(c.grid, w_c, b_c).pinned()
+        inner = optim._trapezoid(g_w * (cand.w - c.w) + g_b * (cand.b - c.b), c.grid.dt)
+        if inner < 0.0:
+            traj, lam_traj = [], []
+            try:
+                cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
+            except CFLViolationError:
+                cost = math.inf
+            if math.isfinite(cost):
+                if cost <= current_cost + ARMIJO_DECREASE * inner:
+                    return (cand, rho, cost, traj, lam_traj), tried
+                if best is None or cost < best[0]:
+                    best = (cost, cand, rho, traj, lam_traj)
+            tried += 1
+        rho *= ARMIJO_HALVING
+    if best is not None and best[0] < current_cost:
+        cost, cand, rho, traj, lam_traj = best
+        return (cand, rho, cost, traj, lam_traj), "fallback"
+    return (c, 0.0, current_cost, current_traj, None), "rejected"
+
+
+def assert_same_step(got, want):
+    """Two line-search results are bitwise the same: controls, rho, cost and
+    both trajectories."""
+    (c1, rho1, cost1, traj1, lam1), (c2, rho2, cost2, traj2, lam2) = got, want
+    assert c1.w.tobytes() == c2.w.tobytes() and c1.b.tobytes() == c2.b.tobytes()
+    assert rho1 == rho2
+    assert np.float64(cost1).tobytes() == np.float64(cost2).tobytes()
+    for a, b in ((traj1, traj2), (lam1, lam2)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert [(f.time, f.averages.tobytes()) for f in a] == \
+                [(f.time, f.averages.tobytes()) for f in b]
+
+
+def box_problem():
+    """The 8-cell identity problem of the line-search tests at zero controls:
+    (c, grad, f0, g, act, cfg, cost, forward trajectory)."""
+    grid = Grid1D(-2.0, 3.0, 8)
+    f0 = project_initial(lambda x: ((x >= -0.5) & (x <= 0.5)).astype(float), grid)
+    g = TargetMeasure(1.0, 1.01)
+    tg = TimeGrid.from_step(0.1, 1e-2)
+    c = ControlPath.zero(tg)
+    act = Activation("identity")
+    cfg = make_cfg(n_cells=8)
+    f_traj = solve_transport(f0, DriftSpec(c, act), tg, cfg.cfl)
+    lam_traj = solve_transport(
+        adjoint_initial(g, grid), DriftSpec(c, act, time_reversed=True), tg, cfg.cfl
+    )
+    grad = control_gradient(c, f_traj, lam_traj, act, cfg)
+    return c, grad, f0, g, act, cfg, reduced_cost(c, f0, g, act, cfg), f_traj
+
+
+def counted_batches(monkeypatch):
+    """The number of rows of every solve_final_fields sweep that optim makes."""
+    rows, sweep = [], optim.solve_final_fields
+
+    def counted(f0, drifts, *args, **kwargs):
+        rows.append(len(drifts))
+        return sweep(f0, drifts, *args, **kwargs)
+
+    monkeypatch.setattr(optim, "solve_final_fields", counted)
+    return rows
+
+
 class TestArmijo:
     def test_zero_gradient_returns_unchanged(self):
         grid = Grid1D(-2.0, 3.0, 16)
@@ -249,41 +332,86 @@ class TestArmijo:
         assert_same_trajectory(traj, new_c, f0, act, cfg)
         assert_same_adjoint(lam_traj, new_c, f0, g, act, cfg)
 
-    @pytest.mark.parametrize("rho0", [ARMIJO_RHO0, 0.3])
-    def test_a_trial_past_the_hard_bound_is_rejected(self, monkeypatch, rho0):
-        # the first trial's sweep, at rho0, raises; the search goes on to
-        # rho0 / 2 and returns that candidate with its adjoint
-        grid = Grid1D(-2.0, 3.0, 8)
-        f0 = project_initial(lambda x: ((x >= -0.5) & (x <= 0.5)).astype(float), grid)
-        g = TargetMeasure(1.0, 1.01)
-        tg = TimeGrid.from_step(0.1, 1e-2)
-        c = ControlPath.zero(tg)
-        act = Activation("identity")
-        cfg = make_cfg(n_cells=8)
-        f_traj = solve_transport(f0, DriftSpec(c, act), tg, cfg.cfl)
-        lam_traj = solve_transport(
-            adjoint_initial(g, grid), DriftSpec(c, act, time_reversed=True), tg, cfg.cfl
-        )
-        grad = control_gradient(c, f_traj, lam_traj, act, cfg)
-        cost0 = reduced_cost(c, f0, g, act, cfg)
-        trials = []
+    @pytest.mark.parametrize("case, scale, rho0, end", [
+        ("first-trial-accepted", 1.0, 1.0, 0),
+        ("batch-trial-accepted", 1.0, 32.0, 2),
+        ("fallback", 2.0**15, 2.0**-10, "fallback"),
+        ("every-trial-rejected", -1.0, 1.0, "rejected"),
+    ])
+    def test_the_search_is_the_sequential_search(self, monkeypatch, case, scale, rho0, end):
+        # rho = 32 and 16 fail the decrease test on this problem and 8 passes
+        # it.  A gradient scaled by 2^15 asks for a decrease 3.3 times the
+        # first-order one, which no trial gives, so the search falls back on
+        # the best trial, the fourth; a negated gradient points uphill
+        c, grad, f0, g, act, cfg, cost0, f_traj = box_problem()
+        grad = (scale * grad[0], scale * grad[1])
+        want, how = reference_armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj, rho0)
+        assert how == end
+        if end == "fallback":
+            assert want[1] == rho0 * ARMIJO_HALVING**3
+        rows = counted_batches(monkeypatch)
+        got = armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj, rho0=rho0)
+        # the trials after a rejected first one are one batch
+        assert rows == ([] if end == 0 else [cfg.max_armijo - 1])
+        assert_same_step(got, want)
 
-        def first_trial_fails(f0, drift, *args, **kwargs):
-            trials.append(drift.control)
-            if len(trials) == 1:
-                raise CFLViolationError("interface speed past the hard bound")
-            return solve_transport(f0, drift, *args, **kwargs)
+    def test_every_search_of_a_training_run_is_the_sequential_search(self, monkeypatch):
+        search, ends = optim.armijo_search, []
 
-        monkeypatch.setattr(optim, "solve_transport", first_trial_fails)
-        new_c, rho, cost, traj, lam_traj = armijo_search(c, grad, f0, g, act, cfg, cost0,
-                                                         f_traj, rho0=rho0)
+        def both(*args, **kwargs):
+            got = search(*args, **kwargs)
+            want, how = reference_armijo_search(*args, **kwargs)
+            assert_same_step(got, want)
+            ends.append(how)
+            return got
+
+        monkeypatch.setattr(optim, "armijo_search", both)
+        grid = Grid1D(-2.0, 3.0, 40)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        gauss_seidel_train(f0, TargetMeasure(1.0, 1.01),
+                           ControlPath.zero(TimeGrid.from_step(1.0, 5e-2)),
+                           Activation("sigmoid"), make_cfg(n_cells=40), max_outer=8)
+        # searches that take their first trial, one that takes its third,
+        # and a last one that takes none
+        assert ends == [0, 0, 0, 2, "rejected"]
+
+    @pytest.mark.parametrize("rho0", [32.0, 16.0])
+    @pytest.mark.parametrize("row", ["forward", "adjoint"])
+    def test_a_trial_past_the_hard_bound_is_rejected(self, monkeypatch, rho0, row):
+        # the trial at rho = 8, the first the search would take, is a row of
+        # the batch here, and its speeds are made to break the hard CFL
+        # bound: in its forward row, which fails in the batch sweep, or in
+        # its adjoint row only, which fails the paired sweep that would hand
+        # it over.  Either way the search rejects it and takes rho = 4, as
+        # the sequential search does
+        c, grad, f0, g, act, cfg, cost0, f_traj = box_problem()
+        g_w, g_b = (optim._projected(part) for part in grad)
+        cap = cfg.cfl * f0.grid.dx / c.grid.dt
+        w, b = optim._project_to_speed(c.w - 8.0 * g_w, c.b - 8.0 * g_b, cap, f0.grid.a,
+                                       f0.grid.b, linear_speed=True)
+        target = ControlPath(c.grid, w, b).pinned()
+        speed = DriftSpec.speed
+
+        def fast_target(self, x, t):
+            v = speed(self, x, t)
+            hit = (self.time_reversed == (row == "adjoint")
+                   and np.array_equal(self.control.w, target.w)
+                   and np.array_equal(self.control.b, target.b))
+            return 100.0 * v if hit else v
+
+        monkeypatch.setattr(DriftSpec, "speed", fast_target)
+        with pytest.raises(CFLViolationError, match="interface speed"):
+            reduced_cost(target, f0, g, act, cfg, adjoint=[])
+        want, how = reference_armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj, rho0)
+        assert want[1] == 4.0 and how == round(math.log2(rho0)) - 2
+        rows = counted_batches(monkeypatch)
+        got = armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj, rho0=rho0)
+        assert rows == [cfg.max_armijo - 1]
+        assert_same_step(got, want)
         monkeypatch.undo()
-        assert rho == rho0 * ARMIJO_HALVING
-        assert len(trials) == 2 and trials[1] is new_c
-        assert cost == reduced_cost(new_c, f0, g, act, cfg)
-        assert cost < cost0
-        assert_same_trajectory(traj, new_c, f0, act, cfg)
-        assert_same_adjoint(lam_traj, new_c, f0, g, act, cfg)
+        assert got[2] < cost0
+        assert_same_trajectory(got[3], got[0], f0, act, cfg)
+        assert_same_adjoint(got[4], got[0], f0, g, act, cfg)
 
 
 class TestTraining:
@@ -344,48 +472,51 @@ class TestTraining:
 
     @staticmethod
     def _counted_training(monkeypatch):
-        """A short identity training run, with its solves counted by kind
-        (paired sweeps, lone forward and lone adjoint solves), its line-search
-        trials, and whether each line search handed over an adjoint."""
-        counts = {"sweeps": 0, "forward": 0, "adjoint": 0, "trials": 0}
-        handed_over = []
-        solve, cost, search = optim.solve_transport, optim.reduced_cost, optim.armijo_search
+        """A short sigmoid training run, with its solves in call order: a
+        paired sweep ("sweep"), a lone forward or adjoint solve ("forward",
+        "adjoint"), a final-field sweep (its number of rows), and "search"
+        where a line search starts; and whether each line search handed
+        over an adjoint."""
+        solves, handed_over = [], []
+        solve, batch, search = (optim.solve_transport, optim.solve_final_fields,
+                                optim.armijo_search)
 
         def counted_solve(f0, drift, *args, **kwargs):
             if kwargs.get("adjoint") is not None:
-                counts["sweeps"] += 1
+                solves.append("sweep")
             else:
-                counts["adjoint" if drift.time_reversed else "forward"] += 1
+                solves.append("adjoint" if drift.time_reversed else "forward")
             return solve(f0, drift, *args, **kwargs)
 
-        def counted_cost(*args, **kwargs):
-            counts["trials"] += 1
-            return cost(*args, **kwargs)
+        def counted_batch(f0, drifts, *args, **kwargs):
+            solves.append(len(drifts))
+            return batch(f0, drifts, *args, **kwargs)
 
         def counted_search(*args, **kwargs):
+            solves.append("search")
             out = search(*args, **kwargs)
             handed_over.append(out[4] is not None)
             return out
 
         monkeypatch.setattr(optim, "solve_transport", counted_solve)
-        monkeypatch.setattr(optim, "reduced_cost", counted_cost)
+        monkeypatch.setattr(optim, "solve_final_fields", counted_batch)
         monkeypatch.setattr(optim, "armijo_search", counted_search)
         grid = Grid1D(-2.0, 3.0, 40)
         f0 = project_initial(gaussian_density(0.3, 0.25), grid)
         g = TargetMeasure(1.0, 1.01)
         cfg = make_cfg(n_cells=40)
-        act = Activation("identity")
+        act = Activation("sigmoid")
         state = gauss_seidel_train(
             f0, g, ControlPath.zero(TimeGrid.from_step(1.0, 5e-2)), act, cfg, max_outer=8
         )
         monkeypatch.undo()
-        return state, counts, handed_over, (f0, g, act, cfg)
+        return state, solves, handed_over, (f0, g, act, cfg)
 
     @staticmethod
     def _recorded_searches(monkeypatch, max_outer=8, gradient=None):
         """(controls, projected gradient, starting step) of every line search
-        in the short identity run of _counted_training; gradient, when given,
-        takes the place of control_gradient."""
+        in a short identity training run; gradient, when given, takes the
+        place of control_gradient."""
         searches = []
         search = optim.armijo_search
         signature = inspect.signature(search)
@@ -463,21 +594,55 @@ class TestTraining:
         assert [rho0 for _, _, rho0 in searches] == [ARMIJO_RHO0] * len(searches)
 
     def test_accepted_line_search_solve_is_reused(self, monkeypatch):
-        # sweeps: the first iterate's plus one per line-search trial, each
-        # solving the adjoint of its controls beside their forward transport;
-        # no lone solves
-        state, counts, handed_over, (f0, g, act, cfg) = self._counted_training(monkeypatch)
-        # backtracking and a final rejected search both occur in this run
-        assert counts["trials"] > state.iteration >= 3
-        assert 0.0 < np.min(state.rho_history[:-1]) < ARMIJO_RHO0
+        # the first iterate is one paired sweep, and so is each line search's
+        # first trial.  A search that rejects it solves the other trials as
+        # one final-field sweep, then solves the step it takes, if any, as
+        # one more paired sweep; no solve is a lone one
+        state, solves, handed_over, (f0, g, act, cfg) = self._counted_training(monkeypatch)
+        assert solves[0] == "sweep"
+        per_search = []
+        for solved in solves[1:]:
+            if solved == "search":
+                per_search.append([])
+            else:
+                per_search[-1].append(solved)
+        assert len(per_search) == len(handed_over) == state.iteration
+        kinds = []
+        for part, handed in zip(per_search, handed_over):
+            assert part[0] == "sweep"
+            if len(part) == 1:
+                kinds.append("first trial")
+                assert handed
+            else:
+                assert 1 <= part[1] <= cfg.max_armijo - 1
+                assert part[2:] == (["sweep"] if handed else [])
+                kinds.append("later trial" if handed else "none")
+        # this run takes the first trial, a later one, and in its last
+        # search none, which hands over nothing and ends the run
+        assert kinds == ["first trial"] * (state.iteration - 2) + ["later trial", "none"]
         assert state.rho_history[-1] == 0.0
-        assert len(handed_over) == state.iteration
-        # iteration k > 0 enters with what line search k - 1 handed over; the
-        # final, rejected search hands over nothing and ends the run
-        assert handed_over == [True] * (state.iteration - 1) + [False]
-        assert counts["sweeps"] == 1 + counts["trials"]
-        assert counts["forward"] == counts["adjoint"] == 0
         assert state.cost_history[-1] == reduced_cost(state.controls, f0, g, act, cfg)
+
+    @pytest.mark.parametrize("tol, max_outer, said", [
+        (1e-4, 8, "training stopped on a line search that found no acceptable step "
+                  "after 5 iteration(s)"),
+        (0.1, 8, "training converged on the relative control change 0.0718 <= tol 0.1 "
+                 "after 4 iteration(s)"),
+        (1e-4, 2, "training stopped at the iteration cap after 2 iteration(s)"),
+    ], ids=["no-acceptable-step", "relative-change", "iteration-cap"])
+    def test_the_closing_line_names_the_stop_rule(self, caplog, tol, max_outer, said):
+        # the short sigmoid run's relative changes are 1, 0.854, 0.152, 0.0718
+        # and 0, the last from a search that takes no step
+        grid = Grid1D(-2.0, 3.0, 40)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        with caplog.at_level(logging.INFO, logger="mfrn.optim"):
+            state = gauss_seidel_train(f0, TargetMeasure(1.0, 1.01),
+                                       ControlPath.zero(TimeGrid.from_step(1.0, 5e-2)),
+                                       Activation("sigmoid"), make_cfg(n_cells=40, tol=tol),
+                                       max_outer=max_outer)
+        closing = caplog.records[-1].getMessage()
+        assert closing.startswith(said + ": cost ")
+        assert state.converged == (max_outer == 8)
 
     def test_nonfinite_cost_aborts(self):
         grid = Grid1D(-2.0, 3.0, 200)

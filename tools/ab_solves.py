@@ -7,21 +7,27 @@ Both trees' ``mfrn`` packages are imported into this one process, under the
 names ``mfrn_base`` and ``mfrn_head``, so the two sides share the interpreter,
 the heap and the machine's load at every moment.  For every case (200, 400
 and 1600 cells; identity, sigmoid and tanh; a forward solve, an adjoint
-solve, and the pair of them that training makes, all of 100 steps) the two
-sides' solves alternate, the side that goes first alternating too, and the
-script prints each side's median time, the ratio head / base, and whether
-the final snapshots are bitwise equal.  In the paired case each tree whose
-solver has an ``adjoint`` parameter makes one sweep of both rows
+solve, and the pair of them that training makes, all of 100 steps; at 200
+and 400 cells also a batch of 9 forward solves under the controls scaled by
+1, 1/2, ..., 1/256, like a line search's trials) the two sides' solves
+alternate, the side that goes first alternating too, and the script prints
+each side's median time, the ratio head / base, and whether the final
+snapshots are bitwise equal.  In the paired case each tree whose solver has
+an ``adjoint`` parameter makes one sweep of both rows
 (``solve_transport(..., adjoint=lam0)``), and a tree without it makes the two
 solves one after the other, so two trees that both sweep are timed sweep
 against sweep; both final snapshots are compared.  That parameter must take
 the adjoint's start field alone, as it does from the change that derived the
 adjoint row's drift onward; a tree whose ``adjoint`` takes a (field, drift)
-pair fails here.  The last line is the geometric mean of the ratios.  Plain
-timings of one tree on a shared machine can drift by 2x within minutes; two
-runs of this script on the same tree read within a few percent of 1 on a
-quiet machine, and the 200- and 400-cell cases spread to about 0.88-1.18
-under other tenants' load.  Standard library and numpy.
+pair fails here.  In the batch case a tree with ``solve_final_fields``
+solves the 9 rows in one sweep that keeps only their final fields, and a
+tree without it makes the 9 lone solves; all 9 final fields are compared.
+The last lines are the geometric means of the ratios, over the forward,
+adjoint and paired cases and over the batch cases.  Plain timings of one
+tree on a shared machine can drift by 2x within minutes; two runs of this
+script on the same tree read within a few percent of 1 on a quiet machine,
+and the 200- and 400-cell cases spread to about 0.88-1.18 under other
+tenants' load.  Standard library and numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +45,9 @@ import numpy as np
 
 CELLS = (200, 400, 1600)
 ACTIVATIONS = ("identity", "sigmoid", "tanh")
-KINDS = ("forward", "adjoint", "paired")
+KINDS = ("forward", "adjoint", "paired", "batch")
+BATCH_CELLS = (200, 400)
+BATCH_ROWS = 9
 STEPS = 100
 ROUNDS = 15
 
@@ -77,6 +85,12 @@ def _case(pkg, n_cells: int, act: str, kind: str):
         return lambda: [fvm.solve_transport(f0, fwd, tg)[-1]]
     if kind == "adjoint":
         return lambda: [fvm.solve_transport(lam0, rev, tg)[-1]]
+    if kind == "batch":
+        drifts = [fvm.DriftSpec(core.ControlPath(tg, 0.5**k * controls.w, 0.5**k * controls.b),
+                                core.Activation(act)) for k in range(BATCH_ROWS)]
+        if hasattr(fvm, "solve_final_fields"):
+            return lambda: fvm.solve_final_fields(f0, drifts, tg)
+        return lambda: [fvm.solve_transport(f0, d, tg)[-1] for d in drifts]
     if "adjoint" in inspect.signature(fvm.solve_transport).parameters:
         def paired():
             f_traj, lam_traj = fvm.solve_transport(f0, fwd, tg, adjoint=lam0)
@@ -94,10 +108,12 @@ def main(argv: list[str]) -> int:
              "head": _load(Path(argv[1]).resolve(), "mfrn_head")}
     print(f"{'cells':>5} {'activation':>10} {'solve':>7} {'base ms':>9} {'head ms':>9} "
           f"{'ratio':>6}  same bits")
-    ratios = []
+    ratios = {}
     for n_cells in CELLS:
         for act in ACTIVATIONS:
             for kind in KINDS:
+                if kind == "batch" and n_cells not in BATCH_CELLS:
+                    continue
                 solves = {side: _case(pkg, n_cells, act, kind) for side, pkg in sides.items()}
                 times = {side: [] for side in sides}
                 finals = {side: solve() for side, solve in solves.items()}
@@ -108,14 +124,16 @@ def main(argv: list[str]) -> int:
                         times[side].append(time.perf_counter() - t0)
                 med = {side: statistics.median(ts) for side, ts in times.items()}
                 ratio = med["head"] / med["base"]
-                ratios.append(ratio)
+                ratios.setdefault(kind == "batch", []).append(ratio)
                 same = all(a.averages.tobytes() == b.averages.tobytes()
                            for a, b in zip(finals["base"], finals["head"], strict=True))
                 print(f"{n_cells:>5} {act:>10} {kind:>7} "
                       f"{1e3 * med['base']:>9.2f} {1e3 * med['head']:>9.2f} {ratio:>6.3f}  "
                       f"{'yes' if same else 'NO'}", flush=True)
-    geo = math.exp(sum(map(math.log, ratios)) / len(ratios))
-    print(f"geometric mean ratio head / base over {len(ratios)} cases: {geo:.3f}")
+    for batch, some in sorted(ratios.items()):
+        geo = math.exp(sum(map(math.log, some)) / len(some))
+        print(f"geometric mean ratio head / base over {len(some)} "
+              f"{'batch' if batch else 'forward, adjoint and paired'} cases: {geo:.3f}")
     return 0
 
 
