@@ -37,12 +37,7 @@ from .optim import (
     reduced_cost,
     tilde_loss,
 )
-from .particle import (
-    ParticleEnsemble,
-    ResNetConfig,
-    ode_integrate,
-    resnet_forward,
-)
+from .particle import ResNetConfig, ode_integrate, resnet_forward
 from .scenarios import (
     ConvergenceReport,
     ExactControlReport,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import Activation
 from .fvm import DensityField, Grid1D
-from .particle import ParticleEnsemble
 
 log = logging.getLogger(__name__)
 
@@ -96,22 +95,24 @@ def steady_state_support(
     return y
 
 
-def particles_to_density(ens: ParticleEnsemble, grid: Grid1D) -> DensityField:
-    """Histogram of particle states as a unit-mass density on the grid.
+def particles_to_density(x: np.ndarray, grid: Grid1D) -> DensityField:
+    """Histogram of the particle positions x (a 1-d array) as a unit-mass
+    density on the grid.
 
     Particles outside the domain are counted, reported via a warning, and the
     remaining mass is renormalized to one.
     """
-    if ens.dim != 1:
-        raise ValueError("histogram projection requires one-dimensional states")
-    x = ens.states[:, 0]
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError(f"histogram projection requires a one-dimensional array "
+                         f"of positions, got shape {x.shape}")
     counts, _ = np.histogram(x, bins=grid.edges)
     inside = int(counts.sum())
-    outside = ens.size - inside
+    outside = x.size - inside
     if outside > 0:
         log.warning(
             "%d of %d particles fall outside [%g, %g]; renormalizing the rest",
-            outside, ens.size, grid.a, grid.b,
+            outside, x.size, grid.a, grid.b,
         )
     if inside == 0:
         raise ValueError("no particles inside the domain; cannot form a density")

@@ -312,10 +312,6 @@ def armijo_search(
     """
     g_w = _projected(grad[0])
     g_b = _projected(grad[1])
-    sq_norm = _trapezoid(g_w**2 + g_b**2, c.grid.dt)
-    if sq_norm == 0.0:
-        return c, rho0, current_cost, current_traj, None
-
     speed_cap = cfg.cfl * f0.grid.dx / c.grid.dt
 
     def trials():

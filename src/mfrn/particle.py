@@ -1,13 +1,13 @@
 """Particle-level dynamics: the residual-network recursion and its ODE limit.
 
 A depth-L network with identity skip connection and shared scalar controls is
-the explicit Euler discretization of dx/dt = act(w(t) x + b(t)).  Every
-integrator here reads that velocity field from ``fvm.DriftSpec.speed``, the
-same field the transport solver advects with, so the Euler path of
-``ode_integrate`` and ``resnet_forward`` coincide bitwise when the step sizes
-match.
+the explicit Euler discretization of dx/dt = act(w(t) x + b(t)):
+``resnet_forward`` is that recursion, and ``ode_integrate`` solves the ODE
+itself with RK4.  Both read the velocity field from ``fvm.DriftSpec.speed``,
+the same field the transport solver advects with.  Particles are a plain
+float array whose first axis indexes them.
 
-``ode_integrate`` moves an ensemble in blocks of _BLOCK_ROWS particles: the
+``ode_integrate`` moves the particles in blocks of _BLOCK_ROWS rows: the
 temporaries of a whole 1e5-particle stage are mapped in and page-faulted anew
 at every stage, a block's are reused from the heap.
 """
@@ -39,29 +39,6 @@ class ResNetConfig:
             raise ValueError(f"dt must be a finite number > 0, got {self.dt!r}")
 
 
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """Particle states x_i as an (M, d) array."""
-
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        object.__setattr__(self, "states", states)
-        if states.ndim != 2:
-            raise ValueError("states must be a 2-d array (M, d)")
-        if states.shape[0] < 1:
-            raise ValueError("ensemble needs at least one particle")
-
-    @property
-    def size(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-
 def resnet_forward(x0: np.ndarray, c: ControlPath, cfg: ResNetConfig) -> np.ndarray:
     """Output of the depth-L recursion started at x0 (any array shape).
 
@@ -76,37 +53,30 @@ def resnet_forward(x0: np.ndarray, c: ControlPath, cfg: ResNetConfig) -> np.ndar
 
 
 def ode_integrate(
-    ens: ParticleEnsemble,
+    ens: np.ndarray,
     c: ControlPath,
     act: Activation,
-    method: str,
     dt: float,
     t_final: float,
-) -> ParticleEnsemble:
-    """Integrate every particle under dx/dt = act(w(t) x + b(t)).
-
-    method "euler" reproduces the network recursion exactly at matching step
-    sizes; "rk4" is the classical fourth-order scheme.
+) -> np.ndarray:
+    """RK4 positions at t_final of the particles ens (a float array whose
+    first axis indexes them) under dx/dt = act(w(t) x + b(t)); ens is left
+    unchanged.
 
     Each block of _BLOCK_ROWS rows runs through all steps, so every temporary
     is small enough for the heap to reuse.  Particles do not interact and
     every operation is elementwise with the same scalar controls, so the
-    result is bitwise that of the whole ensemble at once.
+    result is bitwise that of all particles at once.
     """
     n = TimeGrid.from_step(t_final, dt).n_steps
-    if method not in ("euler", "rk4"):
-        raise ValueError(f"unknown integrator {method!r}; expected 'euler' or 'rk4'")
     drift = DriftSpec(c, act)
-    x = ens.states.copy()
+    x = np.array(ens, dtype=float)
     for start in range(0, len(x), _BLOCK_ROWS):
         rows = x[start:start + _BLOCK_ROWS]
         for k in range(n):
-            if method == "euler":
-                rows = rows + dt * drift.speed(rows, k * dt)
-            else:
-                rows = _rk4_step(rows, drift, k * dt, dt)
+            rows = _rk4_step(rows, drift, k * dt, dt)
         x[start:start + _BLOCK_ROWS] = rows
-    return ParticleEnsemble(x)
+    return x
 
 
 def _rk4_step(x: np.ndarray, drift: DriftSpec, t: float, dt: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from .core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGri
 from .fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from .measures import moments, particles_to_density, variance, wasserstein1
 from .optim import OptimState, TargetMeasure, gauss_seidel_train
-from .particle import ParticleEnsemble, ode_integrate
+from .particle import ode_integrate
 
 log = logging.getLogger(__name__)
 
@@ -375,8 +375,7 @@ def run_convergence_study(sc: Scenario) -> ConvergenceReport:
     def one(seed_index: int, M: int) -> float:
         rng = np.random.default_rng([sc.seed, seed_index, M])
         xs = sample_from_density(f0, M, rng)
-        ens = ParticleEnsemble(xs[:, None])
-        moved = ode_integrate(ens, controls, sc.act, "rk4", sc.dt, sc.t_final)
+        moved = ode_integrate(xs, controls, sc.act, sc.dt, sc.t_final)
         hist = particles_to_density(moved, sc.space_grid)
         return wasserstein1(hist, f_T)
 

@@ -1,6 +1,7 @@
 """Wasserstein distance, moments, steady states, particle histograms."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from mfrn.measures import (
     variance,
     wasserstein1,
 )
-from mfrn.particle import ParticleEnsemble
 from mfrn.scenarios import gaussian_density
 
 
@@ -178,8 +178,7 @@ class TestSteadyStates:
 class TestParticleHistogram:
     def test_single_particle_fills_one_cell(self):
         grid = Grid1D(0.0, 1.0, 10)
-        ens = ParticleEnsemble(np.array([[0.55]]))
-        f = particles_to_density(ens, grid)
+        f = particles_to_density(np.array([0.55]), grid)
         assert_allclose(f.averages[5], 1.0 / grid.dx, rtol=1e-14)
         assert np.count_nonzero(f.averages) == 1
         assert_allclose(f.mass, 1.0, rtol=1e-14)
@@ -190,36 +189,40 @@ class TestParticleHistogram:
         target = project_initial(gaussian_density(0.5, 0.3), grid)
         errs = []
         for m_count in (100, 1000, 10000, 100000):
-            x = rng.normal(0.5, 0.3, size=(m_count, 1))
-            f = particles_to_density(ParticleEnsemble(x), grid)
+            x = rng.normal(0.5, 0.3, size=m_count)
+            f = particles_to_density(x, grid)
             errs.append(wasserstein1(f, target))
         assert errs[1] < errs[0] and errs[2] < errs[1] and errs[3] < errs[2]
 
     def test_out_of_domain_particles_warn_and_renormalize(self, caplog):
         grid = Grid1D(0.0, 1.0, 10)
-        x = np.array([[0.5], [0.5], [10.0]])
-        ens = ParticleEnsemble(x)
+        x = np.array([0.5, 0.5, 10.0])
         with caplog.at_level(logging.WARNING, logger="mfrn.measures"):
-            f = particles_to_density(ens, grid)
+            f = particles_to_density(x, grid)
         assert any("outside" in r.getMessage() for r in caplog.records)
         assert_allclose(f.mass, 1.0, rtol=1e-14)
 
     def test_in_domain_particles_stay_quiet(self, caplog):
         grid = Grid1D(0.0, 1.0, 10)
-        x = np.array([[0.5], [0.25]])
-        ens = ParticleEnsemble(x)
+        x = np.array([0.5, 0.25])
         with caplog.at_level(logging.WARNING, logger="mfrn.measures"):
-            particles_to_density(ens, grid)
+            particles_to_density(x, grid)
         assert not caplog.records
 
     def test_all_outside_rejected(self):
         grid = Grid1D(0.0, 1.0, 10)
-        ens = ParticleEnsemble(np.array([[5.0]]))
         with pytest.raises(ValueError, match="no particles inside"):
-            particles_to_density(ens, grid)
+            particles_to_density(np.array([5.0]), grid)
 
     def test_multidimensional_states_rejected(self):
         grid = Grid1D(0.0, 1.0, 10)
-        ens = ParticleEnsemble(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="one-dimensional"):
-            particles_to_density(ens, grid)
+            particles_to_density(np.zeros((3, 2)), grid)
+
+    @pytest.mark.parametrize("x", [np.array(0.5), np.full((3, 1), 0.5)], ids=["0-d", "2-d"])
+    def test_positions_not_a_vector_are_named(self, x):
+        # a column of positions is no longer read as M one-dimensional particles
+        grid = Grid1D(0.0, 1.0, 10)
+        with pytest.raises(ValueError, match="one-dimensional array of positions, got shape "
+                                             + re.escape(str(x.shape))):
+            particles_to_density(x, grid)

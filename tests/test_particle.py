@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from mfrn import particle
 from mfrn.core import Activation, ControlPath, TimeGrid
 from mfrn.fvm import DriftSpec
-from mfrn.particle import ParticleEnsemble, ResNetConfig, ode_integrate, resnet_forward
+from mfrn.particle import ResNetConfig, ode_integrate, resnet_forward
 
 KINDS = ["identity", "tanh", "sigmoid", "relu", "gcu"]
 
@@ -61,20 +61,6 @@ class TestResNetForward:
         with pytest.raises(ValueError, match="n_layers"):
             ResNetConfig(n_layers=n_layers, dt=0.1, activation=Activation("tanh"))
 
-
-class TestOdeIntegrate:
-    def test_unit_speed_translates(self):
-        ens = ParticleEnsemble(np.array([[2.0]]))
-        c = constant_controls(1.0, 0.1, w=0.0, b=1.0)
-        out = ode_integrate(ens, c, Activation("identity"), "euler", 0.1, 1.0)
-        assert_allclose(out.states, [[3.0]], rtol=1e-14)
-
-    def test_rk4_reproduces_the_exponential(self):
-        ens = ParticleEnsemble(np.array([[1.0]]))
-        c = constant_controls(1.0, 0.01, w=1.0, b=0.0)
-        out = ode_integrate(ens, c, Activation("identity"), "rk4", 0.01, 1.0)
-        assert abs(out.states[0, 0] - np.e) <= 1e-6
-
     @given(st.integers(min_value=0, max_value=64),
            st.sampled_from(KINDS),
            st.integers(min_value=0, max_value=2**32 - 1))
@@ -86,23 +72,33 @@ class TestOdeIntegrate:
         c = ControlPath(tg,
                         w=rng.uniform(-1, 1, tg.n_steps + 1),
                         b=rng.uniform(-1, 1, tg.n_steps + 1))
-        x0 = rng.standard_normal((4, 1))
+        x0 = rng.standard_normal(4)
         cfg = ResNetConfig(n_layers=n_layers, dt=dt, activation=Activation(kind))
         net = resnet_forward(x0, c, cfg)
-        ens = ParticleEnsemble(x0)
-        ode = ode_integrate(ens, c, Activation(kind), "euler", dt, tg.t_final)
-        assert np.array_equal(net, ode.states)
+        euler = unblocked_integrate(x0, c, Activation(kind), "euler", dt, tg.n_steps)
+        assert np.array_equal(net, euler)
+
+
+class TestOdeIntegrate:
+    def test_unit_speed_translates(self):
+        c = constant_controls(1.0, 0.1, w=0.0, b=1.0)
+        out = ode_integrate(np.array([2.0]), c, Activation("identity"), 0.1, 1.0)
+        assert_allclose(out, [3.0], rtol=1e-14)
+
+    def test_rk4_reproduces_the_exponential(self):
+        c = constant_controls(1.0, 0.01, w=1.0, b=0.0)
+        out = ode_integrate(np.array([1.0]), c, Activation("identity"), 0.01, 1.0)
+        assert abs(out[0] - np.e) <= 1e-6
 
     def test_rk4_self_convergence_order(self):
         """Halving the step divides the error by ~16 on smooth dynamics."""
         tg = TimeGrid.from_step(1.0, 0.01)
         c = ControlPath.from_functions(tg, np.sin, np.cos)
         act = Activation("tanh")
-        x0 = np.array([[0.3]])
-        ens = ParticleEnsemble(x0)
+        x0 = np.array([0.3])
 
         def terminal(dt):
-            return ode_integrate(ens, c, act, "rk4", dt, 1.0).states[0, 0]
+            return ode_integrate(x0, c, act, dt, 1.0)[0]
 
         ref = terminal(1.0 / 3200)
         errs = [abs(terminal(dt) - ref) for dt in (0.01, 0.005, 0.0025)]
@@ -112,44 +108,33 @@ class TestOdeIntegrate:
     def test_ensemble_mean_is_conserved_by_centered_bias(self):
         # bias tied to the initial mean cancels the mean drift exactly
         rng = np.random.default_rng(42)
-        x0 = rng.normal(0.5, 0.2, size=(2000, 1))
+        x0 = rng.normal(0.5, 0.2, size=2000)
         m0 = float(np.mean(x0))
         tg = TimeGrid.from_step(1.0, 1e-2)
         w = 0.4 * np.sin(np.pi * tg.nodes)
         c = ControlPath(tg, w=w, b=-w * m0)
-        ens = ParticleEnsemble(x0)
-        out = ode_integrate(ens, c, Activation("identity"), "rk4", 1e-2, 1.0)
-        assert abs(float(np.mean(out.states)) - m0) <= 1e-12
-
-    def test_unknown_method_rejected(self):
-        ens = ParticleEnsemble(np.array([[0.0]]))
-        c = constant_controls(1.0, 0.1, w=0.0, b=0.0)
-        with pytest.raises(ValueError, match="euler"):
-            ode_integrate(ens, c, Activation("tanh"), "heun", 0.1, 1.0)
+        out = ode_integrate(x0, c, Activation("identity"), 1e-2, 1.0)
+        assert abs(float(np.mean(out)) - m0) <= 1e-12
 
     def test_non_divisible_horizon_rejected(self):
-        ens = ParticleEnsemble(np.array([[0.0]]))
         c = constant_controls(1.0, 0.1, w=0.0, b=0.0)
         with pytest.raises(ValueError, match="multiple"):
-            ode_integrate(ens, c, Activation("tanh"), "euler", 0.1, 0.35)
+            ode_integrate(np.zeros(1), c, Activation("tanh"), 0.1, 0.35)
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.1, 0.0])
     def test_bad_step_is_named(self, dt):
-        ens = ParticleEnsemble(np.array([[0.0]]))
         c = constant_controls(1.0, 0.1, w=0.0, b=0.0)
         with pytest.raises(ValueError, match="dt must be"):
-            ode_integrate(ens, c, Activation("tanh"), "euler", dt, 1.0)
+            ode_integrate(np.zeros(1), c, Activation("tanh"), dt, 1.0)
 
     def test_non_finite_horizon_is_named(self):
-        ens = ParticleEnsemble(np.array([[0.0]]))
         c = constant_controls(1.0, 0.1, w=0.0, b=0.0)
         with pytest.raises(ValueError, match="t_final"):
-            ode_integrate(ens, c, Activation("tanh"), "euler", 0.1, float("inf"))
+            ode_integrate(np.zeros(1), c, Activation("tanh"), 0.1, float("inf"))
 
-    @pytest.mark.parametrize("method, stages", [("euler", 1), ("rk4", 4)])
-    def test_speeds_come_from_the_drift_spec(self, monkeypatch, method, stages):
+    def test_speeds_come_from_the_drift_spec(self, monkeypatch):
         # the particles read the transport solver's velocity field: one
-        # DriftSpec.speed call per stage, each reading w and b once
+        # DriftSpec.speed call per RK4 stage, each reading w and b once
         calls = {"speed": 0, "eval_w": 0, "eval_b": 0}
 
         def count(owner, name):
@@ -165,14 +150,14 @@ class TestOdeIntegrate:
         count(ControlPath, "eval_w")
         count(ControlPath, "eval_b")
         c = constant_controls(1.0, 0.1, w=0.3, b=0.2)
-        ode_integrate(ParticleEnsemble(np.zeros((5, 1))), c, Activation("tanh"),
-                      method, 0.1, 1.0)
-        n = stages * 10
+        ode_integrate(np.zeros(5), c, Activation("tanh"), 0.1, 1.0)
+        n = 4 * 10
         assert calls == {"speed": n, "eval_w": n, "eval_b": n}
 
 
 def unblocked_integrate(x0, c, act, method, dt, n):
-    """The whole ensemble at once: ode_integrate's loop before it was blocked."""
+    """All particles at once, by explicit Euler or RK4: ode_integrate's loop
+    before it was blocked."""
     drift = DriftSpec(c, act)
     x = x0.copy()
     for k in range(n):
@@ -197,26 +182,23 @@ class TestBlockedIntegration:
         return ControlPath(tg, w=rng.uniform(-1, 1, tg.n_steps + 1),
                            b=rng.uniform(-1, 1, tg.n_steps + 1))
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["m", "m-2"])
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 19])
     def test_blocks_are_bitwise_the_whole_ensemble(self, monkeypatch, controls,
-                                                   m, method, kind, dim):
+                                                   m, kind, shape):
         monkeypatch.setattr(particle, "_BLOCK_ROWS", self.B)
-        x0 = np.random.default_rng(m).uniform(-2, 2, (m, dim))
-        ens = ParticleEnsemble(x0.copy())
+        x0 = np.random.default_rng(m).uniform(-2, 2, (m, *shape))
+        ens = x0.copy()
         act = Activation(kind)
-        out = ode_integrate(ens, controls, act, method, 0.05, 0.5)
-        want = unblocked_integrate(x0, controls, act, method, 0.05, 10)
-        assert out.states.shape == (m, dim)
-        assert out.states.tobytes() == want.tobytes()
-        assert ens.states.tobytes() == x0.tobytes()
+        out = ode_integrate(ens, controls, act, 0.05, 0.5)
+        want = unblocked_integrate(x0, controls, act, "rk4", 0.05, 10)
+        assert out.shape == (m, *shape)
+        assert out.tobytes() == want.tobytes()
+        assert ens.tobytes() == x0.tobytes()
 
-    @pytest.mark.parametrize("method, stages", [("euler", 1), ("rk4", 4)])
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 19])
-    def test_one_speed_call_per_block_and_stage(self, monkeypatch, controls,
-                                                m, method, stages):
+    def test_one_speed_call_per_block_and_stage(self, monkeypatch, controls, m):
         monkeypatch.setattr(particle, "_BLOCK_ROWS", self.B)
         calls = 0
         speed = DriftSpec.speed
@@ -227,6 +209,5 @@ class TestBlockedIntegration:
             return speed(*args, **kwargs)
 
         monkeypatch.setattr(DriftSpec, "speed", counted)
-        ode_integrate(ParticleEnsemble(np.zeros((m, 1))), controls, Activation("tanh"),
-                      method, 0.05, 0.5)
-        assert calls == -(-m // self.B) * stages * 10
+        ode_integrate(np.zeros(m), controls, Activation("tanh"), 0.05, 0.5)
+        assert calls == -(-m // self.B) * 4 * 10

@@ -12,7 +12,7 @@ from mfrn import optim, scenarios
 from mfrn.core import Activation, ConfigValueError, ControlPath, TimeGrid, activation
 from mfrn.fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from mfrn.measures import moments, particles_to_density, wasserstein1
-from mfrn.particle import ParticleEnsemble, ode_integrate
+from mfrn.particle import ode_integrate
 from mfrn.scenarios import (
     ExactControlReport,
     ConvergenceReport,
@@ -223,13 +223,11 @@ class TestConvergenceStudy:
     def test_zero_controls_leave_particles_in_place(self):
         rng = np.random.default_rng(3)
         grid = Grid1D(-2.0, 3.0, 200)
-        x = rng.normal(0.5, 0.3, size=(5000, 1))
-        ens = ParticleEnsemble(x)
+        x = rng.normal(0.5, 0.3, size=5000)
         tg = TimeGrid.from_step(1.0, 1e-2)
-        moved = ode_integrate(ens, ControlPath.zero(tg), Activation("tanh"),
-                              "rk4", 1e-2, 1.0)
-        assert np.array_equal(moved.states, ens.states)
-        a = particles_to_density(ens, grid)
+        moved = ode_integrate(x, ControlPath.zero(tg), Activation("tanh"), 1e-2, 1.0)
+        assert np.array_equal(moved, x)
+        a = particles_to_density(x, grid)
         b = particles_to_density(moved, grid)
         assert wasserstein1(a, b) == 0.0
 
