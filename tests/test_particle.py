@@ -132,9 +132,11 @@ class TestOdeIntegrate:
         with pytest.raises(ValueError, match="t_final"):
             ode_integrate(np.zeros(1), c, Activation("tanh"), 0.1, float("inf"))
 
-    def test_speeds_come_from_the_drift_spec(self, monkeypatch):
-        # the particles read the transport solver's velocity field: one
-        # DriftSpec.speed call per RK4 stage, each reading w and b once
+    @pytest.mark.parametrize("method, stages", [("euler", 1), ("rk4", 4)])
+    def test_speeds_come_from_the_drift_spec(self, monkeypatch, method, stages):
+        # the network and the particles read the transport solver's velocity
+        # field: one DriftSpec.speed call per layer or RK4 stage, each reading
+        # w and b once
         calls = {"speed": 0, "eval_w": 0, "eval_b": 0}
 
         def count(owner, name):
@@ -150,9 +152,18 @@ class TestOdeIntegrate:
         count(ControlPath, "eval_w")
         count(ControlPath, "eval_b")
         c = constant_controls(1.0, 0.1, w=0.3, b=0.2)
-        ode_integrate(np.zeros(5), c, Activation("tanh"), 0.1, 1.0)
-        n = 4 * 10
+        integrate(method, np.zeros(5), c, Activation("tanh"), 0.1, 1.0)
+        n = stages * 10
         assert calls == {"speed": n, "eval_w": n, "eval_b": n}
+
+
+def integrate(method, x0, c, act, dt, t_final):
+    """Positions at t_final by the package's Euler path (the depth-L network,
+    whose L + 1 layers are the n steps) or by RK4."""
+    if method == "euler":
+        n = TimeGrid.from_step(t_final, dt).n_steps
+        return resnet_forward(x0, c, ResNetConfig(n_layers=n - 1, dt=dt, activation=act))
+    return ode_integrate(x0, c, act, dt, t_final)
 
 
 def unblocked_integrate(x0, c, act, method, dt, n):
@@ -171,7 +182,8 @@ def unblocked_integrate(x0, c, act, method, dt, n):
 class TestBlockedIntegration:
     """ode_integrate moves _BLOCK_ROWS rows at a time; with blocks of 8 rows the
     small ensembles below cover one block, a partial block, exact multiples and
-    a partial last block."""
+    a partial last block.  resnet_forward, the Euler path, moves all rows in
+    one sweep and must give the same bytes as the whole-ensemble loop."""
 
     B = 8
 
@@ -182,23 +194,27 @@ class TestBlockedIntegration:
         return ControlPath(tg, w=rng.uniform(-1, 1, tg.n_steps + 1),
                            b=rng.uniform(-1, 1, tg.n_steps + 1))
 
-    @pytest.mark.parametrize("shape", [(), (2,)], ids=["m", "m-2"])
+    # dim 1 is positions of shape (m,), dim 2 positions of shape (m, 2)
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["1", "2"])
     @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 19])
     def test_blocks_are_bitwise_the_whole_ensemble(self, monkeypatch, controls,
-                                                   m, kind, shape):
+                                                   m, method, kind, shape):
         monkeypatch.setattr(particle, "_BLOCK_ROWS", self.B)
         x0 = np.random.default_rng(m).uniform(-2, 2, (m, *shape))
         ens = x0.copy()
         act = Activation(kind)
-        out = ode_integrate(ens, controls, act, 0.05, 0.5)
-        want = unblocked_integrate(x0, controls, act, "rk4", 0.05, 10)
+        out = integrate(method, ens, controls, act, 0.05, 0.5)
+        want = unblocked_integrate(x0, controls, act, method, 0.05, 10)
         assert out.shape == (m, *shape)
         assert out.tobytes() == want.tobytes()
         assert ens.tobytes() == x0.tobytes()
 
+    @pytest.mark.parametrize("method, stages", [("euler", 1), ("rk4", 4)])
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 19])
-    def test_one_speed_call_per_block_and_stage(self, monkeypatch, controls, m):
+    def test_one_speed_call_per_block_and_stage(self, monkeypatch, controls,
+                                                m, method, stages):
         monkeypatch.setattr(particle, "_BLOCK_ROWS", self.B)
         calls = 0
         speed = DriftSpec.speed
@@ -209,5 +225,6 @@ class TestBlockedIntegration:
             return speed(*args, **kwargs)
 
         monkeypatch.setattr(DriftSpec, "speed", counted)
-        ode_integrate(np.zeros(m), controls, Activation("tanh"), 0.05, 0.5)
-        assert calls == -(-m // self.B) * 4 * 10
+        integrate(method, np.zeros(m), controls, Activation("tanh"), 0.05, 0.5)
+        blocks = -(-m // self.B) if method == "rk4" else 1
+        assert calls == blocks * stages * 10
