@@ -22,8 +22,7 @@ row and the stencil's shifted views stay contiguous.  Rows do not interact,
 so each is bitwise its own solve.  The adjoint row's drift is the first
 row's read in reversed time.  Each row has its own CFL check and warning,
 the positivity limiter and the mass and sign checks apply to each forward
-row, and a row past the hard margin fails its own solve only; a paired
-sweep raises.
+row, and a row past the hard margin fails the whole sweep.
 """
 
 from __future__ import annotations
@@ -364,19 +363,16 @@ def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages):
 
 def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, cfl: float,
            lead: int, lam: float | None, check: bool,
-           snapshots: list[list[DensityField]] | None = None) -> list[DensityField | None]:
+           snapshots: list[list[DensityField]] | None = None) -> list[DensityField]:
     """Advance row r from starts[r] under drifts[r], all rows in one SSP-RK3
     loop, and return the final fields of the first `lead` rows: every row,
     or the forward row of a paired sweep, whose second row is its adjoint.
-    The lead rows are limited with lam and checked with check.  A row past
-    the hard CFL margin fails its lead row, which is zeroed, logs nothing
-    and comes back as None while the others run on; once every lead row has
-    failed, the sweep raises the first failure.  snapshots, one list a row,
-    receive every step's fields."""
+    The lead rows are limited with lam and checked with check.  A block that
+    takes any row past the hard CFL margin raises before its first step,
+    naming that row's speed.  snapshots, one list a row, receive every
+    step's fields."""
     space, dt = starts[0].grid, grid.dt
     state = np.stack([f.averages for f in starts], axis=1)  # cells x rows
-    fate = [min(r, lead - 1) for r in range(len(starts))]  # each row's lead row
-    failed: list[CFLViolationError | None] = [None] * lead
     worst_nu = [0.0] * len(starts)
     outflow = np.zeros(lead)  # mass each lead row has lost through the boundary
     low = state[:, :lead].copy()  # each cell's smallest average so far
@@ -386,14 +382,11 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
         # step CFL number
         for r, m in enumerate(np.max(smax, axis=0).tolist()):
             nu = m * dt / space.dx
-            if nu > _CFL_HARD and failed[fate[r]] is None:
-                failed[fate[r]] = CFLViolationError(
+            if nu > _CFL_HARD:
+                raise CFLViolationError(
                     f"time step dt={dt:g} unstable: max interface speed {m:.6g} gives "
                     f"CFL number {nu:.4g} > hard bound {_CFL_HARD} (configured cfl={cfl:g})"
                 )
-                if all(failed):
-                    raise failed[fate[r]]
-                state[:, r] = 0.0  # several lead rows: the row is its own lead
             worst_nu[r] = max(worst_nu[r], nu)
         rates = []  # the block's three stage outflow rates a step
         for stages in steps:
@@ -410,22 +403,19 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
             o = np.array(rates)[..., :lead]
             # each step's outflow by the stepper's weights, added in step order
             outflow = sum(dt * (o[:, 0] / 6.0 + o[:, 1] / 6.0 + 2.0 * o[:, 2] / 3.0), outflow)
-    for r, nu in enumerate(worst_nu):
+    for nu in worst_nu:
         # paths projected exactly onto the speed cap land at nu == cfl up to
         # roundoff; only a real excess is worth a warning
-        if failed[fate[r]] is None and nu > cfl * (1.0 + 1e-9):
+        if nu > cfl * (1.0 + 1e-9):
             log.warning(
                 "transport solve exceeded configured cfl=%.3g (worst step CFL number %.4g); "
                 "still inside the hard stability margin %.3g",
                 cfl, nu, _CFL_HARD,
             )
-    finals = [None if fail else DensityField(space, row, t)
-              for fail, row in zip(failed, np.ascontiguousarray(state[:, :lead].T))]
+    finals = [DensityField(space, row, t) for row in np.ascontiguousarray(state[:, :lead].T)]
     if check:
         for f0, f_T, out, worst in zip(starts, finals, outflow.tolist(),
                                        np.min(low, axis=0).tolist()):
-            if f_T is None:
-                continue
             # mass carried out through the zero-inflow boundary is not drift
             drift_mass = abs(f_T.mass - f0.mass + out)
             if drift_mass > 1e-10:
@@ -487,24 +477,21 @@ def solve_transport(
 
 
 def solve_final_fields(f0: DensityField, drifts: list[DriftSpec], grid: TimeGrid,
-                       cfl: float = 0.45) -> list[DensityField | None]:
+                       cfl: float = 0.45) -> list[DensityField]:
     """The last snapshot of solve_transport(f0, drift, grid, cfl) for each
     drift, all from one sweep that keeps only the final fields.
 
     Every drift must be forward.  Each row is limited and checked as that
     forward solve is, logs its own warnings and is bitwise its final field.
-    A row past the hard CFL bound comes back as None and logs nothing; the
-    other rows run on.
+    A row past the hard CFL bound fails the whole sweep, as it fails its own
+    solve.
     """
     if any(d.time_reversed for d in drifts):
         raise ValueError("every row of a final-field sweep is a forward solve")
     if not drifts:
         return []
-    try:
-        return _sweep([f0] * len(drifts), list(drifts), grid, cfl, len(drifts),
-                      grid.dt / f0.grid.dx, True)
-    except CFLViolationError:
-        return [None] * len(drifts)
+    return _sweep([f0] * len(drifts), list(drifts), grid, cfl, len(drifts),
+                  grid.dt / f0.grid.dx, True)
 
 
 def project_initial(density, grid: Grid1D, renormalize: bool = True) -> DensityField:

@@ -26,7 +26,10 @@ armijo_search): for every activation the shear |w| is capped at
 SHEAR_FRACTION of the speed the configured CFL number admits, divided by the
 domain's largest |x|, and for unbounded activations, whose induced speeds a
 descent step can push past what the fixed time step tolerates, w x + b is
-also capped at the domain corners.
+also capped at the domain corners, which keeps their CFL number at the
+configured cfl <= 1.  A bounded activation's speeds reach 1 at most, so its
+CFL number is at most dt / dx, and training refuses, up front, a dt / dx past
+the solver's hard CFL bound.  So no trial ever reaches that bound.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .core import Activation, ControlPath, RunConfig
 from .fvm import (
-    CFLViolationError,
+    _CFL_HARD,
     DensityField,
     DriftSpec,
     Grid1D,
@@ -289,7 +292,6 @@ def armijo_search(
     decrease; if none qualifies, falls back to the best-cost candidate that
     still improves on the current cost, else returns the controls unchanged
     with rho = 0.  The adjoint is None exactly when c comes back unchanged.
-    A trial whose sweep breaks the hard CFL bound is rejected.
 
     The first trial, which the search usually accepts, is one paired sweep
     (reduced_cost with its adjoint), handed over when accepted.  Otherwise
@@ -297,9 +299,7 @@ def armijo_search(
     final fields (solve_final_fields).  Each row is bitwise its own solve,
     so the costs, and the step chosen from them, are those of trials solved
     one by one.  The chosen step is solved again as one paired sweep for the
-    trajectories it hands over; should that sweep's adjoint row break the
-    hard bound, the step is rejected like any such trial and the choice is
-    made again.
+    trajectories it hands over.
 
     Every candidate is projected nodewise (_project_to_speed): for every
     activation onto the shear cap |w| <= SHEAR_FRACTION * cap / max(|a|, |b|),
@@ -330,15 +330,10 @@ def armijo_search(
             rho *= ARMIJO_HALVING
 
     def paired(trial):
-        """The trial solved as one paired sweep, as the search returns it, or
-        None if the sweep breaks the hard CFL bound."""
+        """The trial solved as one paired sweep, as the search returns it."""
         rho, cand, _ = trial
-        traj: list[DensityField] = []
-        lam_traj: list[DensityField] = []
-        try:
-            cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
-        except CFLViolationError:
-            return None
+        traj, lam_traj = [], []
+        cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
         return cand, rho, cost, traj, lam_traj
 
     def accepted(cost: float, trial) -> bool:
@@ -350,29 +345,24 @@ def armijo_search(
     if first is None:
         return unchanged
     step = paired(first)
-    cost = math.inf if step is None else step[2]
-    if accepted(cost, first):
+    if accepted(step[2], first):
         return step
+    costs = [step[2]]
     del step  # a rejected trial holds no trajectories
-    rest = list(pending)
-    finals = solve_final_fields(f0, [DriftSpec(cand, act) for _, cand, _ in rest], c.grid,
-                                cfg.cfl)
-    tried = [first, *rest]
-    costs = [cost] + [math.inf if f_T is None else _terminal_cost(f_T, g) + _regularization(cand, cfg)
-                      for f_T, (_, cand, _) in zip(finals, rest)]
-    while True:  # each pass either returns or rejects one more trial
-        pick = next((i for i, t in enumerate(tried) if accepted(costs[i], t)), None)
-        if pick is None:
-            # the fallback: the first of the lowest finite costs, as a scan in
-            # order that keeps a strictly lower one finds it
-            pick = min((i for i, cost in enumerate(costs) if math.isfinite(cost)),
-                       key=costs.__getitem__, default=None)
-            if pick is None or not costs[pick] < current_cost:
-                return unchanged
-        step = paired(tried[pick])
-        if step is not None:
-            return step
-        costs[pick] = math.inf  # its adjoint row broke the hard bound: a rejected trial
+    tried = [first, *pending]
+    rest = [cand for _, cand, _ in tried[1:]]
+    finals = solve_final_fields(f0, [DriftSpec(cand, act) for cand in rest], c.grid, cfg.cfl)
+    costs += [_terminal_cost(f_T, g) + _regularization(cand, cfg)
+              for f_T, cand in zip(finals, rest)]
+    pick = next((i for i, t in enumerate(tried) if accepted(costs[i], t)), None)
+    if pick is None:
+        # the fallback: the first of the lowest finite costs, as a scan in
+        # order that keeps a strictly lower one finds it
+        pick = min((i for i, cost in enumerate(costs) if math.isfinite(cost)),
+                   key=costs.__getitem__, default=None)
+        if pick is None or not costs[pick] < current_cost:
+            return unchanged
+    return paired(tried[pick])
 
 
 def gauss_seidel_train(
@@ -395,10 +385,20 @@ def gauss_seidel_train(
     (max over time nodes, max over the two components) drops to cfg.tol, or
     after max_outer updates.  A line search that finds no acceptable step
     leaves the controls unchanged, so e = 0 stops the run too; the closing
-    log line names which of the three ended it.  A non-finite cost aborts
-    with diagnostics.
+    log line names which of the three ended it.  A non-finite cost of the
+    starting controls aborts with diagnostics; every later cost is finite,
+    as the line search takes only finite costs.
+
+    With a bounded activation, dt > _CFL_HARD * dx is refused before any
+    solve (see the module docstring).
     """
     c = c0.pinned()
+    dt, dx = c.grid.dt, f0.grid.dx
+    if act.bounded and dt / dx > _CFL_HARD:
+        raise ValueError(
+            f"time step dt={dt:g} > {_CFL_HARD}*dx = {_CFL_HARD * dx:g}: the bounded activation "
+            f"{act.kind} reaches speed 1, so a line-search trial could break the hard CFL bound"
+        )
     costs: list[float] = []
     errors: list[float] = []
     rhos: list[float] = []
@@ -412,12 +412,10 @@ def gauss_seidel_train(
     f_traj, lam_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl,
                                        adjoint=adjoint_initial(g, f0.grid))
     cost = _terminal_cost(f_traj[-1], g) + _regularization(c, cfg)
+    if not math.isfinite(cost):
+        raise SolverDivergenceError(f"non-finite cost {cost!r} of the starting controls "
+                                    f"(C0 norm {c.c0_norm():.6g})")
     for k in range(max_outer):
-        if not math.isfinite(cost):
-            raise SolverDivergenceError(
-                f"non-finite cost {cost!r} at outer iteration {k} "
-                f"(controls C0 norm {c.c0_norm():.6g})"
-            )
         costs.append(cost)
         g_w, g_b = control_gradient(c, f_traj, lam_traj, act, cfg)
         del lam_traj  # the trials' adjoints take its place

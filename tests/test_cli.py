@@ -304,6 +304,18 @@ class TestRunFailures:
             f"{cfgp}:{line}: params.beta / t_final: rate 1.0 is outside the tanh image (-1, 1)\n")
         assert not (tmp_path / "o").exists()
 
+    def test_a_bounded_activation_past_the_hard_cfl_step_is_a_config_error(self, tmp_path,
+                                                                           capsys):
+        # dt = 0.04 is 1.6 dx at 200 cells: a sigmoid trial could break the
+        # solver's hard CFL bound, so training refuses it before any solve
+        sc = replace(shipped("test1_sigmoid"), dt=0.04)
+        cfgp = write_config(sc, tmp_path / "coarse.json")
+        rc, out = cli_run(cfgp, tmp_path / "o")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"{cfgp}:1: time step dt=0.04 > 1.45*dx = 0.03625: the bounded activation sigmoid ")
+        assert not (out / "summary.json").exists()
+
     def test_unknown_activation_override_rejected(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(SCENARIO_DIR / "shift_identity.json"),
                        "--out", str(tmp_path / "o"), "--activation", "blorp"])

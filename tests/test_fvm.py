@@ -747,48 +747,34 @@ class TestFinalFieldSweep:
         assert len(said) == 4 and all("below -1e-8" in line for line in said)
         assert said == sorted(said_lone)
 
-    def test_a_row_past_the_hard_bound_fails_alone(self, caplog, monkeypatch):
-        # 30 steps of 3 rows at 100 cells are blocks of 13, 13 and 4.  The
-        # fast row's b(t) = 30 t passes the configured CFL in the first block
-        # and the hard bound in the second; it comes back empty and logs
-        # nothing, while the other two rows take every step
+    @pytest.mark.parametrize("rows, steps, said", [
+        ([(2.5, 0.0), (0.0, 30.0), (0.2, 0.0)], 13,
+         "max interface speed 7.8 gives CFL number 1.56"),
+        ([(0.0, 30.0), (0.0, -40.0)], 0, "max interface speed 8 gives CFL number 1.6"),
+    ], ids=["later-block", "first-block"])
+    def test_a_row_past_the_hard_bound_fails_the_sweep(self, caplog, monkeypatch, rows,
+                                                       steps, said):
+        # row (b0, s) has w = 0 and b(t) = b0 + s t.  30 steps of 3 rows at
+        # 100 cells are blocks of 13, 13 and 4: the row b = 30 t passes the
+        # hard bound in the second block, while b = 2.5 (CFL 0.5) is past
+        # the configured CFL from the start.  2 rows are blocks of 20, and
+        # b = -40 t passes the hard bound in the first.  The sweep takes the
+        # steps of the blocks before, raises naming the failing row's
+        # largest speed there, and logs no warning
         grid = Grid1D(-2.0, 3.0, 100)
         tg = TimeGrid.from_step(0.3, 1e-2)
         f0 = project_initial(gaussian_density(0.3, 0.25), grid)
-        act = Activation("identity")
-        fast = DriftSpec(ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: 30.0 * t), act)
-        warm = DriftSpec(ControlPath.constant(tg, w=0.0, b=2.5), act)  # CFL 0.5
-        calm = DriftSpec(ControlPath.constant(tg, w=0.1, b=0.2), act)
-        with pytest.raises(CFLViolationError, match="interface speed"):
-            solve_transport(f0, fast, tg)
-        said_lone, lone = [], []
-        for drift in (warm, calm):
-            said, snaps = _warnings(caplog, lambda: solve_transport(f0, drift, tg))
-            said_lone += said
-            lone.append(snaps[-1])
-        assert len(said_lone) == 1
-        steps, step = [], fvm._step
-        monkeypatch.setattr(fvm, "_step", lambda *args: steps.append(1) or step(*args))
-        said, finals = _warnings(caplog, lambda: solve_final_fields(f0, [warm, fast, calm], tg))
-        assert len(steps) == tg.n_steps
-        assert finals[1] is None
-        for got, want in zip((finals[0], finals[2]), lone):
-            assert got.averages.tobytes() == want.averages.tobytes()
-        assert said == said_lone
-
-    def test_a_sweep_whose_rows_all_fail_stops_there(self, monkeypatch):
-        # two rows at 100 cells are blocks of 20.  The second row passes the
-        # hard bound in the first block, the first row in the second: the
-        # sweep takes the first block's steps, then gives up
-        grid = Grid1D(-2.0, 3.0, 100)
-        tg = TimeGrid.from_step(0.3, 1e-2)
-        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
-        drifts = [DriftSpec(ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: s * t),
-                            Activation("identity")) for s in (30.0, -40.0)]
-        steps, step = [], fvm._step
-        monkeypatch.setattr(fvm, "_step", lambda *args: steps.append(1) or step(*args))
-        assert solve_final_fields(f0, drifts, tg) == [None, None]
-        assert len(steps) == 20
+        drifts = [DriftSpec(ControlPath.from_functions(tg, lambda t: 0.0 * t,
+                                                       lambda t, b0=b0, s=s: b0 + s * t),
+                            Activation("identity")) for b0, s in rows]
+        taken, step = [], fvm._step
+        monkeypatch.setattr(fvm, "_step", lambda *args: taken.append(1) or step(*args))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mfrn.fvm"), \
+                pytest.raises(CFLViolationError, match=re.escape(said)):
+            solve_final_fields(f0, drifts, tg)
+        assert len(taken) == steps
+        assert caplog.records == []
 
     def test_every_row_is_forward(self):
         grid = Grid1D(-2.0, 3.0, 100)

@@ -6,13 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
 
 from mfrn import optim
 from mfrn.core import Activation, ControlPath, RunConfig, TimeGrid
 from mfrn.fvm import (
-    CFLViolationError, DensityField, DriftSpec, Grid1D, project_initial, solve_transport,
+    DensityField, DriftSpec, Grid1D, project_initial, solve_transport, _CFL_HARD,
+    _stage_schedule,
 )
 from mfrn.optim import (
     ARMIJO_DECREASE,
@@ -227,10 +229,7 @@ def reference_armijo_search(c, grad, f0, g, act, cfg, current_cost, current_traj
         inner = optim._trapezoid(g_w * (cand.w - c.w) + g_b * (cand.b - c.b), c.grid.dt)
         if inner < 0.0:
             traj, lam_traj = [], []
-            try:
-                cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
-            except CFLViolationError:
-                cost = math.inf
+            cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
             if math.isfinite(cost):
                 if cost <= current_cost + ARMIJO_DECREASE * inner:
                     return (cand, rho, cost, traj, lam_traj), tried
@@ -376,43 +375,70 @@ class TestArmijo:
         # and a last one that takes none
         assert ends == [0, 0, 0, 2, "rejected"]
 
-    @pytest.mark.parametrize("rho0", [32.0, 16.0])
-    @pytest.mark.parametrize("row", ["forward", "adjoint"])
-    def test_a_trial_past_the_hard_bound_is_rejected(self, monkeypatch, rho0, row):
-        # the trial at rho = 8, the first the search would take, is a row of
-        # the batch here, and its speeds are made to break the hard CFL
-        # bound: in its forward row, which fails in the batch sweep, or in
-        # its adjoint row only, which fails the paired sweep that would hand
-        # it over.  Either way the search rejects it and takes rho = 4, as
-        # the sequential search does
-        c, grad, f0, g, act, cfg, cost0, f_traj = box_problem()
-        g_w, g_b = (optim._projected(part) for part in grad)
-        cap = cfg.cfl * f0.grid.dx / c.grid.dt
-        w, b = optim._project_to_speed(c.w - 8.0 * g_w, c.b - 8.0 * g_b, cap, f0.grid.a,
-                                       f0.grid.b, linear_speed=True)
-        target = ControlPath(c.grid, w, b).pinned()
-        speed = DriftSpec.speed
+ACTIVATIONS = ["identity", "relu", "gcu", "sigmoid", "tanh"]
 
-        def fast_target(self, x, t):
-            v = speed(self, x, t)
-            hit = (self.time_reversed == (row == "adjoint")
-                   and np.array_equal(self.control.w, target.w)
-                   and np.array_equal(self.control.b, target.b))
-            return 100.0 * v if hit else v
 
-        monkeypatch.setattr(DriftSpec, "speed", fast_target)
-        with pytest.raises(CFLViolationError, match="interface speed"):
-            reduced_cost(target, f0, g, act, cfg, adjoint=[])
-        want, how = reference_armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj, rho0)
-        assert want[1] == 4.0 and how == round(math.log2(rho0)) - 2
-        rows = counted_batches(monkeypatch)
-        got = armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj, rho0=rho0)
-        assert rows == [cfg.max_armijo - 1]
-        assert_same_step(got, want)
-        monkeypatch.undo()
-        assert got[2] < cost0
-        assert_same_trajectory(got[3], got[0], f0, act, cfg)
-        assert_same_adjoint(got[4], got[0], f0, g, act, cfg)
+def largest_cfl_number(drift, grid, tg):
+    """The largest step CFL number of a solve of drift, over the stage
+    schedule's speeds, as the solver reckons it."""
+    return max(float(np.max(smax)) * tg.dt / grid.dx
+               for _, smax in _stage_schedule([drift], grid, 0.0, tg.dt, tg.n_steps))
+
+
+class TestNoTrialBreaksTheHardBound:
+    """The line search's projection keeps every trial inside the solver's
+    hard CFL bound, so training refuses up front the one case it cannot:
+    a bounded activation at dt > _CFL_HARD * dx."""
+
+    @given(st.data(), st.sampled_from(ACTIVATIONS), st.integers(8, 400),
+           st.floats(-5.0, 5.0), st.floats(0.5, 10.0), st.floats(1e-3, _CFL_HARD),
+           st.floats(0.05, 1.0), st.integers(1, 12), st.floats(-10.0, 10.0))
+    def test_every_projected_candidate_stays_inside(self, data, kind, n_cells, a, width,
+                                                     ratio, cfl, n_steps, log2_rho):
+        # the search's own projection of c - rho g, for pinned controls c, a
+        # gradient g and rho from 2^-10 to 2^10, solved forward and reversed
+        grid = Grid1D(a, a + width, n_cells)
+        dt = ratio * grid.dx
+        tg = TimeGrid.from_step(n_steps * dt, dt)
+        nodes = st.lists(st.floats(-50.0, 50.0), min_size=n_steps + 1, max_size=n_steps + 1)
+        c = ControlPath(tg, np.array(data.draw(nodes)), np.array(data.draw(nodes))).pinned()
+        g_w, g_b = (optim._projected(np.array(data.draw(nodes))) for _ in range(2))
+        act = Activation(kind)
+        rho = 2.0**log2_rho
+        cap = cfl * grid.dx / tg.dt
+        w, b = optim._project_to_speed(c.w - rho * g_w, c.b - rho * g_b, cap, grid.a, grid.b,
+                                       linear_speed=not act.bounded)
+        cand = ControlPath(tg, w, b).pinned()
+        # the steps training admits: 1.45 dx / dx may round past 1.45
+        assume(not act.bounded or tg.dt / grid.dx <= _CFL_HARD)
+        bound = tg.dt / grid.dx if act.bounded else cfl * (1.0 + 1e-9)
+        for reversed_ in (False, True):
+            drift = DriftSpec(cand, act, time_reversed=reversed_)
+            assert largest_cfl_number(drift, grid, tg) <= bound
+
+    @staticmethod
+    def _train(kind):
+        """Train on 40 cells over [-2, 3] at dt = 0.2, dt / dx = 1.6."""
+        grid = Grid1D(-2.0, 3.0, 40)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        return gauss_seidel_train(f0, TargetMeasure(1.0, 1.01),
+                                  ControlPath.zero(TimeGrid.from_step(1.0, 0.2)),
+                                  Activation(kind), make_cfg(n_cells=40), max_outer=4)
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
+    def test_a_bounded_activation_past_the_bound_is_refused(self, monkeypatch, kind):
+        solves = []
+        monkeypatch.setattr(optim, "solve_transport", lambda *args, **kw: solves.append(1))
+        with pytest.raises(ValueError, match=rf"dt=0\.2 > 1\.45\*dx = 0\.18125: .* {kind} "):
+            self._train(kind)
+        assert solves == []
+
+    @pytest.mark.parametrize("kind", ["identity", "relu", "gcu"])
+    def test_an_unbounded_activation_trains_at_any_step(self, kind):
+        state = self._train(kind)
+        assert state.iteration >= 1
+        assert np.all(np.isfinite(state.cost_history))
+        assert state.cost_history[-1] <= state.cost_history[0]
 
 
 class TestTraining:

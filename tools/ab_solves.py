@@ -12,16 +12,10 @@ and 400 cells also a batch of 9 forward solves under the controls scaled by
 1, 1/2, ..., 1/256, like a line search's trials) the two sides' solves
 alternate, the side that goes first alternating too, and the script prints
 each side's median time, the ratio head / base, and whether the final
-snapshots are bitwise equal.  In the paired case each tree whose solver has
-an ``adjoint`` parameter makes one sweep of both rows
-(``solve_transport(..., adjoint=lam0)``), and a tree without it makes the two
-solves one after the other, so two trees that both sweep are timed sweep
-against sweep; both final snapshots are compared.  That parameter must take
-the adjoint's start field alone, as it does from the change that derived the
-adjoint row's drift onward; a tree whose ``adjoint`` takes a (field, drift)
-pair fails here.  In the batch case a tree with ``solve_final_fields``
-solves the 9 rows in one sweep that keeps only their final fields, and a
-tree without it makes the 9 lone solves; all 9 final fields are compared.
+snapshots are bitwise equal.  The paired case is one sweep of both rows
+(``solve_transport(..., adjoint=lam0)``), and both final snapshots are
+compared.  The batch case solves the 9 rows in one sweep that keeps only
+their final fields (``solve_final_fields``), and all 9 are compared.
 The last lines are the geometric means of the ratios, over the forward,
 adjoint and paired cases and over the batch cases.  Plain timings of one
 tree on a shared machine can drift by 2x within minutes; two runs of this
@@ -33,7 +27,6 @@ tenants' load.  Standard library and numpy.
 from __future__ import annotations
 
 import importlib.util
-import inspect
 import logging
 import math
 import statistics
@@ -69,8 +62,7 @@ def _load(tree: Path, name: str):
 def _case(pkg, n_cells: int, act: str, kind: str):
     """The solves of one case, of STEPS steps at CFL number at most 0.32
     (|w x + b| <= 0.8 on [-2, 3]), as a zero-argument callable that returns
-    their final snapshots.  A paired case is one sweep when the tree's solver
-    takes an adjoint row."""
+    their final snapshots."""
     fvm, core = pkg.fvm, pkg.core
     dt = 0.01 * 200 / n_cells
     tg = core.TimeGrid.from_step(STEPS * dt, dt)
@@ -88,15 +80,12 @@ def _case(pkg, n_cells: int, act: str, kind: str):
     if kind == "batch":
         drifts = [fvm.DriftSpec(core.ControlPath(tg, 0.5**k * controls.w, 0.5**k * controls.b),
                                 core.Activation(act)) for k in range(BATCH_ROWS)]
-        if hasattr(fvm, "solve_final_fields"):
-            return lambda: fvm.solve_final_fields(f0, drifts, tg)
-        return lambda: [fvm.solve_transport(f0, d, tg)[-1] for d in drifts]
-    if "adjoint" in inspect.signature(fvm.solve_transport).parameters:
-        def paired():
-            f_traj, lam_traj = fvm.solve_transport(f0, fwd, tg, adjoint=lam0)
-            return [f_traj[-1], lam_traj[-1]]
-        return paired
-    return lambda: [fvm.solve_transport(f0, fwd, tg)[-1], fvm.solve_transport(lam0, rev, tg)[-1]]
+        return lambda: fvm.solve_final_fields(f0, drifts, tg)
+
+    def paired():
+        f_traj, lam_traj = fvm.solve_transport(f0, fwd, tg, adjoint=lam0)
+        return [f_traj[-1], lam_traj[-1]]
+    return paired
 
 
 def main(argv: list[str]) -> int:
