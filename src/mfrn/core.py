@@ -69,20 +69,22 @@ class Activation:
     def bounded(self) -> bool:
         return self.kind in ("sigmoid", "tanh")
 
-    def value(self, x):
+    def value(self, x, out=None):
+        """The activation at x, written into out when given (a float array of
+        x's shape, which may be x itself); bitwise the same either way."""
         x = np.asarray(x, dtype=float)
         if self.kind == "identity":
-            return x + 0.0
+            return np.add(x, 0.0, out=out)
         if self.kind == "relu":
-            return np.maximum(x, 0.0)
+            return np.maximum(x, 0.0, out=out)
         if self.kind == "sigmoid":
             # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
             e = np.exp(-np.abs(x))
-            return np.where(x >= 0, 1.0, e) / (1.0 + e)
+            return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
         if self.kind == "tanh":
-            return np.tanh(x)
+            return np.tanh(x, out=out)
         # gcu: growing cosine unit x * cos(x)
-        return x * np.cos(x)
+        return np.multiply(x, np.cos(x), out=out)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)

@@ -132,10 +132,12 @@ class DriftSpec:
     activation: Activation
     time_reversed: bool = False
 
-    def speed(self, x, t):
+    def speed(self, x, t, out=None):
         """The speed at the points x at time t.  An array of times gives one
         row per time, and row k is bitwise the call at t[k]: the control
-        interpolation and the activation work element by element."""
+        interpolation and the activation work element by element.  With out
+        (a float array of the result's shape) the speed is written there,
+        bitwise the same as without; every step works in that one array."""
         tau = self.control.grid.t_final - t if self.time_reversed else t
         w = self.control.eval_w(tau)
         b = self.control.eval_b(tau)
@@ -143,8 +145,13 @@ class DriftSpec:
             w, b = w[:, None], b[:, None]
         else:
             w, b = float(w), float(b)
-        v = self.activation.value(w * np.asarray(x, dtype=float) + b)
-        return -v if self.time_reversed else v
+        # asarray: a 0-d x makes a scalar product, which cannot be written to
+        v = np.asarray(np.multiply(w, np.asarray(x, dtype=float), out=out))
+        v += b
+        self.activation.value(v, out=v)
+        if self.time_reversed:
+            np.negative(v, out=v)
+        return v
 
 
 def _cweno3_faces(a: np.ndarray, b: np.ndarray, c: np.ndarray, eps: float):

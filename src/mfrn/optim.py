@@ -365,6 +365,18 @@ def armijo_search(
     return paired(tried[pick])
 
 
+def _bounded_step_excess(act: Activation, dt: float, dx: float) -> str | None:
+    """Why training cannot take steps dt on cells of width dx with act, as
+    "dt > bound: reason", or None when it can: a bounded activation reaches
+    speed 1, so past _CFL_HARD * dx a line-search trial could break the hard
+    CFL bound."""
+    if act.bounded and dt / dx > _CFL_HARD:
+        return (f"{dt:g} > {_CFL_HARD}*dx = {_CFL_HARD * dx:g}: the bounded activation "
+                f"{act.kind} reaches speed 1, so a line-search trial could break the hard "
+                "CFL bound")
+    return None
+
+
 def gauss_seidel_train(
     f0: DensityField,
     g: TargetMeasure,
@@ -393,12 +405,9 @@ def gauss_seidel_train(
     solve (see the module docstring).
     """
     c = c0.pinned()
-    dt, dx = c.grid.dt, f0.grid.dx
-    if act.bounded and dt / dx > _CFL_HARD:
-        raise ValueError(
-            f"time step dt={dt:g} > {_CFL_HARD}*dx = {_CFL_HARD * dx:g}: the bounded activation "
-            f"{act.kind} reaches speed 1, so a line-search trial could break the hard CFL bound"
-        )
+    excess = _bounded_step_excess(act, c.grid.dt, f0.grid.dx)
+    if excess:
+        raise ValueError(f"time step dt={excess}")
     costs: list[float] = []
     errors: list[float] = []
     rhos: list[float] = []

@@ -7,9 +7,10 @@ itself with RK4.  Both read the velocity field from ``fvm.DriftSpec.speed``,
 the same field the transport solver advects with.  Particles are a plain
 float array whose first axis indexes them.
 
-``ode_integrate`` moves the particles in blocks of _BLOCK_ROWS rows: the
-temporaries of a whole 1e5-particle stage are mapped in and page-faulted anew
-at every stage, a block's are reused from the heap.
+``ode_integrate`` moves the particles in place, in blocks of _BLOCK_ROWS
+rows, and writes every RK4 stage into five buffers of one block.  Five
+128 KiB buffers stay in the L2 cache from stage to stage; whole-ensemble
+buffers would hold 4 MiB at 1e5 particles and measured slower.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .core import Activation, ControlPath, TimeGrid, is_number
 from .fvm import DriftSpec
 
 # Rows per block of an ensemble integration: 16384 one-dimensional particles
-# make 128 KiB temporaries, which the heap reuses from step to step.
+# make 128 KiB stage buffers, five of which fit in L2.
 _BLOCK_ROWS = 16384
 
 
@@ -63,25 +64,34 @@ def ode_integrate(
     first axis indexes them) under dx/dt = act(w(t) x + b(t)); ens is left
     unchanged.
 
-    Each block of _BLOCK_ROWS rows runs through all steps, so every temporary
-    is small enough for the heap to reuse.  Particles do not interact and
-    every operation is elementwise with the same scalar controls, so the
-    result is bitwise that of all particles at once.
+    Each block of _BLOCK_ROWS rows runs through all steps in place, its four
+    stage speeds and the stage argument written into five buffers of one
+    block, allocated once per call.  Whole-ensemble buffers would hold 4 MiB
+    at 1e5 particles and leave the cache at every stage; a block's five stay
+    resident.  Particles do not interact and every operation is elementwise
+    with the same scalar controls, in the order of
+    x + dt/6 (k1 + 2 k2 + 2 k3 + k4), so the result is bitwise that of all
+    particles at once.
     """
     n = TimeGrid.from_step(t_final, dt).n_steps
     drift = DriftSpec(c, act)
     x = np.array(ens, dtype=float)
+    stages = np.empty((5, *x[:_BLOCK_ROWS].shape))
     for start in range(0, len(x), _BLOCK_ROWS):
         rows = x[start:start + _BLOCK_ROWS]
+        k1, k2, k3, k4, y = stages[:, :len(rows)]
         for k in range(n):
-            rows = _rk4_step(rows, drift, k * dt, dt)
-        x[start:start + _BLOCK_ROWS] = rows
+            t = k * dt
+            drift.speed(rows, t, out=k1)
+            for prev, stage, h in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
+                np.multiply(prev, h, out=y)
+                y += rows
+                drift.speed(y, t + h, out=stage)
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= dt / 6.0
+            rows += k1
     return x
-
-
-def _rk4_step(x: np.ndarray, drift: DriftSpec, t: float, dt: float) -> np.ndarray:
-    k1 = drift.speed(x, t)
-    k2 = drift.speed(x + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = drift.speed(x + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = drift.speed(x + dt * k3, t + dt)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -20,12 +20,13 @@ from .core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGri
                    is_number, read_number, reject_unknown)
 from .fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from .measures import moments, particles_to_density, variance, wasserstein1
-from .optim import OptimState, TargetMeasure, gauss_seidel_train
+from .optim import OptimState, TargetMeasure, _bounded_step_excess, gauss_seidel_train
 from .particle import ode_integrate
 
 log = logging.getLogger(__name__)
 
 SCENARIO_NAMES = ("test1", "test2", "test3", "convergence", "shift_control", "scale_control")
+TRAINING_NAMES = ("test1", "test2", "test3")
 INITIAL_GUESSES = ("zero", "linear")
 
 
@@ -112,6 +113,12 @@ class Scenario:
                 activation_preimage(self.act, p["beta"] / self.t_final)
             except ValueError as e:
                 raise ConfigValueError("params.beta", f"/ t_final: {e}") from None
+        if self.name in TRAINING_NAMES:
+            # refused here too, so a run reports it at the dt line before it
+            # writes anything
+            excess = _bounded_step_excess(self.act, self.dt, self.space_grid.dx)
+            if excess:
+                raise ConfigValueError("dt", f"= {excess}")
 
     @property
     def time_grid(self) -> TimeGrid:
@@ -398,7 +405,7 @@ def run_scenario(sc: Scenario):
             "activation and compactly supported initial data",
             act.kind,
         )
-    if sc.name in ("test1", "test2", "test3"):
+    if sc.name in TRAINING_NAMES:
         return run_training(sc)
     if sc.name == "convergence":
         return run_convergence_study(sc)

@@ -304,17 +304,38 @@ class TestRunFailures:
             f"{cfgp}:{line}: params.beta / t_final: rate 1.0 is outside the tanh image (-1, 1)\n")
         assert not (tmp_path / "o").exists()
 
+    COARSE = ("dt = 0.04 > 1.45*dx = 0.03625: the bounded activation sigmoid reaches speed 1, "
+              "so a line-search trial could break the hard CFL bound")
+
+    def coarse_config(self, tmp_path, name):
+        """The shipped config at dt = 0.04, 1.6 dx at its 200 cells, and the
+        line of its dt."""
+        data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        data["dt"] = 0.04
+        text = json.dumps(data, indent=2, sort_keys=True)
+        cfgp = tmp_path / "coarse.json"
+        cfgp.write_text(text)
+        return cfgp, 1 + next(i for i, r in enumerate(text.splitlines()) if '"dt":' in r)
+
     def test_a_bounded_activation_past_the_hard_cfl_step_is_a_config_error(self, tmp_path,
                                                                            capsys):
-        # dt = 0.04 is 1.6 dx at 200 cells: a sigmoid trial could break the
-        # solver's hard CFL bound, so training refuses it before any solve
-        sc = replace(shipped("test1_sigmoid"), dt=0.04)
-        cfgp = write_config(sc, tmp_path / "coarse.json")
+        # a sigmoid trial could break the solver's hard CFL bound, so loading
+        # refuses the step at its line, before the manifest is written
+        cfgp, line = self.coarse_config(tmp_path, "test1_sigmoid")
         rc, out = cli_run(cfgp, tmp_path / "o")
         assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            f"{cfgp}:1: time step dt=0.04 > 1.45*dx = 0.03625: the bounded activation sigmoid ")
-        assert not (out / "summary.json").exists()
+        assert capsys.readouterr().err == f"{cfgp}:{line}: {self.COARSE}\n"
+        assert not out.exists()
+
+    def test_a_bounded_activation_override_past_the_hard_cfl_step_is_a_config_error(
+            self, tmp_path, capsys):
+        # identity trains at any step; --activation sigmoid makes the same
+        # step a config error at the dt line
+        cfgp, line = self.coarse_config(tmp_path, "test1_identity")
+        rc, out = cli_run(cfgp, tmp_path / "o", "--activation", "sigmoid")
+        assert rc == 2
+        assert capsys.readouterr().err == f"{cfgp}:{line}: {self.COARSE}\n"
+        assert not out.exists()
 
     def test_unknown_activation_override_rejected(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(SCENARIO_DIR / "shift_identity.json"),

@@ -30,6 +30,20 @@ class TestActivation:
         an = act.derivative(x)
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_value_into_out_is_bitwise_the_allocating_call(self, kind):
+        # into a separate buffer and in place (out is x), as DriftSpec.speed
+        # writes it
+        rng = np.random.default_rng(5)
+        x = np.concatenate([[0.0, -0.0, 1e-300, -800.0, 800.0, np.nan],
+                            rng.standard_normal(1000) * 10.0])
+        act = Activation(kind)
+        want = act.value(x)
+        out = np.full_like(x, 7.0)
+        assert act.value(x, out=out) is out and out.tobytes() == want.tobytes()
+        y = x.copy()
+        assert act.value(y, out=y) is y and y.tobytes() == want.tobytes()
+
     def test_relu_derivative_at_kink_is_zero(self):
         assert Activation("relu").derivative(0.0) == 0.0
 

@@ -365,6 +365,21 @@ class TestSemidiscreteRhs:
             want = -act.value(float(c.eval_w(tau)) * x + float(c.eval_b(tau)))
             assert np.array_equal(rev.speed(x, t), want)
 
+    @pytest.mark.parametrize("reversed_", [False, True])
+    @pytest.mark.parametrize("kind", ["identity", "relu", "sigmoid", "tanh", "gcu"])
+    def test_speed_into_out_is_bitwise_the_allocating_call(self, kind, reversed_):
+        tg = TimeGrid.from_step(1.0, 1e-2)
+        c = ControlPath.from_functions(
+            tg, lambda t: 0.3 * np.sin(np.pi * t), lambda t: 0.5 * t
+        )
+        drift = DriftSpec(c, Activation(kind), time_reversed=reversed_)
+        x = np.linspace(-2.0, 3.0, 11)
+        for t in (0.25, np.array([0.0, 0.125, 0.25, 1.0])):
+            want = drift.speed(x, t)
+            out = np.full(want.shape, 7.0)
+            assert drift.speed(x, t, out=out) is out
+            assert out.tobytes() == want.tobytes()
+
     def test_time_reversed_rhs_equals_negated_reversed_controls(self):
         # for an odd activation the reversal is literally a control transform
         tg = TimeGrid.from_step(1.0, 1e-2)

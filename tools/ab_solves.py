@@ -1,27 +1,33 @@
-"""Time transport solves of two source trees side by side in one interpreter.
+"""Time solves and particle ensembles of two source trees in one interpreter.
 
     python3 tools/ab_solves.py BASE_SRC HEAD_SRC
 
 Each argument is a checkout of this repository (or its ``src`` directory).
 Both trees' ``mfrn`` packages are imported into this one process, under the
 names ``mfrn_base`` and ``mfrn_head``, so the two sides share the interpreter,
-the heap and the machine's load at every moment.  For every case (200, 400
-and 1600 cells; identity, sigmoid and tanh; a forward solve, an adjoint
+the heap and the machine's load at every moment.  The solve cases are 200,
+400 and 1600 cells; identity, sigmoid and tanh; a forward solve, an adjoint
 solve, and the pair of them that training makes, all of 100 steps; at 200
 and 400 cells also a batch of 9 forward solves under the controls scaled by
-1, 1/2, ..., 1/256, like a line search's trials) the two sides' solves
-alternate, the side that goes first alternating too, and the script prints
-each side's median time, the ratio head / base, and whether the final
-snapshots are bitwise equal.  The paired case is one sweep of both rows
-(``solve_transport(..., adjoint=lam0)``), and both final snapshots are
-compared.  The batch case solves the 9 rows in one sweep that keeps only
-their final fields (``solve_final_fields``), and all 9 are compared.
-The last lines are the geometric means of the ratios, over the forward,
-adjoint and paired cases and over the batch cases.  Plain timings of one
-tree on a shared machine can drift by 2x within minutes; two runs of this
-script on the same tree read within a few percent of 1 on a quiet machine,
-and the 200- and 400-cell cases spread to about 0.88-1.18 under other
-tenants' load.  Standard library and numpy.
+1, 1/2, ..., 1/256, like a line search's trials.  The paired case is one
+sweep of both rows (``solve_transport(..., adjoint=lam0)``), and both final
+snapshots are compared.  The batch case solves the 9 rows in one sweep that
+keeps only their final fields (``solve_final_fields``), and all 9 are
+compared.  The ensemble cases integrate 1e2, 1e3, 1e4 and 1e5 particles
+drawn from N(0.5, 0.3^2) with RK4 (``particle.ode_integrate``) under the
+controls of ``scenarios/convergence.json`` (w = 0.4 sin(pi t), b = 0.3 t,
+dt 0.01, T = 1), with identity, sigmoid and tanh, and compare the final
+positions.
+
+In every case the two sides' calls alternate, the side that goes first
+alternating too, and the script prints each side's median time, the ratio
+head / base, and whether the results are bitwise equal.  The last lines are
+the geometric means of the ratios, over the forward, adjoint and paired
+cases, over the batch cases and over the ensemble cases.  Plain timings of
+one tree on a shared machine can drift by 2x within minutes; two runs of
+this script on the same tree read within a few percent of 1 on a quiet
+machine, and the 200- and 400-cell cases spread to about 0.88-1.18 under
+other tenants' load.  Standard library and numpy.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ BATCH_CELLS = (200, 400)
 BATCH_ROWS = 9
 STEPS = 100
 ROUNDS = 15
+ENSEMBLE_SIZES = (100, 1000, 10_000, 100_000)
 
 
 def _load(tree: Path, name: str):
@@ -88,6 +95,33 @@ def _case(pkg, n_cells: int, act: str, kind: str):
     return paired
 
 
+def _ensemble(pkg, size: int, act: str):
+    """RK4 over T = 1 of size particles under the convergence study's
+    controls, as a zero-argument callable that returns their final
+    positions."""
+    core = pkg.core
+    tg = core.TimeGrid.from_step(1.0, 0.01)
+    controls = core.ControlPath.from_functions(
+        tg, lambda t: 0.4 * np.sin(np.pi * t), lambda t: 0.3 * t)
+    xs = np.random.default_rng(size).normal(0.5, 0.3, size)
+    return lambda: [pkg.particle.ode_integrate(xs, controls, core.Activation(act), 0.01, 1.0)]
+
+
+def _compare(calls: dict) -> tuple[dict, bool]:
+    """Each side's median time over ROUNDS alternating calls, and whether the
+    two sides' results are bitwise equal."""
+    bits = {side: [getattr(a, "averages", a).tobytes() for a in call()]
+            for side, call in calls.items()}
+    times = {side: [] for side in calls}
+    for r in range(ROUNDS):
+        for side in (("base", "head") if r % 2 == 0 else ("head", "base")):
+            t0 = time.perf_counter()
+            calls[side]()
+            times[side].append(time.perf_counter() - t0)
+    return ({side: statistics.median(ts) for side, ts in times.items()},
+            bits["base"] == bits["head"])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -95,34 +129,33 @@ def main(argv: list[str]) -> int:
     logging.disable(logging.WARNING)
     sides = {"base": _load(Path(argv[0]).resolve(), "mfrn_base"),
              "head": _load(Path(argv[1]).resolve(), "mfrn_head")}
-    print(f"{'cells':>5} {'activation':>10} {'solve':>7} {'base ms':>9} {'head ms':>9} "
+    print(f"{'size':>6} {'activation':>10} {'case':>8} {'base ms':>9} {'head ms':>9} "
           f"{'ratio':>6}  same bits")
     ratios = {}
+
+    def report(size, act, kind, group, calls):
+        med, same = _compare(calls)
+        ratio = med["head"] / med["base"]
+        ratios.setdefault(group, []).append(ratio)
+        print(f"{size:>6} {act:>10} {kind:>8} "
+              f"{1e3 * med['base']:>9.2f} {1e3 * med['head']:>9.2f} {ratio:>6.3f}  "
+              f"{'yes' if same else 'NO'}", flush=True)
+
     for n_cells in CELLS:
         for act in ACTIVATIONS:
             for kind in KINDS:
                 if kind == "batch" and n_cells not in BATCH_CELLS:
                     continue
-                solves = {side: _case(pkg, n_cells, act, kind) for side, pkg in sides.items()}
-                times = {side: [] for side in sides}
-                finals = {side: solve() for side, solve in solves.items()}
-                for r in range(ROUNDS):
-                    for side in (("base", "head") if r % 2 == 0 else ("head", "base")):
-                        t0 = time.perf_counter()
-                        solves[side]()
-                        times[side].append(time.perf_counter() - t0)
-                med = {side: statistics.median(ts) for side, ts in times.items()}
-                ratio = med["head"] / med["base"]
-                ratios.setdefault(kind == "batch", []).append(ratio)
-                same = all(a.averages.tobytes() == b.averages.tobytes()
-                           for a, b in zip(finals["base"], finals["head"], strict=True))
-                print(f"{n_cells:>5} {act:>10} {kind:>7} "
-                      f"{1e3 * med['base']:>9.2f} {1e3 * med['head']:>9.2f} {ratio:>6.3f}  "
-                      f"{'yes' if same else 'NO'}", flush=True)
-    for batch, some in sorted(ratios.items()):
+                group = "batch" if kind == "batch" else "forward, adjoint and paired"
+                report(n_cells, act, kind, group,
+                       {side: _case(pkg, n_cells, act, kind) for side, pkg in sides.items()})
+    for size in ENSEMBLE_SIZES:
+        for act in ACTIVATIONS:
+            report(size, act, "ensemble", "ensemble",
+                   {side: _ensemble(pkg, size, act) for side, pkg in sides.items()})
+    for group, some in ratios.items():
         geo = math.exp(sum(map(math.log, some)) / len(some))
-        print(f"geometric mean ratio head / base over {len(some)} "
-              f"{'batch' if batch else 'forward, adjoint and paired'} cases: {geo:.3f}")
+        print(f"geometric mean ratio head / base over {len(some)} {group} cases: {geo:.3f}")
     return 0
 
 
