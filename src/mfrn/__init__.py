@@ -20,7 +20,6 @@ from .fvm import (
 from .measures import (
     moments,
     particles_to_density,
-    steady_state_support,
     variance,
     wasserstein1,
 )
@@ -32,12 +31,11 @@ from .optim import (
     armijo_search,
     control_gradient,
     gauss_seidel_train,
-    identity_closed_form,
     identity_w_root,
     reduced_cost,
     tilde_loss,
 )
-from .particle import ResNetConfig, ode_integrate, resnet_forward
+from .particle import ode_integrate, resnet_forward
 from .scenarios import (
     ConvergenceReport,
     ExactControlReport,

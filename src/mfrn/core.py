@@ -27,9 +27,12 @@ class ConfigValueError(ValueError):
 
 
 def is_number(v, integer: bool = False) -> bool:
-    """A finite int or float (an int if integer), not a bool."""
-    return (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+    """A finite int or float (an int if integer) in float range, not a bool."""
+    try:
+        return (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v))
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def read_number(section: dict, key: str, integer: bool = False, prefix: str = ""):
@@ -100,20 +103,6 @@ class Activation:
             t = np.tanh(x)
             return 1.0 - t * t
         return np.cos(x) - x * np.sin(x)
-
-    def zeros(self) -> tuple[float, ...] | None:
-        """Zero set of the activation, when it is discrete.
-
-        Returns a finite generator description: identity and tanh vanish only
-        at 0, sigmoid never vanishes (empty tuple), gcu vanishes at 0 and at
-        the cosine zeros (handled by the caller since there are infinitely
-        many). relu has a whole half-line of zeros, so None.
-        """
-        if self.kind in ("identity", "tanh"):
-            return (0.0,)
-        if self.kind == "sigmoid":
-            return ()
-        return None
 
 
 def activation(name: str) -> Activation:

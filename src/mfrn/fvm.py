@@ -369,16 +369,18 @@ def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages):
 
 
 def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, cfl: float,
-           lead: int, lam: float | None, check: bool,
+           lead: int, lam: float | None,
            snapshots: list[list[DensityField]] | None = None) -> list[DensityField]:
     """Advance row r from starts[r] under drifts[r], all rows in one SSP-RK3
     loop, and return the final fields of the first `lead` rows: every row,
     or the forward row of a paired sweep, whose second row is its adjoint.
-    The lead rows are limited with lam and checked with check.  A block that
+    The lead rows are limited with lam, and checked when drifts[0] is forward
+    (a sweep's lead rows all run one way).  A block that
     takes any row past the hard CFL margin raises before its first step,
     naming that row's speed.  snapshots, one list a row, receive every
     step's fields."""
     space, dt = starts[0].grid, grid.dt
+    check = not drifts[0].time_reversed
     state = np.stack([f.averages for f in starts], axis=1)  # cells x rows
     worst_nu = [0.0] * len(starts)
     outflow = np.zeros(lead)  # mass each lead row has lost through the boundary
@@ -479,7 +481,7 @@ def solve_transport(
         limit_positive = forward
     lam = grid.dt / f0.grid.dx if limit_positive else None
     snapshots = [[f] for f in starts]
-    _sweep(starts, drifts, grid, cfl, 1, lam, forward, snapshots)
+    _sweep(starts, drifts, grid, cfl, 1, lam, snapshots)
     return snapshots[0] if adjoint is None else tuple(snapshots)
 
 
@@ -498,7 +500,7 @@ def solve_final_fields(f0: DensityField, drifts: list[DriftSpec], grid: TimeGrid
     if not drifts:
         return []
     return _sweep([f0] * len(drifts), list(drifts), grid, cfl, len(drifts),
-                  grid.dt / f0.grid.dx, True)
+                  grid.dt / f0.grid.dx)
 
 
 def project_initial(density, grid: Grid1D, renormalize: bool = True) -> DensityField:

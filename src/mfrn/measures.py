@@ -11,11 +11,9 @@ through their histogram on a grid (``particles_to_density``).
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
-from .core import Activation
 from .fvm import DensityField, Grid1D
 
 log = logging.getLogger(__name__)
@@ -56,43 +54,6 @@ def moments(f: DensityField, k: int) -> float:
 def variance(f: DensityField) -> float:
     m1 = moments(f, 1)
     return moments(f, 2) - m1 * m1
-
-
-def steady_state_support(
-    w_bar: float, b_bar: float, act: Activation, domain: tuple[float, float] | None = None
-) -> np.ndarray:
-    """Support points of the long-time concentration state for frozen controls.
-
-    Mass accumulates where the speed vanishes: points y with
-    act(w_bar * y + b_bar) = 0, i.e. y = (z - b_bar) / w_bar over the zeros z
-    of the activation.  gcu has infinitely many zeros, so a bounded domain is
-    required to enumerate them; pass the solver domain.
-    """
-    if w_bar == 0.0:
-        raise ValueError("w_bar = 0 leaves the zero equation rank-deficient in y")
-    zeros = act.zeros()
-    if zeros is None:
-        if act.kind == "gcu":
-            if domain is None:
-                raise ValueError("gcu has infinitely many zeros; a domain is required")
-            lo = w_bar * domain[0] + b_bar
-            hi = w_bar * domain[1] + b_bar
-            lo, hi = min(lo, hi), max(lo, hi)
-            zs = [0.0] if lo <= 0.0 <= hi else []
-            # cosine zeros (2k+1) * pi/2 inside [lo, hi]
-            k_min = math.ceil((2.0 * lo / math.pi - 1.0) / 2.0)
-            k_max = math.floor((2.0 * hi / math.pi - 1.0) / 2.0)
-            zs += [(2 * k + 1) * math.pi / 2.0 for k in range(k_min, k_max + 1)]
-            zeros = tuple(zs)
-        else:
-            raise ValueError(f"activation {act.kind!r} has a non-discrete zero set")
-    y = np.sort(np.array([(z - b_bar) / w_bar for z in zeros], dtype=float))
-    if domain is not None:
-        y = y[(y >= domain[0]) & (y <= domain[1])]
-    residual = np.abs(act.value(w_bar * y + b_bar)) if y.size else np.zeros(0)
-    if y.size and np.max(residual) > 1e-10:
-        raise AssertionError(f"steady-state residual {np.max(residual):.3e} exceeds 1e-10")
-    return y
 
 
 def particles_to_density(x: np.ndarray, grid: Grid1D) -> DensityField:

@@ -2,10 +2,11 @@
 
 A depth-L network with identity skip connection and shared scalar controls is
 the explicit Euler discretization of dx/dt = act(w(t) x + b(t)):
-``resnet_forward`` is that recursion, and ``ode_integrate`` solves the ODE
-itself with RK4.  Both read the velocity field from ``fvm.DriftSpec.speed``,
-the same field the transport solver advects with.  Particles are a plain
-float array whose first axis indexes them.
+``resnet_forward`` is that recursion, its L + 1 layers the n_steps steps of
+the controls' time grid, and ``ode_integrate`` solves the ODE itself with
+RK4.  Both read the velocity field from ``fvm.DriftSpec.speed``, the same
+field the transport solver advects with.  Particles are a plain float array
+whose first axis indexes them.
 
 ``ode_integrate`` moves the particles in place, in blocks of _BLOCK_ROWS
 rows, and writes every RK4 stage into five buffers of one block.  Five
@@ -15,11 +16,9 @@ buffers would hold 4 MiB at 1e5 particles and measured slower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Activation, ControlPath, TimeGrid, is_number
+from .core import Activation, ControlPath, TimeGrid
 from .fvm import DriftSpec
 
 # Rows per block of an ensemble integration: 16384 one-dimensional particles
@@ -27,29 +26,17 @@ from .fvm import DriftSpec
 _BLOCK_ROWS = 16384
 
 
-@dataclass(frozen=True)
-class ResNetConfig:
-    n_layers: int           # L; the recursion applies L + 1 updates
-    dt: float               # layer step size
-    activation: Activation
-
-    def __post_init__(self) -> None:
-        if not (is_number(self.n_layers, integer=True) and self.n_layers >= 0):
-            raise ValueError(f"n_layers must be an integer >= 0, got {self.n_layers!r}")
-        if not (is_number(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be a finite number > 0, got {self.dt!r}")
-
-
-def resnet_forward(x0: np.ndarray, c: ControlPath, cfg: ResNetConfig) -> np.ndarray:
+def resnet_forward(x0: np.ndarray, c: ControlPath, act: Activation) -> np.ndarray:
     """Output of the depth-L recursion started at x0 (any array shape).
 
-    Controls are read at the layer times kappa * dt for kappa = 0..L, which
-    must lie inside the control path's domain.
+    The controls' time grid holds the depth and the step: L = n_steps - 1
+    and the layers read the controls at kappa * dt for kappa = 0..L.
     """
-    drift = DriftSpec(c, cfg.activation)
+    drift = DriftSpec(c, act)
+    dt = c.grid.dt
     x = np.asarray(x0, dtype=float).copy()
-    for kappa in range(cfg.n_layers + 1):
-        x = x + cfg.dt * drift.speed(x, kappa * cfg.dt)
+    for kappa in range(c.grid.n_steps):
+        x = x + dt * drift.speed(x, kappa * dt)
     return x
 
 

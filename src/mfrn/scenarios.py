@@ -102,11 +102,11 @@ class Scenario:
         n, M = p.get("n_seeds"), p.get("M_list")
         if study and not (is_number(n, integer=True) and n >= 1):
             raise ConfigValueError("params.n_seeds", f"must be an integer >= 1, got {n!r}")
-        if study and not (
-                isinstance(M, list) and M and all(is_number(m, integer=True) for m in M)
+        if study and not (  # two sizes at least, for the log-log slope
+                isinstance(M, list) and len(M) >= 2 and all(is_number(m, integer=True) for m in M)
                 and all(lo < hi for lo, hi in zip([0, *M], M))):
-            raise ConfigValueError(
-                "params.M_list", f"must increase and hold positive integers, got {M!r}")
+            raise ConfigValueError("params.M_list", "must increase and hold at least two "
+                                                    f"positive integers, got {M!r}")
         if self.name == "shift_control":
             # the exact control needs a bias b0 with act(b0) = beta / t_final
             try:

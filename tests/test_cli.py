@@ -209,6 +209,9 @@ class TestRunFailures:
         ("run.gamma_w", True), ("run.cfl", float("nan")), ("run.tol", float("inf")),
         ("seed", 3.7), ("seed", -1), ("dt", "0.01"), ("t_final", None), ("run", 5),
         ("params", [1.0]), ("activation", 5),
+        # integers beyond float range
+        pytest.param("seed", 10**400, id="seed-10**400"),
+        pytest.param("run.n_cells", 10**400, id="run.n_cells-10**400"),
     ])
     def test_bad_value_exits_two_at_its_line(self, tmp_path, capsys, path, value):
         # every config error names its dotted key and is reported at its line
@@ -250,6 +253,31 @@ class TestRunFailures:
         err = capsys.readouterr().err
         assert err.startswith(f"{cfgp}:{line}: params.{key or 'beta'} must be ")
         assert not (tmp_path / "o").exists()
+
+    def test_a_single_ensemble_size_exits_two_at_its_line(self, tmp_path, capsys):
+        # a study of one size would fit its slope through one point
+        data = json.loads((SCENARIO_DIR / "convergence.json").read_text())
+        data["params"].update(M_list=[100], n_seeds=1)
+        text = json.dumps(data, indent=2, sort_keys=True)
+        cfgp = tmp_path / "one_size.json"
+        cfgp.write_text(text)
+        rc, out = cli_run(cfgp, tmp_path / "o")
+        assert rc == 2
+        line = 1 + next(i for i, r in enumerate(text.splitlines()) if '"M_list":' in r)
+        assert capsys.readouterr().err == (
+            f"{cfgp}:{line}: params.M_list must increase and hold at least two "
+            "positive integers, got [100]\n")
+        assert not out.exists()
+
+    def test_a_seed_override_beyond_float_range_exits_two_at_the_seed_line(self, tmp_path,
+                                                                            capsys):
+        cfgp = SCENARIO_DIR / "test1_identity.json"
+        rc, out = cli_run(cfgp, tmp_path / "o", "--seed", str(10**400))
+        assert rc == 2
+        line = 1 + next(i for i, r in enumerate(cfgp.read_text().splitlines())
+                        if '"seed":' in r)
+        assert capsys.readouterr().err.startswith(f"{cfgp}:{line}: seed must be an integer")
+        assert not out.exists()
 
     def test_unsupported_dimension_rejected(self, tmp_path, capsys):
         data = scenario_to_config(shipped("test2"))

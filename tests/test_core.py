@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from mfrn.core import Activation, ControlPath, RunConfig, TimeGrid, activation
+from mfrn.core import Activation, ControlPath, RunConfig, TimeGrid, activation, is_number
 
 ALL_KINDS = ("identity", "relu", "sigmoid", "tanh", "gcu")
 
@@ -56,11 +56,6 @@ class TestActivation:
             assert np.all(np.abs(act.value(x)) <= 1.0)
         for kind in ("identity", "relu", "gcu"):
             assert not Activation(kind).bounded
-
-    def test_zeros_listing(self):
-        assert Activation("identity").zeros() == (0.0,)
-        assert Activation("tanh").zeros() == (0.0,)
-        assert Activation("sigmoid").zeros() == ()
 
     def test_parse_normalizes_case_and_space(self):
         assert activation("  TANH ").kind == "tanh"
@@ -272,3 +267,11 @@ class TestRunConfig:
         del d["n_cells"]
         with pytest.raises(ValueError, match="n_cells"):
             RunConfig.from_dict(d)
+
+
+class TestIsNumber:
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_an_int_beyond_float_range_is_not_a_number(self, integer):
+        assert not is_number(10**400, integer=integer)
+        assert not is_number(-(10**400), integer=integer)
+        assert is_number(2**1023, integer=integer)

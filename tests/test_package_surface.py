@@ -21,8 +21,7 @@ BENCH = ROOT / "bench"
 
 KEPT_WITHOUT_CALLER = {
     "particle.resnet_forward": "the discrete ResNet the mean-field limit starts from",
-    "measures.steady_state_support": "the paper's long-time concentration points",
-    "optim.identity_closed_form": "the paper's closed-form stationary controls",
+    "optim.identity_w_root": "the paper's stationary weight equation (criterion 8)",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")

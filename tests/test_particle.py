@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from mfrn import particle
 from mfrn.core import Activation, ControlPath, TimeGrid
 from mfrn.fvm import DriftSpec
-from mfrn.particle import ResNetConfig, ode_integrate, resnet_forward
+from mfrn.particle import ode_integrate, resnet_forward
 
 KINDS = ["identity", "tanh", "sigmoid", "relu", "gcu"]
 
@@ -23,45 +23,28 @@ def constant_controls(t_final, dt, w, b):
 class TestResNetForward:
     @pytest.mark.parametrize("n_layers", [0, 1, 5, 33])
     def test_tanh_zero_drive_is_a_fixed_point(self, n_layers):
-        c = constant_controls(4.0, 0.1, w=0.0, b=0.0)
-        cfg = ResNetConfig(n_layers=n_layers, dt=0.1, activation=Activation("tanh"))
-        assert resnet_forward(np.array(1.0), c, cfg) == 1.0
+        c = constant_controls((n_layers + 1) * 0.1, 0.1, w=0.0, b=0.0)
+        assert c.grid.n_steps == n_layers + 1
+        assert resnet_forward(np.array(1.0), c, Activation("tanh")) == 1.0
 
     def test_constant_bias_accumulates_linearly(self):
         b0 = 0.37
         L = 12
         dt = 0.05
-        c = constant_controls(1.0, dt, w=0.0, b=b0)
-        cfg = ResNetConfig(n_layers=L, dt=dt, activation=Activation("identity"))
-        out = resnet_forward(np.array(0.0), c, cfg)
+        c = constant_controls((L + 1) * dt, dt, w=0.0, b=b0)
+        assert c.grid.n_steps == L + 1
+        out = resnet_forward(np.array(0.0), c, Activation("identity"))
         assert_allclose(out, (L + 1) * dt * b0, rtol=1e-14)
 
     def test_sigmoid_recursion_against_scalar_oracle(self):
         """Ten sigmoid layers, checked against a hand-rolled recursion."""
         dt = 0.1
         c = constant_controls(1.0, dt, w=1.0, b=0.0)
-        cfg = ResNetConfig(n_layers=9, dt=dt, activation=Activation("sigmoid"))
-        out = resnet_forward(np.array(0.3), c, cfg)
+        out = resnet_forward(np.array(0.3), c, Activation("sigmoid"))
         x = 0.3
         for _ in range(10):
             x = x + dt / (1.0 + np.exp(-x))
         assert_allclose(out, x, rtol=1e-15)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ResNetConfig(n_layers=-1, dt=0.1, activation=Activation("tanh"))
-        with pytest.raises(ValueError):
-            ResNetConfig(n_layers=3, dt=0.0, activation=Activation("tanh"))
-
-    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), "0.1", None])
-    def test_non_finite_or_non_numeric_dt_is_named(self, dt):
-        with pytest.raises(ValueError, match="dt"):
-            ResNetConfig(n_layers=3, dt=dt, activation=Activation("tanh"))
-
-    @pytest.mark.parametrize("n_layers", [True, 2.5, 3.0, "3"])
-    def test_non_integer_n_layers_is_named(self, n_layers):
-        with pytest.raises(ValueError, match="n_layers"):
-            ResNetConfig(n_layers=n_layers, dt=0.1, activation=Activation("tanh"))
 
     @given(st.integers(min_value=0, max_value=64),
            st.sampled_from(KINDS),
@@ -75,8 +58,7 @@ class TestResNetForward:
                         w=rng.uniform(-1, 1, tg.n_steps + 1),
                         b=rng.uniform(-1, 1, tg.n_steps + 1))
         x0 = rng.standard_normal(4)
-        cfg = ResNetConfig(n_layers=n_layers, dt=dt, activation=Activation(kind))
-        net = resnet_forward(x0, c, cfg)
+        net = resnet_forward(x0, c, Activation(kind))
         euler = unblocked_integrate(x0, c, Activation(kind), "euler", dt, tg.n_steps)
         assert np.array_equal(net, euler)
 
@@ -161,10 +143,11 @@ class TestOdeIntegrate:
 
 def integrate(method, x0, c, act, dt, t_final):
     """Positions at t_final by the package's Euler path (the depth-L network,
-    whose L + 1 layers are the n steps) or by RK4."""
+    whose L + 1 layers are the n steps of the controls' grid, which must be
+    the grid of dt and t_final) or by RK4."""
     if method == "euler":
-        n = TimeGrid.from_step(t_final, dt).n_steps
-        return resnet_forward(x0, c, ResNetConfig(n_layers=n - 1, dt=dt, activation=act))
+        assert c.grid == TimeGrid.from_step(t_final, dt)
+        return resnet_forward(x0, c, act)
     return ode_integrate(x0, c, act, dt, t_final)
 
 

@@ -108,6 +108,7 @@ class TestBuildersAndConfigs:
         ("test3_linear", "a2", float("nan")), ("convergence", "n_seeds", 2.0),
         ("convergence", "M_list", []), ("convergence", "M_list", [0, 10]),
         ("convergence", "M_list", [100, 100]), ("convergence", "M_list", 100),
+        ("convergence", "M_list", [100]),
     ])
     def test_bad_params_named(self, config, key, value):
         with open(SCENARIO_DIR / f"{config}.json") as fh:

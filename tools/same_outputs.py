@@ -11,13 +11,14 @@ differ between identical runs.  For each training config (one that writes
 ``iteration_log.csv``), ``python -m mfrn compare BASE_OUT HEAD_OUT`` runs
 under both trees, and the two comparison CSVs are compared byte for byte.
 The script prints the files that differ, and for each config the number of
-"exceeded configured cfl" lines and of density warnings ("mass drift",
-"below -1e-8") each side logged on stderr.  For each config whose
-``summary.json`` differs it prints base -> head for ``iterations``,
-``final_cost`` (with its relative change) and ``w1_final``, what a change
-gated on a tolerance moved.  It exits 1 on any difference,
-failed run, or config for which HEAD logs more of either kind of line than
-BASE; 0 otherwise.  It also prints the line count of each tree's ``mfrn``
+"exceeded configured cfl" lines, of density warnings ("mass drift",
+"below -1e-8") and of Python warnings (``<file>:<line>: <Name>Warning: ...``,
+such as numpy's ``RankWarning``) each side printed on stderr.  For each
+config whose ``summary.json`` differs it prints base -> head for
+``iterations``, ``final_cost`` (with its relative change) and ``w1_final``,
+what a change gated on a tolerance moved.  It exits 1 on any difference,
+failed run, or config for which HEAD prints more of any of the three kinds
+of line than BASE; 0 otherwise.  It also prints the line count of each tree's ``mfrn``
 package (``wc -l`` summed over its ``*.py``), the other gate of a change that
 should only simplify.  Standard library only.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -34,6 +36,7 @@ from pathlib import Path
 
 CFL_LINE = "exceeded configured cfl"
 DENSITY_LINES = ("mass drift", "below -1e-8")
+PY_WARNING = re.compile(r"^.+:\d+: [A-Za-z_]\w*Warning: ")  # warnings.formatwarning
 SKIP = {"manifest.json"}
 RUN_KEYS = ("timings", "out_dir")   # what differs between identical runs
 
@@ -101,12 +104,13 @@ def compare(base: Path, head: Path, configs: list[Path], work: Path) -> int:
         outs = {side: work / side / config.stem for side in srcs}
         procs = {side: _start(src, "run", "--config", config, "--out", outs[side])
                  for side, src in srcs.items()}
-        cfl, density = {}, {}
+        cfl, density, warned = {}, {}, {}
         for side, proc in procs.items():
             _, err = proc.communicate()
-            cfl[side] = sum(CFL_LINE in line for line in err.splitlines())
-            density[side] = sum(any(d in line for d in DENSITY_LINES)
-                                for line in err.splitlines())
+            lines = err.splitlines()
+            cfl[side] = sum(CFL_LINE in line for line in lines)
+            density[side] = sum(any(d in line for d in DENSITY_LINES) for line in lines)
+            warned[side] = sum(bool(PY_WARNING.match(line)) for line in lines)
             if proc.returncode != 0:
                 bad += 1
                 print(f"{config.name}: {side} run exited {proc.returncode}\n{err}")
@@ -143,13 +147,14 @@ def compare(base: Path, head: Path, configs: list[Path], work: Path) -> int:
                 print(f"{config.name}: compare CSVs differ")
             else:
                 compared = "; compare CSVs identical"
-        for kind, counts in (("cfl", cfl), ("density", density)):
+        for kind, counts in (("cfl", cfl), ("density", density), ("Python", warned)):
             if counts["head"] > counts["base"]:
                 bad += 1
                 print(f"{config.name}: head logs more {kind} warnings than base")
         print(f"{config.name}: {same} identical file(s); "
               f"'{CFL_LINE}' lines base {cfl['base']}, head {cfl['head']}; "
-              f"density warnings base {density['base']}, head {density['head']}{compared}",
+              f"density warnings base {density['base']}, head {density['head']}; "
+              f"Python warnings base {warned['base']}, head {warned['head']}{compared}",
               flush=True)
     return bad
 
