@@ -118,6 +118,13 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
+        # the network's depth and step live here, so a bad one is named here
+        for key in ("t_final", "dt"):
+            if not is_number(getattr(self, key)):
+                raise ConfigValueError(key, f"must be a finite number, got "
+                                            f"{getattr(self, key)!r}")
+        if not is_number(self.n_steps, integer=True):
+            raise ValueError(f"TimeGrid n_steps must be an integer, got {self.n_steps!r}")
         if abs(self.n_steps * self.dt - self.t_final) > 1e-10 * max(1.0, self.t_final):
             raise ConfigValueError("t_final", f"{self.t_final!r} is not a whole multiple of "
                                               f"dt = {self.dt!r}: inconsistent grid")
@@ -126,9 +133,9 @@ class TimeGrid:
 
     @classmethod
     def from_step(cls, t_final: float, dt: float) -> "TimeGrid":
-        if not 0 < dt < math.inf:
+        if not (is_number(dt) and dt > 0):
             raise ConfigValueError("dt", f"must be finite and > 0, got {dt!r}")
-        if not 0 < t_final < math.inf:
+        if not (is_number(t_final) and t_final > 0):
             raise ConfigValueError("t_final", f"must be finite and > 0, got {t_final!r}")
         return cls(t_final=t_final, dt=dt, n_steps=round(t_final / dt))
 

@@ -117,6 +117,7 @@ class TestTimeGrid:
     @pytest.mark.parametrize("t_final, dt, key", [
         (1.0, 0.0, "dt"), (1.0, -0.01, "dt"), (1.0, float("nan"), "dt"),
         (1.0, float("inf"), "dt"), (0.0, 0.01, "t_final"), (float("inf"), 0.01, "t_final"),
+        (1.0, "0.01", "dt"), (None, 0.01, "t_final"),
     ])
     def test_from_step_names_a_bad_value(self, t_final, dt, key):
         with pytest.raises(ValueError, match=f"^{key} must be"):

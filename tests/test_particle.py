@@ -46,6 +46,29 @@ class TestResNetForward:
             x = x + dt / (1.0 + np.exp(-x))
         assert_allclose(out, x, rtol=1e-15)
 
+    # The depth L = n_steps - 1 and the step dt live in the controls' grid,
+    # so a network that cannot be built is refused when its grid is.
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            TimeGrid(t_final=0.0, dt=0.1, n_steps=0)      # n_layers = -1
+        with pytest.raises(ValueError):
+            TimeGrid(t_final=0.0, dt=0.0, n_steps=4)
+        with pytest.raises(ValueError):
+            constant_controls(0.4, 0.0, w=0.0, b=0.0)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), "0.1", None])
+    def test_non_finite_or_non_numeric_dt_is_named(self, dt):
+        with pytest.raises(ValueError, match="^dt must be"):
+            TimeGrid(t_final=0.4, dt=dt, n_steps=4)
+        with pytest.raises(ValueError, match="^dt must be"):
+            constant_controls(0.4, dt, w=0.0, b=0.0)
+
+    @pytest.mark.parametrize("n_layers", [True, 2.5, 3.0, "3"])
+    def test_non_integer_n_layers_is_named(self, n_layers):
+        # named by the grid's step count, of which the depth is one less
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            TimeGrid(t_final=0.3, dt=0.1, n_steps=n_layers)
+
     @given(st.integers(min_value=0, max_value=64),
            st.sampled_from(KINDS),
            st.integers(min_value=0, max_value=2**32 - 1))

@@ -90,6 +90,14 @@ def _moved(outs: dict[str, Path]) -> str:
     return "; ".join(moved)
 
 
+def stderr_counts(err: str) -> tuple[int, int, int]:
+    """The cfl, density and Python warning lines of a run's stderr."""
+    lines = err.splitlines()
+    return (sum(CFL_LINE in line for line in lines),
+            sum(any(d in line for d in DENSITY_LINES) for line in lines),
+            sum(bool(PY_WARNING.match(line)) for line in lines))
+
+
 def _artifacts(out: Path) -> set[str]:
     return {p.name for p in out.iterdir() if p.is_file() and p.name not in SKIP}
 
@@ -107,10 +115,7 @@ def compare(base: Path, head: Path, configs: list[Path], work: Path) -> int:
         cfl, density, warned = {}, {}, {}
         for side, proc in procs.items():
             _, err = proc.communicate()
-            lines = err.splitlines()
-            cfl[side] = sum(CFL_LINE in line for line in lines)
-            density[side] = sum(any(d in line for d in DENSITY_LINES) for line in lines)
-            warned[side] = sum(bool(PY_WARNING.match(line)) for line in lines)
+            cfl[side], density[side], warned[side] = stderr_counts(err)
             if proc.returncode != 0:
                 bad += 1
                 print(f"{config.name}: {side} run exited {proc.returncode}\n{err}")
