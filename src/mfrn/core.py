@@ -199,12 +199,13 @@ class ControlPath:
         t = np.asarray(t, dtype=float)
         if t.size and 0.0 <= t.min() and t.max() <= self.grid.t_final:
             return t  # the grid solver's case: a block of stage times inside it
+        # NaN fails both bounds; np.interp reads a time in the slack as the end sample
         slack = 1e-12 * max(1.0, self.grid.t_final)
-        if np.any(t < -slack) or np.any(t > self.grid.t_final + slack):
+        if not np.all((-slack <= t) & (t <= self.grid.t_final + slack)):
             raise ValueError(
                 f"time {t!r} outside control domain [0, {self.grid.t_final}]"
             )
-        return np.clip(t, 0.0, self.grid.t_final)
+        return t
 
     def eval_w(self, t):
         t = self._check_time(t)

@@ -18,8 +18,8 @@ Martinez & Raydan 2000): each line search starts at rho0 = <s,s> / <s,y>,
 with s the change of the controls since the last iterate and y the change
 of the projected gradient, both inner products trapezoidal over time and
 summed over the two components.  The first search, and any whose <s,y> is
-not positive, starts at ARMIJO_RHO0.  From there the search is the usual
-monotone Armijo backtracking.
+not positive, starts at ARMIJO_RHO0.  From there it is monotone Armijo
+backtracking with no other acceptance rule: if no trial passes, rho = 0.
 
 Every line-search candidate is projected nodewise before it is solved (see
 armijo_search): for every activation the shear |w| is capped at
@@ -288,17 +288,17 @@ def armijo_search(
     current_cost and current_traj, returning (new controls, accepted rho,
     their cost, their forward trajectory, their adjoint trajectory).
 
-    Tries rho0, then halves it.  Accepts the first step size with sufficient
-    decrease; if none qualifies, falls back to the best-cost candidate that
-    still improves on the current cost, else returns the controls unchanged
-    with rho = 0.  The adjoint is None exactly when c comes back unchanged.
+    Tries rho0, then halves it.  Takes the first step size with sufficient
+    decrease (the Armijo test); if none passes, returns the controls
+    unchanged with rho = 0.  The adjoint is None exactly when c comes back
+    unchanged.
 
-    The first trial, which the search usually accepts, is one paired sweep
-    (reduced_cost with its adjoint), handed over when accepted.  Otherwise
-    the other trials are the rows of one forward sweep that keeps only their
+    The first trial, which the search usually takes, is one paired sweep
+    (reduced_cost with its adjoint), handed over when taken.  Otherwise the
+    other trials are the rows of one forward sweep that keeps only their
     final fields (solve_final_fields).  Each row is bitwise its own solve,
-    so the costs, and the step chosen from them, are those of trials solved
-    one by one.  The chosen step is solved again as one paired sweep for the
+    so the costs, and the step taken from them, are those of trials solved
+    one by one.  The step taken is solved again as one paired sweep for the
     trajectories it hands over.
 
     Every candidate is projected nodewise (_project_to_speed): for every
@@ -347,22 +347,14 @@ def armijo_search(
     step = paired(first)
     if accepted(step[2], first):
         return step
-    costs = [step[2]]
     del step  # a rejected trial holds no trajectories
-    tried = [first, *pending]
-    rest = [cand for _, cand, _ in tried[1:]]
-    finals = solve_final_fields(f0, [DriftSpec(cand, act) for cand in rest], c.grid, cfg.cfl)
-    costs += [_terminal_cost(f_T, g) + _regularization(cand, cfg)
-              for f_T, cand in zip(finals, rest)]
-    pick = next((i for i, t in enumerate(tried) if accepted(costs[i], t)), None)
-    if pick is None:
-        # the fallback: the first of the lowest finite costs, as a scan in
-        # order that keeps a strictly lower one finds it
-        pick = min((i for i, cost in enumerate(costs) if math.isfinite(cost)),
-                   key=costs.__getitem__, default=None)
-        if pick is None or not costs[pick] < current_cost:
-            return unchanged
-    return paired(tried[pick])
+    rest = list(pending)
+    finals = solve_final_fields(f0, [DriftSpec(cand, act) for _, cand, _ in rest], c.grid,
+                                cfg.cfl)
+    for trial, f_T in zip(rest, finals):
+        if accepted(_terminal_cost(f_T, g) + _regularization(trial[1], cfg), trial):
+            return paired(trial)
+    return unchanged
 
 
 def _bounded_step_excess(act: Activation, dt: float, dx: float) -> str | None:

@@ -230,7 +230,9 @@ def scenario_from_config(data: dict) -> Scenario:
 
 
 def activation_preimage(act: Activation, r: float) -> float:
-    """A b0 with act(b0) = r, or a ValueError when r is outside the image."""
+    """A b0 with act(b0) = r, or a ValueError when r is not a finite point of the image."""
+    if not math.isfinite(r):
+        raise ValueError(f"rate {r!r} is not finite")
     if act.kind == "identity":
         return float(r)
     if act.kind == "relu":
@@ -249,9 +251,11 @@ def activation_preimage(act: Activation, r: float) -> float:
     # exists; bracket by scanning outward, then bisect.
     span = 4.0
     while True:
+        if not math.isfinite(2.0 * span):  # the next scan's width overflows
+            raise ValueError(f"rate {r!r} has no gcu preimage the scan can reach")
         xs = np.linspace(-span, span, 4001)
-        vals = xs * np.cos(xs) - r
-        sign_change = np.nonzero(np.diff(np.signbit(vals)))[0]
+        below = xs * np.cos(xs) < r  # the sign of x cos(x) - r, which may overflow
+        sign_change = np.nonzero(np.diff(below))[0]
         if sign_change.size:
             lo, hi = xs[sign_change[0]], xs[sign_change[0] + 1]
             break

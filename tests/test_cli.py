@@ -46,7 +46,7 @@ def src_env():
 def assert_named_error(*argv, says):
     """``python -m mfrn *argv`` exits 2 with one stderr line and no traceback."""
     proc = subprocess.run([sys.executable, "-m", "mfrn", *map(str, argv)],
-                          capture_output=True, text=True, env=src_env())
+                          capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and says in proc.stderr, proc.stderr
@@ -330,6 +330,22 @@ class TestRunFailures:
                         if '"beta":' in r)
         assert capsys.readouterr().err == (
             f"{cfgp}:{line}: params.beta / t_final: rate 1.0 is outside the tanh image (-1, 1)\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["identity", "gcu"])
+    def test_a_rate_beyond_float_range_exits_two_at_the_beta_line(self, tmp_path, kind):
+        # beta / t_final = 1e308 / 0.5 overflows to inf, which has no
+        # preimage; the gcu scan once looped forever on it, hence the
+        # subprocess and its timeout
+        data = json.loads((SCENARIO_DIR / "shift_identity.json").read_text())
+        data.update(activation=kind, t_final=0.5, dt=0.01)
+        data["params"]["beta"] = 1e308
+        text = json.dumps(data, indent=2, sort_keys=True)
+        cfgp = tmp_path / "huge.json"
+        cfgp.write_text(text)
+        line = 1 + next(i for i, r in enumerate(text.splitlines()) if '"beta":' in r)
+        assert_named_error("run", "--config", cfgp, "--out", tmp_path / "o",
+                           says=f"{cfgp}:{line}: params.beta / t_final: rate inf is not finite\n")
         assert not (tmp_path / "o").exists()
 
     COARSE = ("dt = 0.04 > 1.45*dx = 0.03625: the bounded activation sigmoid reaches speed 1, "

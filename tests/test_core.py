@@ -1,11 +1,14 @@
 """Activation functions, time grids, control paths, run configuration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from mfrn.core import Activation, ControlPath, RunConfig, TimeGrid, activation, is_number
+from mfrn.fvm import DriftSpec
 
 ALL_KINDS = ("identity", "relu", "sigmoid", "tanh", "gcu")
 
@@ -196,6 +199,27 @@ class TestControlPath:
                 c.eval_w(t)
             with pytest.raises(ValueError, match="outside control domain"):
                 c.eval_b(t)
+
+    def test_a_nan_time_is_named(self):
+        tg = TimeGrid.from_step(1.0, 0.1)
+        c = ControlPath.from_functions(tg, lambda t: 1.0 + t, lambda t: 2.0 - t)
+        for t in (math.nan, np.float64(math.nan), np.array([0.5, math.nan, 1.0])):
+            for read in (c.eval_w, c.eval_b):
+                with pytest.raises(ValueError, match="nan.*outside control domain"):
+                    read(t)
+        with pytest.raises(ValueError, match="outside control domain"):
+            DriftSpec(c, Activation("tanh")).speed(np.linspace(-1.0, 1.0, 5), math.nan)
+
+    def test_times_a_few_ulps_past_either_end_read_the_end_samples(self):
+        tg = TimeGrid.from_step(1.0, 0.1)
+        c = ControlPath.from_functions(tg, lambda t: np.sin(3.0 * t), lambda t: t**3 - t)
+        before = -np.nextafter(0.0, 1.0) * np.arange(1, 4)
+        after = np.array([np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)])
+        for t, end in ((before, 0), (after, -1)):
+            assert np.array_equal(c.eval_w(t), np.full(t.size, c.w[end]))
+            assert np.array_equal(c.eval_b(t), np.full(t.size, c.b[end]))
+            for tk in t:
+                assert c.eval_w(float(tk)) == c.w[end] and c.eval_b(float(tk)) == c.b[end]
 
     def test_evaluation_outside_horizon_rejected(self):
         tg = TimeGrid.from_step(1.0, 0.1)

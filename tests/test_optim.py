@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
 
@@ -212,15 +212,14 @@ def residual_at_start_and_end(report):
 def reference_armijo_search(c, grad, f0, g, act, cfg, current_cost, current_traj,
                             rho0=ARMIJO_RHO0):
     """The line search as it was written first: each trial in turn is one
-    paired sweep, the first with sufficient decrease is taken, else the
-    first of the lowest costs below current_cost.  Returns what armijo_search
-    returns, and how the search ended: the index of the accepted trial,
-    "fallback" or "rejected"."""
+    paired sweep, and the first with sufficient decrease is taken.  Returns
+    what armijo_search returns, and how the search ended: the index of the
+    accepted trial, or "rejected"."""
     g_w = optim._projected(grad[0])
     g_b = optim._projected(grad[1])
     assert optim._trapezoid(g_w**2 + g_b**2, c.grid.dt) > 0.0
     speed_cap = cfg.cfl * f0.grid.dx / c.grid.dt
-    best, rho, tried = None, rho0, 0
+    rho, tried = rho0, 0
     for _ in range(cfg.max_armijo):
         w_c, b_c = optim._project_to_speed(c.w - rho * g_w, c.b - rho * g_b, speed_cap,
                                            f0.grid.a, f0.grid.b, linear_speed=not act.bounded)
@@ -229,16 +228,10 @@ def reference_armijo_search(c, grad, f0, g, act, cfg, current_cost, current_traj
         if inner < 0.0:
             traj, lam_traj = [], []
             cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
-            if math.isfinite(cost):
-                if cost <= current_cost + ARMIJO_DECREASE * inner:
-                    return (cand, rho, cost, traj, lam_traj), tried
-                if best is None or cost < best[0]:
-                    best = (cost, cand, rho, traj, lam_traj)
+            if math.isfinite(cost) and cost <= current_cost + ARMIJO_DECREASE * inner:
+                return (cand, rho, cost, traj, lam_traj), tried
             tried += 1
         rho *= ARMIJO_HALVING
-    if best is not None and best[0] < current_cost:
-        cost, cand, rho, traj, lam_traj = best
-        return (cand, rho, cost, traj, lam_traj), "fallback"
     return (c, 0.0, current_cost, current_traj, None), "rejected"
 
 
@@ -334,25 +327,42 @@ class TestArmijo:
     @pytest.mark.parametrize("case, scale, rho0, end", [
         ("first-trial-accepted", 1.0, 1.0, 0),
         ("batch-trial-accepted", 1.0, 32.0, 2),
-        ("fallback", 2.0**15, 2.0**-10, "fallback"),
+        ("steep-every-trial-rejected", 2.0**15, 2.0**-10, "rejected"),
         ("every-trial-rejected", -1.0, 1.0, "rejected"),
     ])
     def test_the_search_is_the_sequential_search(self, monkeypatch, case, scale, rho0, end):
         # rho = 32 and 16 fail the decrease test on this problem and 8 passes
         # it.  A gradient scaled by 2^15 asks for a decrease 3.3 times the
-        # first-order one, which no trial gives, so the search falls back on
-        # the best trial, the fourth; a negated gradient points uphill
+        # first-order one, which no trial gives, though eight of the ten
+        # lower the cost, so the search takes no step; a negated gradient
+        # points uphill
         c, grad, f0, g, act, cfg, cost0, f_traj = box_problem()
         grad = (scale * grad[0], scale * grad[1])
         want, how = reference_armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj, rho0)
         assert how == end
-        if end == "fallback":
-            assert want[1] == rho0 * ARMIJO_HALVING**3
+        if end == "rejected":
+            assert want[0] is c and want[1] == 0.0 and want[4] is None
         rows = counted_batches(monkeypatch)
         got = armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj, rho0=rho0)
         # the trials after a rejected first one are one batch
         assert rows == ([] if end == 0 else [cfg.max_armijo - 1])
         assert_same_step(got, want)
+
+    @given(st.sampled_from([-1.0, 1.0]), st.floats(-4.0, 16.0), st.floats(-10.0, 10.0))
+    @example(1.0, 15.0, -10.0)  # the steep case above, where no trial passes
+    def test_a_step_taken_passes_the_armijo_test(self, sign, log2_scale, log2_rho0):
+        c, grad, f0, g, act, cfg, cost0, f_traj = box_problem()
+        scale = sign * 2.0**log2_scale
+        grad = (scale * grad[0], scale * grad[1])
+        new_c, rho, cost, traj, lam_traj = armijo_search(c, grad, f0, g, act, cfg, cost0,
+                                                         f_traj, rho0=2.0**log2_rho0)
+        if rho == 0.0:
+            assert new_c is c and cost == cost0 and lam_traj is None
+        else:
+            g_w, g_b = optim._projected(grad[0]), optim._projected(grad[1])
+            inner = optim._trapezoid(g_w * (new_c.w - c.w) + g_b * (new_c.b - c.b),
+                                     c.grid.dt)
+            assert cost <= cost0 + ARMIJO_DECREASE * inner
 
     def test_every_search_of_a_training_run_is_the_sequential_search(self, monkeypatch):
         search, ends = optim.armijo_search, []

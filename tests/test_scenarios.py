@@ -2,6 +2,9 @@
 
 import json
 import logging
+import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +32,7 @@ from mfrn.scenarios import (
     scenario_to_config,
 )
 from conftest import SCENARIO_DIR, shipped
+from test_cli import src_env
 from test_optim import assert_same_trajectory
 
 SHIPPED = sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
@@ -287,6 +291,34 @@ class TestPreimages:
     def test_out_of_image_rates_rejected(self, kind, rate, fragment):
         with pytest.raises(ValueError, match=fragment):
             activation_preimage(Activation(kind), rate)
+
+    @pytest.mark.parametrize("kind", ["identity", "relu", "sigmoid", "tanh"])
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rates_rejected(self, kind, rate):
+        with pytest.raises(ValueError, match="is not finite"):
+            activation_preimage(Activation(kind), rate)
+
+    @pytest.mark.parametrize("rate, says", [
+        (math.inf, "rate inf is not finite"),
+        (-math.inf, "rate -inf is not finite"),
+        (math.nan, "rate nan is not finite"),
+        # x cos(x) = 1.7e308 has no root the outward scan can bracket before
+        # its width overflows
+        (1.7e308, "rate 1.7e+308 has no gcu preimage the scan can reach"),
+    ])
+    def test_gcu_rates_past_the_scan_are_refused(self, rate, says):
+        # the gcu scan once looped forever on these, hence the subprocess and
+        # its timeout
+        code = ("from mfrn.core import Activation\n"
+                "from mfrn.scenarios import activation_preimage\n"
+                "try:\n"
+                f"    activation_preimage(Activation('gcu'), float('{rate!r}'))\n"
+                "except ValueError as e:\n"
+                "    print(e)\n")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                              text=True, env=src_env(), timeout=60)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout == says + "\n"
 
 
 class TestSampling:
