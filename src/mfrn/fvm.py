@@ -23,6 +23,12 @@ so each is bitwise its own solve.  The adjoint row's drift is the first
 row's read in reversed time.  Each row has its own CFL check and warning,
 the positivity limiter and the mass and sign checks apply to each forward
 row, and a row past the hard margin fails the whole sweep.
+
+A sweep allocates its stage workspace once (_StageWork): every stage writes
+its ghost-padded averages, faces, limiter terms, fluxes and derivative into
+those arrays through out= arguments, so it allocates nothing the size of
+the grid, and the states alternate between two arrays.  Fresh per-stage
+temporaries would be freed to the heap top, trimmed and faulted in again.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ log = logging.getLogger(__name__)
 
 # Nonlinear weight exponent of the third-order central WENO reconstruction.
 CWENO_POWER = 2
-# Ideal weights for (left linear, central parabola, right linear).
-_D_LEFT, _D_CENTER, _D_RIGHT = 0.25, 0.5, 0.25
+# Ideal weights of the side linears and the central parabola.
+_D_SIDE, _D_CENTER = 0.25, 0.5
 
 # Hard stability margin for the fixed-step integrator, in CFL units.  The
 # three-stage Runge-Kutta stepper with third-order upwind-biased fluxes is
@@ -154,58 +160,79 @@ class DriftSpec:
         return v
 
 
-def _cweno3_faces(a: np.ndarray, b: np.ndarray, c: np.ndarray, eps: float):
-    """Left and right face values of the CWENO3 reconstruction in the center
-    cell of each stencil (a, b, c) of consecutive cell averages.  The solver
-    passes eps = dx, so that smooth extrema keep the ideal weights under
-    refinement.
+def _cweno3_faces(cells: np.ndarray, eps: float, work: np.ndarray):
+    """Left and right face values of the CWENO3 reconstruction in each cell
+    of cells[1:-1], from it and its two neighbours (consecutive cell averages
+    on axis 0).  The solver passes eps = dx, so that smooth extrema keep the
+    ideal weights under refinement.
 
-    Shared differences are formed once and the weights in place; the
-    floating-point operations and their order are those of the formulas
-    D / (eps + IS)**2 and sum(w * candidate face), so the result is bitwise
-    theirs."""
-    d_left = b - a
-    d_right = c - b
-    d2 = c - 2.0 * b + a
-    c_a = c - a
-    half_sum = 0.25 * c_a              # (c - a)/4, the parabola's odd face term
-    half_left = 0.5 * d_left
-    half_right = 0.5 * d_right
-
+    work is a float array of shape (10, len(cells) - 1) + cells.shape[1:]:
+    the faces are written into work[0, :-1] and work[1, :-1], which are
+    returned, and the rest is scratch.  Each cell's floating-point operations
+    and their order are those of the formulas D / (eps + IS)**2 and
+    sum(w * candidate face), so the result is bitwise theirs.  A difference of
+    neighbours, the right one of a stencil and the left one of the next, is
+    formed once, and so is its side weight: the two side weights share their
+    ideal weight."""
+    a, b, c = cells[:-2], cells[1:-1], cells[2:]
+    diff, side = work[8], work[9]
+    left, right, d2, c_a, half_sum, ac, wl, wr = work[:8, :-1]
+    np.subtract(cells[1:], cells[:-1], out=diff)  # b - a is diff[:-1], c - b diff[1:]
     # nonlinear weights D / (eps + IS)**CWENO_POWER; numpy squares in place
     # for the power 2 (x * x, bitwise), it does not call a float pow
-    al = d_left * d_left
-    ar = d_right * d_right
-    ac = (13.0 / 3.0) * d2
+    np.multiply(diff, diff, out=side)
+    side += eps
+    side **= CWENO_POWER
+    np.divide(_D_SIDE, side, out=side)  # al is side[:-1], ar side[1:]
+    diff *= 0.5                        # the half slopes from here
+    np.multiply(2.0, b, out=d2)
+    np.subtract(c, d2, out=d2)
+    d2 += a                            # c - 2b + a
+    np.subtract(c, a, out=c_a)
+    np.multiply(0.25, c_a, out=half_sum)  # (c - a)/4, the parabola's odd face term
+    np.multiply(13.0 / 3.0, d2, out=ac)
     ac *= d2
-    ac += half_sum * c_a               # + 0.25 (c - a)^2
-    for alpha, ideal in ((al, _D_LEFT), (ac, _D_CENTER), (ar, _D_RIGHT)):
-        alpha += eps
-        alpha **= CWENO_POWER
-        np.divide(ideal, alpha, out=alpha)
-    s = al + ac
-    s += ar
-    al /= s
+    c_a *= half_sum
+    ac += c_a                          # + 0.25 (c - a)^2
+    ac += eps
+    ac **= CWENO_POWER
+    np.divide(_D_CENTER, ac, out=ac)
+    s = np.add(side[:-1], ac, out=c_a)
+    s += side[1:]
+    np.divide(side[:-1], s, out=wl)
     ac /= s
-    ar /= s
+    np.divide(side[1:], s, out=wr)
 
     d2 /= 6.0
     d2 += b                            # the parabola's face value without the odd term
-    left = (b - half_left) * al
-    left += (d2 - half_sum) * ac
-    left += (b - half_right) * ar
-    right = (b + half_left) * al
-    right += (d2 + half_sum) * ac
-    right += (b + half_right) * ar
+    term = c_a                         # one candidate's weighted face at a time
+    for face, sign in ((left, np.subtract), (right, np.add)):
+        sign(b, diff[:-1], out=face)
+        face *= wl
+        sign(d2, half_sum, out=term)
+        term *= ac
+        face += term
+        sign(b, diff[1:], out=term)
+        term *= wr
+        face += term
     return left, right
 
 
-def llf_flux(u_minus, u_plus, speed):
-    """Local Lax-Friedrichs flux for the linear-in-u flux speed * u."""
-    u_minus = np.asarray(u_minus, dtype=float)
-    u_plus = np.asarray(u_plus, dtype=float)
-    speed = np.asarray(speed, dtype=float)
-    return 0.5 * speed * (u_minus + u_plus) - 0.5 * np.abs(speed) * (u_plus - u_minus)
+def llf_flux(u_minus, u_plus, speed, out=None):
+    """Local Lax-Friedrichs flux for the linear-in-u flux speed * u.  With
+    out, a float array of shape (3,) + the flux's shape, the flux is written
+    into out[0] and returned, and out[1:] is scratch; without, that array is
+    allocated.  The result is bitwise the formula's."""
+    if out is None:
+        out = np.empty((3, *np.broadcast_shapes(*map(np.shape, (u_minus, u_plus, speed)))))
+    flux, total, spread = out[0, ...], out[1, ...], out[2, ...]  # arrays, even 0-d
+    np.multiply(0.5, speed, out=flux)
+    flux *= np.add(u_minus, u_plus, out=total)
+    np.abs(speed, out=spread)
+    spread *= 0.5
+    spread *= np.subtract(u_plus, u_minus, out=total)
+    flux -= spread                     # 0.5 s (u- + u+) - 0.5 |s| (u+ - u-)
+    return flux
 
 
 def _limiter_coefficients(sL, sR, lam, out):
@@ -225,65 +252,97 @@ def _limiter_coefficients(sL, sR, lam, out):
     return out
 
 
-def _limited_faces(uc, uL, uR, coefs):
+def _limited_faces(uc, uL, uR, coefs, work):
     """Scale face values toward their cell average so every Euler substep
     keeps nonnegative averages: faces are floored at zero, and the outgoing
     mass lam * (outflow speeds . faces) is capped by the cell content.
     Scaling toward the average is conservative and leaves resolved smooth
     data untouched (theta stays 1 there).  ``coefs`` are the cells'
-    _limiter_coefficients."""
+    _limiter_coefficients.  The limited faces are written over uL and uR;
+    work is a pair of stacks of uc's shape, six float arrays and two bool
+    ones, for the scratch."""
     out_l, out_r, s_out, rest, open_ = coefs
-    m = np.minimum(uL, uR)
-    floor = m < 0.0
+    (m, q, theta, uL1, uR1, drain), (floor, mask) = work
+    np.minimum(uL, uR, out=m)
+    np.less(m, 0.0, out=floor)
     # theta = min(1, uc / (uc - m)) on a positive cell with a negative face,
     # 0 on any other cell with one, 1 elsewhere.  uc - m >= uc > 0 there, so
     # the quotient is at most 1 after rounding too and needs no min
-    theta = np.where(floor, 0.0, 1.0)
-    np.divide(uc, uc - m, out=theta, where=floor & (uc > 0.0))
-    uL1 = (uL - uc) * theta + uc
-    uR1 = (uR - uc) * theta + uc
+    theta.fill(1.0)
+    np.copyto(theta, 0.0, where=floor)
+    np.greater(uc, 0.0, out=mask)
+    mask &= floor
+    np.divide(uc, np.subtract(uc, m, out=q), out=theta, where=mask)
+    for scaled, face in ((uL1, uL), (uR1, uR)):
+        np.subtract(face, uc, out=scaled)
+        scaled *= theta
+        scaled += uc
 
-    drain = out_l * uL1 + out_r * uR1
+    np.multiply(out_l, uL1, out=drain)
+    drain += np.multiply(out_r, uR1, out=q)
     # cap only where it is needed and a scaling can actually achieve it
-    need = (drain > uc) & (uc >= 0.0) & open_
+    np.greater(drain, uc, out=mask)
+    mask &= np.greater_equal(uc, 0.0, out=floor)
+    mask &= open_
     theta.fill(1.0)  # the first scaling is spent; its array is reused
-    np.divide(rest * uc, drain - s_out * uc, out=theta, where=need)
+    drain -= np.multiply(s_out, uc, out=q)
+    np.divide(np.multiply(rest, uc, out=m), drain, out=theta, where=mask)
     # clip to [0, 1]; maximum(0.0, theta) keeps a -0.0 theta, as np.clip does,
     # at half np.clip's cost
     np.minimum(np.maximum(0.0, theta, out=theta), 1.0, out=theta)
-    return (uL1 - uc) * theta + uc, (uR1 - uc) * theta + uc
+    for scaled, face in ((uL1, uL), (uR1, uR)):
+        np.subtract(scaled, uc, out=face)
+        face *= theta
+        face += uc
 
 
-def _rhs(avg: np.ndarray, grid: Grid1D, speed: np.ndarray,
-         limiter=None) -> tuple[np.ndarray, np.ndarray]:
+class _StageWork:
+    """The arrays an SSP-RK3 stage computes in, allocated once a sweep for
+    n_cells cells and `rows` rows, the first `limited` of them limited:
+    the ghost-padded averages, whose two zero ghost rows at each end are
+    written here and never again, the CWENO3 faces with their scratch, the
+    flux with its scratch, the limiter's flat scratch, and a step's
+    intermediate stage."""
+
+    def __init__(self, n_cells: int, rows: int, limited: int):
+        self.padded = np.zeros((n_cells + 4, rows))
+        self.faces = np.empty((10, n_cells + 3, rows))
+        self.flux = np.empty((3, n_cells + 1, rows))
+        size = n_cells * limited
+        self.limiter = np.empty((6, size)), np.empty((2, size), bool)
+        self.stage = np.empty((n_cells, rows))
+
+
+def _rhs(avg: np.ndarray, grid: Grid1D, speed: np.ndarray, limiter, work: _StageWork,
+         out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d/dt of the rows' cell averages (cells on axis 0, rows on axis 1) under
     the conservative advection flux, given the rows' speeds at the n_cells + 1
     edges and, for a limited stage, the _limiter_coefficients of the leading
     rows, flat and cell-major (one entry a cell and limited row, the rows
     varying fastest); and the net rate at which each row's mass leaves
-    through the boundary edges."""
+    through the boundary edges.  The derivative is written into out (not
+    avg) and every intermediate into the sweep's work, so a stage allocates
+    only the rows' outflow rates; what it reads of work it has written
+    first, so nothing carries over from the stage before."""
     n, dx = grid.n_cells, grid.dx
-    padded = np.zeros((n + 4, avg.shape[1]))  # zero-inflow ghosts
+    padded = work.padded  # zero-inflow ghosts
     padded[2:-2] = avg
-    left_faces, right_faces = _cweno3_faces(
-        padded[:-2], padded[1:-1], padded[2:], eps=dx
-    )
+    left_faces, right_faces = _cweno3_faces(padded, dx, work.faces)
     if limiter is not None:
         # physical cell j owns faces index j + 1 and edge speeds j, j + 1.
         # The limited rows are the first one or all of them, so reshape gives
         # flat views, cell-major like the coefficients, and the limiter writes
         # through them: its many numpy calls run faster on 1-d arrays
         f = limiter[0].size // n
-        uL = left_faces[1 : n + 1, :f].reshape(-1)
-        uR = right_faces[1 : n + 1, :f].reshape(-1)
-        uL[...], uR[...] = _limited_faces(avg[:, :f].reshape(-1), uL, uR, limiter)
+        _limited_faces(avg[:, :f].reshape(-1), left_faces[1 : n + 1, :f].reshape(-1),
+                       right_faces[1 : n + 1, :f].reshape(-1), limiter, work.limiter)
     # reconstruction k covers padded cell k+1; interface i has cell i-1 on its
     # left (faces index i) and cell i on its right (faces index i+1)
-    flux = llf_flux(right_faces[0 : n + 1], left_faces[1 : n + 2], speed)
-    du = flux[1:] - flux[:-1]
-    np.negative(du, out=du)
-    du /= dx
-    return du, flux[-1] - flux[0]
+    flux = llf_flux(right_faces[0 : n + 1], left_faces[1 : n + 2], speed, out=work.flux)
+    np.subtract(flux[1:], flux[:-1], out=out)
+    np.negative(out, out=out)
+    out /= dx
+    return out, flux[-1] - flux[0]
 
 
 def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
@@ -341,25 +400,27 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
         times, done = [], done + k
 
 
-def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages):
+def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages, work: _StageWork,
+          out: np.ndarray):
     """One SSP-RK3 step through the schedule's (start, end, mid) stages: the
-    advanced averages, and the rates at which each row's mass leaves through
-    the boundary in the three stages."""
+    advanced averages, written into out (not avg), and the rates at which
+    each row's mass leaves through the boundary in the three stages.  The
+    intermediate stages live in work, so a step allocates only those rates."""
     (s0, l0), (s1, l1), (s2, l2) = stages
     # the stepper's own weights, u_new = u + dt (L0/6 + L1/6 + 2 L2/3), as the
     # formulas avg + dt du, 0.75 avg + 0.25 (u1 + dt du) and
     # (avg + 2 (u2 + dt du)) / 3, worked operation for operation in place on
-    # each fresh derivative
-    u1, o0 = _rhs(avg, grid, s0, l0)
+    # each derivative
+    u1, o0 = _rhs(avg, grid, s0, l0, work, work.stage)
     u1 *= dt
     u1 += avg
-    du, o1 = _rhs(u1, grid, s1, l1)
+    du, o1 = _rhs(u1, grid, s1, l1, work, out)  # out is free until the last stage
     du *= dt
     du += u1
     du *= 0.25
-    u2 = 0.75 * avg
+    u2 = np.multiply(0.75, avg, out=work.stage)  # u1 is spent
     u2 += du
-    du, o2 = _rhs(u2, grid, s2, l2)
+    du, o2 = _rhs(u2, grid, s2, l2, work, out)
     du *= dt
     du += u2
     du *= 2.0
@@ -378,10 +439,16 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
     (a sweep's lead rows all run one way).  A block that
     takes any row past the hard CFL margin raises before its first step,
     naming that row's speed.  snapshots, one list a row, receive every
-    step's fields."""
+    step's fields, as views of one fresh array a step.
+
+    The stages compute in one _StageWork, allocated here, and the state
+    alternates between two arrays, so the loop's allocations per step are
+    the snapshots' array and the rows' outflow rates."""
     space, dt = starts[0].grid, grid.dt
     check = not drifts[0].time_reversed
     state = np.stack([f.averages for f in starts], axis=1)  # cells x rows
+    work = _StageWork(space.n_cells, len(starts), lead if lam is not None else 0)
+    spare = np.empty_like(state)  # the states alternate between two arrays
     worst_nu = [0.0] * len(starts)
     outflow = np.zeros(lead)  # mass each lead row has lost through the boundary
     low = state[:, :lead].copy()  # each cell's smallest average so far
@@ -399,11 +466,11 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
             worst_nu[r] = max(worst_nu[r], nu)
         rates = []  # the block's three stage outflow rates a step
         for stages in steps:
-            state, rate = _step(state, space, dt, stages)
+            spare, (state, rate) = state, _step(state, space, dt, stages, work, spare)
             t = t + dt
             if snapshots is not None:
-                # one contiguous copy of the rows, or a view of a single row
-                for row, snaps in zip(np.ascontiguousarray(state.T), snapshots):
+                # one fresh array of the step's rows, each row contiguous
+                for row, snaps in zip(state.T.copy(), snapshots):
                     snaps.append(DensityField(space, row, t))
             if check:
                 rates.append(rate)

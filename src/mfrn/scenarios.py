@@ -113,6 +113,10 @@ class Scenario:
                 activation_preimage(self.act, p["beta"] / self.t_final)
             except ValueError as e:
                 raise ConfigValueError("params.beta", f"/ t_final: {e}") from None
+        beta = p.get("beta", 0.0)
+        if not (0.5 + beta) - (-0.5 + beta) > 0:  # target_field's indicator has no width
+            raise ConfigValueError("params.beta", f"= {beta!r} leaves the target indicator "
+                                                  "[beta - 1/2, beta + 1/2] no width")
         if self.name in TRAINING_NAMES:
             # refused here too, so a run reports it at the dt line before it
             # writes anything
@@ -248,7 +252,8 @@ def activation_preimage(act: Activation, r: float) -> float:
             raise ValueError(f"rate {r!r} is outside the tanh image (-1, 1)")
         return math.atanh(r)
     # gcu: x*cos(x) is continuous and unbounded both ways, so a root always
-    # exists; bracket by scanning outward, then bisect.
+    # exists; bracket by scanning outward, then bisect until no float lies
+    # between the ends, comparing signs (a product of residuals can overflow)
     span = 4.0
     while True:
         if not math.isfinite(2.0 * span):  # the next scan's width overflows
@@ -257,16 +262,18 @@ def activation_preimage(act: Activation, r: float) -> float:
         below = xs * np.cos(xs) < r  # the sign of x cos(x) - r, which may overflow
         sign_change = np.nonzero(np.diff(below))[0]
         if sign_change.size:
-            lo, hi = xs[sign_change[0]], xs[sign_change[0] + 1]
+            lo, hi = xs[sign_change[0]].item(), xs[sign_change[0] + 1].item()
             break
         span *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if (lo * math.cos(lo) - r) * (mid * math.cos(mid) - r) <= 0:
-            hi = mid
-        else:
+    lo_below = lo * math.cos(lo) < r
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if (mid * math.cos(mid) < r) == lo_below:
             lo = mid
-    return 0.5 * (lo + hi)
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return min(lo, hi, key=lambda x: abs(x * math.cos(x) - r))
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,24 @@ class TestRunFailures:
                            says=f"{cfgp}:{line}: params.beta / t_final: rate inf is not finite\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config", ["test1_identity", "shift_identity"])
+    def test_a_shift_too_large_for_the_indicator_exits_two_at_the_beta_line(self, tmp_path,
+                                                                            capsys, config):
+        # at 1e16 both ends of [beta - 1/2, beta + 1/2] round to beta; the
+        # target's density 1 / (hi - lo) once divided by zero mid-run
+        data = json.loads((SCENARIO_DIR / f"{config}.json").read_text())
+        data["params"]["beta"] = 1e16
+        text = json.dumps(data, indent=2, sort_keys=True)
+        cfgp = tmp_path / "far.json"
+        cfgp.write_text(text)
+        rc = cli.main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        line = 1 + next(i for i, r in enumerate(text.splitlines()) if '"beta":' in r)
+        assert capsys.readouterr().err == (
+            f"{cfgp}:{line}: params.beta = 1e+16 leaves the target indicator "
+            "[beta - 1/2, beta + 1/2] no width\n")
+        assert not (tmp_path / "o").exists()
+
     COARSE = ("dt = 0.04 > 1.45*dx = 0.03625: the bounded activation sigmoid reaches speed 1, "
               "so a line-search trial could break the hard CFL bound")
 

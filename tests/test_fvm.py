@@ -2,6 +2,7 @@
 
 import logging
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -64,10 +65,16 @@ def oracle_cweno3(a, b, c, eps=1e-6):
     return float(wgt @ lefts), float(wgt @ rights)
 
 
+def cweno3_faces(a, b, c, eps):
+    """The solver's faces of the stencils (a, b, c), one a column of a
+    three-cell array."""
+    left, right = _cweno3_faces(np.stack([a, b, c]), eps, np.empty((10, 2, a.size)))
+    return left[0], right[0]
+
+
 def reconstruct(stencil, eps=1e-6):
     """Solver face values (left, right) of one cell from its three-cell stencil."""
-    a, b, c = (np.array([v], dtype=float) for v in stencil)
-    left, right = _cweno3_faces(a, b, c, eps=eps)
+    left, right = cweno3_faces(*(np.array([v], dtype=float) for v in stencil), eps)
     return float(left[0]), float(right[0])
 
 
@@ -139,8 +146,25 @@ def coefficients(sL, sR, lam):
 
 
 def limited(uc, uL, uR, sL, sR, lam):
-    """The solver's limiter on cells with edge speeds sL, sR."""
-    return _limited_faces(uc, uL, uR, coefficients(sL, sR, lam))
+    """The solver's limiter on cells with edge speeds sL, sR, into copies
+    of the faces."""
+    uL, uR = np.array(uL, dtype=float), np.array(uR, dtype=float)
+    work = np.empty((6, uc.size)), np.empty((2, uc.size), bool)
+    _limited_faces(uc, uL, uR, coefficients(sL, sR, lam), work)
+    return uL, uR
+
+
+def sweep_rhs(avg, grid, speed, limited=0, lam=None, work=None):
+    """The solver's _rhs of the rows of avg under speed (cells and edges on
+    axis 0, rows on axis 1), the first `limited` rows limited at lam, in
+    work or a fresh workspace."""
+    limiter = None
+    if limited:
+        limiter = [c.reshape(-1) for c in coefficients(speed[:-1, :limited],
+                                                       speed[1:, :limited], lam)]
+    if work is None:
+        work = fvm._StageWork(grid.n_cells, avg.shape[1], limited)
+    return _rhs(avg, grid, speed, limiter, work, np.empty(avg.shape))
 
 
 def reference_rhs(avg, grid, speed, positivity_dt=None):
@@ -206,7 +230,7 @@ class TestLeanKernelsAreBitwiseTheFormulas:
               np.array([0.0, 0.0, 2.0])], 0.025)
     def test_cweno3_faces(self, cols, eps):
         a, b, c = cols
-        got = quiet(_cweno3_faces, a, b, c, eps)
+        got = quiet(cweno3_faces, a, b, c, eps)
         want = reference_cweno3_faces(a, b, c, eps)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -253,17 +277,70 @@ class TestLeanKernelsAreBitwiseTheFormulas:
         grid = Grid1D(-2.0, 3.0, avg.size)
         speed = np.array(data.draw(st.lists(_SPEED, min_size=avg.size + 1,
                                             max_size=avg.size + 1)))
-        def stage():
-            limiter = None
-            if positivity_dt is not None:
-                limiter = coefficients(speed[:-1], speed[1:], positivity_dt / grid.dx)
-            return _rhs(avg[:, None], grid, speed[:, None], limiter)
-
-        du, out = quiet(stage)
+        limited = int(positivity_dt is not None)
+        du, out = quiet(sweep_rhs, avg[:, None], grid, speed[:, None], limited,
+                        positivity_dt / grid.dx if limited else None)
         want_du, want_out = reference_rhs(avg, grid, speed, positivity_dt)
         assert du.shape == (avg.size, 1)
         assert np.array_equal(du[:, 0], want_du)
         assert out.tolist() == [want_out]
+
+
+class TestStageWorkspace:
+    @given(st.sampled_from([(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (9, 0), (9, 9)]),
+           st.integers(min_value=8, max_value=30), st.data(), st.sampled_from([1e-2, 5e-2]))
+    def test_a_reused_workspace_carries_nothing_over(self, rows_limited, cells, data, pos_dt):
+        # A then B on one workspace: B is bitwise B on a fresh workspace and
+        # the reference kernels, signed zeros included, so no where= mask,
+        # theta or ghost row of A's stage leaks into B's
+        rows, limited = rows_limited
+        grid = Grid1D(-2.0, 3.0, cells)
+        lam = pos_dt / grid.dx
+
+        def draw(values, size):
+            return np.array(data.draw(st.lists(st.tuples(*[values] * rows),
+                                               min_size=size, max_size=size)))
+
+        a, b = draw(_AVERAGE, cells), draw(_AVERAGE, cells)
+        speed_a, speed_b = draw(_SPEED, cells + 1), draw(_SPEED, cells + 1)
+        work = fvm._StageWork(cells, rows, limited)
+        quiet(sweep_rhs, a, grid, speed_a, limited, lam, work)
+        got_du, got_out = quiet(sweep_rhs, b, grid, speed_b, limited, lam, work)
+        fresh_du, fresh_out = quiet(sweep_rhs, b, grid, speed_b, limited, lam)
+        assert got_du.tobytes() == fresh_du.tobytes()
+        assert got_out.tobytes() == fresh_out.tobytes()
+        for r in range(rows):
+            want_du, want_out = reference_rhs(b[:, r], grid, speed_b[:, r],
+                                              pos_dt if r < limited else None)
+            assert got_du[:, r].tobytes() == want_du.tobytes()
+            assert got_out[r:r + 1].tobytes() == np.array([want_out]).tobytes()
+        assert not work.padded[:2].any() and not work.padded[-2:].any()
+
+    @pytest.mark.parametrize("rows, limited", [(1, 0), (1, 1), (2, 1), (9, 9)])
+    def test_a_step_allocates_only_its_outflow_rates(self, rows, limited):
+        # with the sweep's workspace and its output array given, one SSP-RK3
+        # step allocates nothing of the grid's size: its outflow rates and
+        # numpy's view objects only.  A cast through numpy's buffer (a bool
+        # array into a float one) would take up to 8 KiB
+        grid = Grid1D(-2.0, 3.0, 3200)
+        tg = TimeGrid.from_step(4e-3, 2e-3)
+        drifts = scaled_trials(tg, "tanh", lambda t: 0.3 + 0.0 * t, lambda t: 0.2 + t, rows)
+        avg = np.repeat(project_initial(gaussian_density(0.3, 0.25), grid).averages[:, None],
+                        rows, axis=1)
+        work, out = fvm._StageWork(grid.n_cells, rows, limited), np.empty_like(avg)
+        lam = tg.dt / grid.dx if limited else None
+        schedule = _stage_schedule(drifts, grid, 0.0, tg.dt, tg.n_steps, lam, limited)
+        (stages,), _ = next(schedule)
+        fvm._step(avg, grid, tg.dt, stages, work, out)  # numpy's one-time set-up
+        want = out.copy()
+        tracemalloc.start()
+        try:
+            fvm._step(avg, grid, tg.dt, stages, work, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == want.tobytes()
+        assert peak <= 8192 + 64 * rows < avg.nbytes
 
 
 # rounding allowance of the limiter's guarantees, relative to the cell's
@@ -313,7 +390,7 @@ class TestFlux:
 
 def one_row_rhs(avg, grid, speed):
     """The unlimited stage derivative of a single row (cells on axis 0)."""
-    return _rhs(avg[:, None], grid, speed[:, None])[0][:, 0]
+    return sweep_rhs(avg[:, None], grid, speed[:, None])[0][:, 0]
 
 
 class TestSemidiscreteRhs:

@@ -5,6 +5,7 @@ import logging
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -282,6 +283,22 @@ class TestPreimages:
     def test_oscillatory_kind_solved_numerically(self):
         b0 = activation_preimage(Activation("gcu"), 2.0)
         assert abs(b0 * np.cos(b0) - 2.0) <= 1e-10
+
+    @pytest.mark.parametrize("rate", [1e10, 1e100, 1e300, -1e300])
+    def test_gcu_preimage_is_a_float_next_to_a_root(self, rate):
+        # bisection ends on two neighbouring floats around a sign change of
+        # x cos(x) - r and returns the one with the smaller residual.  A root
+        # lies within one ulp of it, so the residual is at most the slope
+        # bound 1 + |x| times one ulp.  Far out one ulp spans many periods of
+        # cos and the residual relative to r is large (0.33 at 1e100), but no
+        # float next to the root does better
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = activation_preimage(Activation("gcu"), rate)
+        res = lambda x: x * math.cos(x) - rate  # noqa: E731
+        beside = [np.nextafter(b, -math.inf).item(), np.nextafter(b, math.inf).item()]
+        assert any((res(x) < 0) != (res(b) < 0) and abs(res(b)) <= abs(res(x)) for x in beside)
+        assert abs(res(b)) / (1.0 + abs(b)) <= abs(np.spacing(b))
 
     @pytest.mark.parametrize("kind,rate,fragment", [
         ("relu", -0.1, "relu image"),

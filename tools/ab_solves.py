@@ -21,13 +21,18 @@ positions.
 
 In every case the two sides' calls alternate, the side that goes first
 alternating too, and the script prints each side's median time, the ratio
-head / base, and whether the results are bitwise equal.  The last lines are
+head / base, each side's median count of minor page faults a call
+(``resource.getrusage`` ``ru_minflt`` around it: an exact count beside the
+noisy times, of the pages the call's temporaries had mapped in anew), and
+whether the results are bitwise equal.  The last lines are
 the geometric means of the ratios, over the forward, adjoint and paired
 cases, over the batch cases and over the ensemble cases.  Plain timings of
 one tree on a shared machine can drift by 2x within minutes; two runs of
 this script on the same tree read within a few percent of 1 on a quiet
 machine, and the 200- and 400-cell cases spread to about 0.88-1.18 under
-other tenants' load.  Standard library and numpy.
+other tenants' load.  A page-fault count does not depend on the load, only
+on the state of the heap, which the two sides share.  Standard library and
+numpy (``resource`` makes it Unix only).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import importlib.util
 import logging
 import math
+import resource
 import statistics
 import sys
 import time
@@ -107,18 +113,23 @@ def _ensemble(pkg, size: int, act: str):
     return lambda: [pkg.particle.ode_integrate(xs, controls, core.Activation(act), 0.01, 1.0)]
 
 
-def _compare(calls: dict) -> tuple[dict, bool]:
-    """Each side's median time over ROUNDS alternating calls, and whether the
-    two sides' results are bitwise equal."""
+def _compare(calls: dict) -> tuple[dict, dict, bool]:
+    """Each side's median time and median minor page faults over ROUNDS
+    alternating calls, and whether the two sides' results are bitwise
+    equal."""
     bits = {side: [getattr(a, "averages", a).tobytes() for a in call()]
             for side, call in calls.items()}
     times = {side: [] for side in calls}
+    faults = {side: [] for side in calls}
     for r in range(ROUNDS):
         for side in (("base", "head") if r % 2 == 0 else ("head", "base")):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             calls[side]()
             times[side].append(time.perf_counter() - t0)
+            faults[side].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     return ({side: statistics.median(ts) for side, ts in times.items()},
+            {side: statistics.median(fs) for side, fs in faults.items()},
             bits["base"] == bits["head"])
 
 
@@ -130,16 +141,16 @@ def main(argv: list[str]) -> int:
     sides = {"base": _load(Path(argv[0]).resolve(), "mfrn_base"),
              "head": _load(Path(argv[1]).resolve(), "mfrn_head")}
     print(f"{'size':>6} {'activation':>10} {'case':>8} {'base ms':>9} {'head ms':>9} "
-          f"{'ratio':>6}  same bits")
+          f"{'ratio':>6} {'base flt':>8} {'head flt':>8}  same bits")
     ratios = {}
 
     def report(size, act, kind, group, calls):
-        med, same = _compare(calls)
+        med, flt, same = _compare(calls)
         ratio = med["head"] / med["base"]
         ratios.setdefault(group, []).append(ratio)
         print(f"{size:>6} {act:>10} {kind:>8} "
-              f"{1e3 * med['base']:>9.2f} {1e3 * med['head']:>9.2f} {ratio:>6.3f}  "
-              f"{'yes' if same else 'NO'}", flush=True)
+              f"{1e3 * med['base']:>9.2f} {1e3 * med['head']:>9.2f} {ratio:>6.3f} "
+              f"{flt['base']:>8g} {flt['head']:>8g}  {'yes' if same else 'NO'}", flush=True)
 
     for n_cells in CELLS:
         for act in ACTIVATIONS:
