@@ -155,6 +155,10 @@ class ControlPath:
     the container itself does not enforce the pin because verification runs
     (constant-bias transports, closed-form solutions) legitimately use
     unpinned paths.  The optimizer re-pins after every update.
+
+    The samples are read-only copies, so a scalar time is interpolated once:
+    eval_w and eval_b keep the value read at each float time, and the RK4
+    particle stages read the same few hundred times for every block.
     """
 
     grid: TimeGrid
@@ -162,10 +166,14 @@ class ControlPath:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        w = np.array(self.w, dtype=float)
+        b = np.array(self.b, dtype=float)
+        w.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
+        # not fields: equality, repr and replace() see only the samples
+        object.__setattr__(self, "_w_at", {})
+        object.__setattr__(self, "_b_at", {})
         n = self.grid.n_steps + 1
         if w.shape != (n,) or b.shape != (n,):
             raise ValueError(
@@ -185,8 +193,7 @@ class ControlPath:
         cls, grid: TimeGrid, w_fn: Callable[[np.ndarray], np.ndarray],
         b_fn: Callable[[np.ndarray], np.ndarray],
     ) -> "ControlPath":
-        t = grid.nodes.copy()  # w_fn = identity must not hand out the read-only nodes
-        return cls(grid, np.asarray(w_fn(t), dtype=float), np.asarray(b_fn(t), dtype=float))
+        return cls(grid, w_fn(grid.nodes), b_fn(grid.nodes))  # __post_init__ copies
 
     @classmethod
     def constant(cls, grid: TimeGrid, w: float, b: float) -> "ControlPath":
@@ -207,13 +214,19 @@ class ControlPath:
             )
         return t
 
+    def _interp(self, t, samples, memo):
+        if not isinstance(t, float):  # an array of times is read afresh
+            return np.interp(self._check_time(t), self.grid.nodes, samples)
+        v = memo.get(t)  # only a checked time is stored, so NaN never hits
+        if v is None:
+            v = memo[t] = np.interp(self._check_time(t), self.grid.nodes, samples)
+        return v
+
     def eval_w(self, t):
-        t = self._check_time(t)
-        return np.interp(t, self.grid.nodes, self.w)
+        return self._interp(t, self.w, self._w_at)
 
     def eval_b(self, t):
-        t = self._check_time(t)
-        return np.interp(t, self.grid.nodes, self.b)
+        return self._interp(t, self.b, self._b_at)
 
     def pinned(self) -> "ControlPath":
         """Copy with the admissible-set pin w(0) = b(0) = 0 applied."""

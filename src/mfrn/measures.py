@@ -61,7 +61,8 @@ def particles_to_density(x: np.ndarray, grid: Grid1D) -> DensityField:
     density on the grid.
 
     Particles outside the domain are counted, reported via a warning, and the
-    remaining mass is renormalized to one.
+    remaining mass is renormalized to one.  A NaN or infinite position is no
+    place at all, and raises ValueError.
     """
     x = np.asarray(x)
     if x.ndim != 1:
@@ -70,7 +71,11 @@ def particles_to_density(x: np.ndarray, grid: Grid1D) -> DensityField:
     counts, _ = np.histogram(x, bins=grid.edges)
     inside = int(counts.sum())
     outside = x.size - inside
-    if outside > 0:
+    if outside > 0:  # the histogram drops non-finite positions too
+        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+        if bad:
+            raise ValueError(f"{bad} of {x.size} particle positions are not finite "
+                             "(NaN or infinite); cannot form a density")
         log.warning(
             "%d of %d particles fall outside [%g, %g]; renormalizing the rest",
             outside, x.size, grid.a, grid.b,

@@ -144,8 +144,10 @@ class TestTimeGrid:
         # the cache is not a field: equality and hashing are unchanged
         fresh = TimeGrid.from_step(0.5, 0.05)
         assert fresh == tg and hash(fresh) == hash(tg)
-        # a path sampled from the nodes themselves does not inherit the flag
-        assert ControlPath.from_functions(tg, lambda t: t, lambda t: t).w.flags.writeable
+        # a path sampled from the nodes themselves never hands them out
+        path = ControlPath.from_functions(tg, lambda t: t, lambda t: t)
+        assert not np.shares_memory(path.w, tg.nodes)
+        assert not np.shares_memory(path.b, tg.nodes)
 
 
 class TestControlPath:
@@ -255,6 +257,70 @@ class TestControlPath:
         tg = TimeGrid.from_step(1.0, 0.5)
         with pytest.raises(ValueError):
             ControlPath(tg, w=np.array([0.0, np.nan, 0.0]), b=np.zeros(3))
+
+    def test_samples_are_read_only_copies(self):
+        tg = TimeGrid.from_step(1.0, 0.5)
+        w, b = np.array([0.0, 0.1, -0.4]), np.array([0.0, 0.2, 0.3])
+        c = ControlPath(tg, w, b)
+        for mine, kept in ((w, c.w), (b, c.b)):
+            assert not kept.flags.writeable and not np.shares_memory(mine, kept)
+            with pytest.raises(ValueError):
+                kept[1] = 1.0
+            mine[1] = 9.0  # the caller's arrays stay theirs
+        assert c.w[1] == 0.1 and c.b[1] == 0.2
+        assert c.pinned().w.flags.writeable is False
+
+    @given(st.integers(min_value=1, max_value=40),
+           st.sampled_from([0.01, 0.05, 0.1, 1.0 / 3.0, 0.7]),
+           st.data())
+    def test_scalar_reads_are_bitwise_np_interp(self, n, dt, data):
+        # the memoized value, on its first read and on every later one, is
+        # np.interp's at every time a run reads
+        tg = TimeGrid.from_step(n * dt, dt)
+        finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+        w = np.array(data.draw(st.lists(finite, min_size=n + 1, max_size=n + 1)))
+        b = np.array(data.draw(st.lists(finite, min_size=n + 1, max_size=n + 1)))
+        T, slack = tg.t_final, 1e-12 * max(1.0, tg.t_final)
+        times = [float(t) for t in tg.nodes] + [k * dt for k in range(n + 1)]
+        times += [k * dt + 0.5 * dt for k in range(n)] + [T + 0.5 * slack, -0.0, 0.0]
+        t = 0.0
+        while t <= T + slack:  # times accumulated by repeated + dt
+            times.append(t)
+            t += dt
+        for order in (times, times[::-1], [-0.0] + times):  # either zero read first
+            c = ControlPath(tg, w, b)
+            for _ in range(2):
+                for t in order:
+                    for got, samples in ((c.eval_w(t), w), (c.eval_b(t), b)):
+                        want = np.interp(t, tg.nodes, samples)
+                        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_repeated_scalar_reads_return_the_same_object(self):
+        c = ControlPath.from_functions(TimeGrid.from_step(1.0, 0.1), np.sin, np.cos)
+        for t in (0.0, 0.37, 0.1 + 0.2, 1.0):
+            assert c.eval_w(t) is c.eval_w(t) and c.eval_b(t) is c.eval_b(t)
+        assert c.eval_w(np.float64(0.37)) is c.eval_w(0.37)
+
+    def test_bad_scalar_times_raise_after_valid_reads(self):
+        c = ControlPath.from_functions(TimeGrid.from_step(1.0, 0.1), np.sin, np.cos)
+        for t in (0.0, 0.5, 1.0):
+            c.eval_w(t), c.eval_b(t)
+        for t in (math.nan, np.float64(math.nan), -0.2, 1.5, math.inf):
+            for _ in range(2):
+                for read in (c.eval_w, c.eval_b):
+                    with pytest.raises(ValueError, match="outside control domain"):
+                        read(t)
+
+    def test_array_reads_leave_the_memo_alone(self):
+        c = ControlPath.from_functions(TimeGrid.from_step(1.0, 0.1), np.sin, np.cos)
+        for t in (np.linspace(0.0, 1.0, 7), np.array(0.5), np.array([0.25]), 1):
+            c.eval_w(t), c.eval_b(t)
+        assert c._w_at == {} and c._b_at == {}
+        c.eval_w(0.5)
+        assert list(c._w_at) == [0.5] and c._b_at == {}
+        times = np.array([0.5, 0.05])
+        assert np.array_equal(c.eval_w(times), np.interp(times, c.grid.nodes, c.w))
+        assert list(c._w_at) == [0.5]
 
 
 class TestRunConfig:

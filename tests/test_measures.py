@@ -163,6 +163,25 @@ class TestParticleHistogram:
             particles_to_density(x, grid)
         assert not caplog.records
 
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [np.nan, -np.inf]],
+                             ids=["nan", "inf", "nan and -inf"])
+    def test_non_finite_positions_are_named(self, bad):
+        # a NaN or infinite position is no place at all, not a particle outside
+        grid = Grid1D(-2.0, 3.0, 50)
+        x = np.array([*bad, 0.5, 0.7, 5.0])
+        with pytest.raises(ValueError, match=f"^{len(bad)} of {x.size} particle positions "
+                                             "are not finite"):
+            particles_to_density(x, grid)
+
+    def test_finite_positions_outside_still_warn(self, caplog):
+        grid = Grid1D(-2.0, 3.0, 50)
+        x = np.array([-1e300, 0.5, 0.7, 1e300])
+        with caplog.at_level(logging.WARNING, logger="mfrn.measures"):
+            f = particles_to_density(x, grid)
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 of 4 particles fall outside [-2, 3]; renormalizing the rest"]
+        assert_allclose(f.mass, 1.0, rtol=1e-14)
+
     def test_all_outside_rejected(self):
         grid = Grid1D(0.0, 1.0, 10)
         with pytest.raises(ValueError, match="no particles inside"):

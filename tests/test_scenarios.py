@@ -5,6 +5,7 @@ import logging
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfrn import optim, scenarios
+from mfrn import optim, particle, scenarios
 from mfrn.core import Activation, ConfigValueError, ControlPath, TimeGrid, activation
 from mfrn.fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from mfrn.measures import moments, particles_to_density, wasserstein1
@@ -240,6 +241,66 @@ class TestConvergenceStudy:
     def test_target_field_undefined(self):
         with pytest.raises(ValueError, match="no fixed target density"):
             shipped("convergence").target_field()
+
+
+def per_ensemble_study(sc: Scenario) -> np.ndarray:
+    """The study's W1 table with one integration per seed and size, each
+    ensemble its own array: the loop before a seed's ensembles were packed."""
+    controls = sc.exact_controls()
+    f0 = sc.initial_density()
+    f_T = solve_transport(f0, DriftSpec(controls, sc.act), sc.time_grid, cfl=sc.config.cfl)[-1]
+
+    def one(seed_index, M):
+        rng = np.random.default_rng([sc.seed, seed_index, M])
+        moved = ode_integrate(sample_from_density(f0, M, rng), controls, sc.act, sc.dt,
+                              sc.t_final)
+        return wasserstein1(particles_to_density(moved, sc.space_grid), f_T)
+
+    return np.array([[one(i, M) for M in sc.params["M_list"]]
+                     for i in range(sc.params["n_seeds"])])
+
+
+class TestPackedStudy:
+    """run_convergence_study integrates all of a seed's ensembles as one array."""
+
+    @staticmethod
+    def study(**params):
+        sc = shipped("convergence")
+        return replace(sc, params={**sc.params, **params})
+
+    def test_packed_seeds_are_bitwise_the_per_ensemble_loop(self, monkeypatch):
+        # blocks of 8 rows: the slices of sizes 3, 8, 13 and 30 start and end
+        # inside blocks and across them
+        monkeypatch.setattr(particle, "_BLOCK_ROWS", 8)
+        sc = self.study(n_seeds=2, M_list=[3, 8, 13, 30])
+        rows = []
+
+        def counted(ens, *args):
+            rows.append(len(ens))
+            return ode_integrate(ens, *args)
+
+        monkeypatch.setattr(scenarios, "ode_integrate", counted)
+        report = run_convergence_study(sc)
+        assert rows == [54, 54]  # one integration per seed
+        assert report.w1_by_seed.tobytes() == per_ensemble_study(sc).tobytes()
+
+    def test_a_seed_holds_its_own_positions_only(self, monkeypatch):
+        # a seed holds at most its packed samples, their integrated copy, the
+        # stage buffers and one sample (drawing one holds the packed array and
+        # its uniforms and positions), and the short PDE solve ahead holds
+        # little: 1.48 MB against 1.58 MB here.  A study packed across seeds
+        # would hold a second seed's samples and copy, 1.99 MB or more
+        monkeypatch.setattr(particle, "_BLOCK_ROWS", 1024)
+        M_list = [2_000, 60_000]
+        sc = replace(self.study(n_seeds=2, M_list=M_list), t_final=0.2)
+        total, largest = sum(M_list), max(M_list)
+        tracemalloc.start()
+        try:
+            run_convergence_study(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 * total + largest + 5 * particle._BLOCK_ROWS) + 64 * 1024
 
 
 class TestExactControlConstructions:

@@ -17,16 +17,20 @@ compared.  The ensemble cases integrate 1e2, 1e3, 1e4 and 1e5 particles
 drawn from N(0.5, 0.3^2) with RK4 (``particle.ode_integrate``) under the
 controls of ``scenarios/convergence.json`` (w = 0.4 sin(pi t), b = 0.3 t,
 dt 0.01, T = 1), with identity, sigmoid and tanh, and compare the final
-positions.
+positions; each case keeps one ControlPath across its calls, as the study
+does across its seeds.  The study case runs the whole convergence study of
+``scenarios/convergence.json`` (``scenarios.run_convergence_study``: one PDE
+solve, then 5 seeds of 1e2 to 1e5 particles) over STUDY_ROUNDS rounds and
+compares the W1 tables.
 
 In every case the two sides' calls alternate, the side that goes first
 alternating too, and the script prints each side's median time, the ratio
 head / base, each side's median count of minor page faults a call
 (``resource.getrusage`` ``ru_minflt`` around it: an exact count beside the
 noisy times, of the pages the call's temporaries had mapped in anew), and
-whether the results are bitwise equal.  The last lines are
-the geometric means of the ratios, over the forward, adjoint and paired
-cases, over the batch cases and over the ensemble cases.  Plain timings of
+whether the results are bitwise equal.  The last lines are the geometric
+means of the ratios, over the forward, adjoint and paired cases, over the
+batch cases, over the ensemble cases and of the study.  Plain timings of
 one tree on a shared machine can drift by 2x within minutes; two runs of
 this script on the same tree read within a few percent of 1 on a quiet
 machine, and the 200- and 400-cell cases spread to about 0.88-1.18 under
@@ -38,6 +42,7 @@ numpy (``resource`` makes it Unix only).
 from __future__ import annotations
 
 import importlib.util
+import json
 import logging
 import math
 import resource
@@ -56,6 +61,7 @@ BATCH_ROWS = 9
 STEPS = 100
 ROUNDS = 15
 ENSEMBLE_SIZES = (100, 1000, 10_000, 100_000)
+STUDY_ROUNDS = 5  # a study takes about a second a call
 
 
 def _load(tree: Path, name: str):
@@ -70,6 +76,15 @@ def _load(tree: Path, name: str):
             spec.loader.exec_module(module)
             return module
     raise SystemExit(f"{tree}: no mfrn package in it or in its src/")
+
+
+def _study_config(tree: Path) -> dict:
+    """scenarios/convergence.json of the checkout tree (or of its src's parent)."""
+    for root in (tree, tree.parent):
+        path = root / "scenarios" / "convergence.json"
+        if path.is_file():
+            return json.loads(path.read_text())
+    raise SystemExit(f"{tree}: no scenarios/convergence.json in it or its parent")
 
 
 def _case(pkg, n_cells: int, act: str, kind: str):
@@ -113,15 +128,22 @@ def _ensemble(pkg, size: int, act: str):
     return lambda: [pkg.particle.ode_integrate(xs, controls, core.Activation(act), 0.01, 1.0)]
 
 
-def _compare(calls: dict) -> tuple[dict, dict, bool]:
-    """Each side's median time and median minor page faults over ROUNDS
+def _study(pkg, config: dict):
+    """The convergence study of config, as a zero-argument callable that
+    returns its W1 table (seeds by ensemble sizes)."""
+    sc = pkg.scenarios.scenario_from_config(config)
+    return lambda: [pkg.scenarios.run_convergence_study(sc).w1_by_seed]
+
+
+def _compare(calls: dict, rounds: int = ROUNDS) -> tuple[dict, dict, bool]:
+    """Each side's median time and median minor page faults over rounds
     alternating calls, and whether the two sides' results are bitwise
     equal."""
     bits = {side: [getattr(a, "averages", a).tobytes() for a in call()]
             for side, call in calls.items()}
     times = {side: [] for side in calls}
     faults = {side: [] for side in calls}
-    for r in range(ROUNDS):
+    for r in range(rounds):
         for side in (("base", "head") if r % 2 == 0 else ("head", "base")):
             f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
@@ -144,8 +166,8 @@ def main(argv: list[str]) -> int:
           f"{'ratio':>6} {'base flt':>8} {'head flt':>8}  same bits")
     ratios = {}
 
-    def report(size, act, kind, group, calls):
-        med, flt, same = _compare(calls)
+    def report(size, act, kind, group, calls, rounds=ROUNDS):
+        med, flt, same = _compare(calls, rounds)
         ratio = med["head"] / med["base"]
         ratios.setdefault(group, []).append(ratio)
         print(f"{size:>6} {act:>10} {kind:>8} "
@@ -164,6 +186,9 @@ def main(argv: list[str]) -> int:
         for act in ACTIVATIONS:
             report(size, act, "ensemble", "ensemble",
                    {side: _ensemble(pkg, size, act) for side, pkg in sides.items()})
+    config = _study_config(Path(argv[1]).resolve())
+    report("1e5", config["activation"], "study", "study",
+           {side: _study(pkg, config) for side, pkg in sides.items()}, STUDY_ROUNDS)
     for group, some in ratios.items():
         geo = math.exp(sum(map(math.log, some)) / len(some))
         print(f"geometric mean ratio head / base over {len(some)} {group} cases: {geo:.3f}")
