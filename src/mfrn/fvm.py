@@ -12,17 +12,20 @@ stability margin raises, naming the speed, while a solve that exceeded the
 configured CFL number logs it once at its end (the scheme loses its nominal
 non-oscillatory guarantee but remains linearly stable).
 
-One stepping loop advances every row of a sweep: a solve's own field and, on
-request, the adjoint of the same controls, which training needs beside a
-forward solve (solve_transport); or the forward solves of several controls
-from one start, keeping only their final fields, as a line search costs its
-trials (solve_final_fields).  The rows' cell averages form one array, cells
-on axis 0 and rows on axis 1, so every numpy call of a stage serves every
-row and the stencil's shifted views stay contiguous.  Rows do not interact,
-so each is bitwise its own solve.  The adjoint row's drift is the first
-row's read in reversed time.  Each row has its own CFL check and warning,
-the positivity limiter and the mass and sign checks apply to each forward
-row, and a row past the hard margin fails the whole sweep.
+One stepping loop (_sweep) advances every row of a sweep and returns what
+it computed, for two entry points.  solve_transport keeps every node's field
+of a solve and, on request, of the adjoint of the same controls: training's
+paired sweeps (its first iterate, and optim.reduced_cost(..., paired=True)
+in its line searches), the scenarios' solves, the gradient checks and the
+benchmark.  solve_final_fields keeps only the final fields of forward solves
+of several controls from one start: a line search's other trials, and a lone
+cost (optim.reduced_cost) as one row.  The rows' cell averages form one
+array, cells on axis 0 and rows on axis 1, so every numpy call of a stage
+serves every row and the stencil's shifted views stay contiguous.  Rows do
+not interact, so each is bitwise its own solve.  The adjoint row's drift is
+the first row's read in reversed time.  Each row has its own CFL check and
+warning, the positivity limiter and the mass and sign checks apply to each
+forward row, and a row past the hard margin fails the whole sweep.
 
 A sweep allocates its stage workspace once (_StageWork): every stage writes
 its ghost-padded averages, faces, limiter terms, fluxes and derivative into
@@ -431,19 +434,20 @@ def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages, work: _StageWork,
 
 def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, cfl: float,
            lead: int, lam: float | None,
-           snapshots: list[list[DensityField]] | None = None) -> list[DensityField]:
+           keep: bool = False) -> list[DensityField] | list[list[DensityField]]:
     """Advance row r from starts[r] under drifts[r], all rows in one SSP-RK3
-    loop, and return the final fields of the first `lead` rows: every row,
-    or the forward row of a paired sweep, whose second row is its adjoint.
+    loop.  Return the final fields of the first `lead` rows: every row, or
+    the forward row of a paired sweep, whose second row is its adjoint.
+    With keep, return instead every row's fields at every node, start field
+    first, one list a row; a step's fields are views of one fresh array.
     The lead rows are limited with lam, and checked when drifts[0] is forward
-    (a sweep's lead rows all run one way).  A block that
-    takes any row past the hard CFL margin raises before its first step,
-    naming that row's speed.  snapshots, one list a row, receive every
-    step's fields, as views of one fresh array a step.
+    (a sweep's lead rows all run one way).  A block that takes any row past
+    the hard CFL margin raises before its first step, naming that row's
+    speed.
 
     The stages compute in one _StageWork, allocated here, and the state
     alternates between two arrays, so the loop's allocations per step are
-    the snapshots' array and the rows' outflow rates."""
+    the kept fields' array and the rows' outflow rates."""
     space, dt = starts[0].grid, grid.dt
     check = not drifts[0].time_reversed
     state = np.stack([f.averages for f in starts], axis=1)  # cells x rows
@@ -452,6 +456,7 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
     worst_nu = [0.0] * len(starts)
     outflow = np.zeros(lead)  # mass each lead row has lost through the boundary
     low = state[:, :lead].copy()  # each cell's smallest average so far
+    rows = [[f] for f in starts] if keep else None
     t = starts[0].time
     for steps, smax in _stage_schedule(drifts, space, t, dt, grid.n_steps, lam, lead):
         # rounding is monotone: the block's largest speed gives its largest
@@ -468,10 +473,10 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
         for stages in steps:
             spare, (state, rate) = state, _step(state, space, dt, stages, work, spare)
             t = t + dt
-            if snapshots is not None:
+            if keep:
                 # one fresh array of the step's rows, each row contiguous
-                for row, snaps in zip(state.T.copy(), snapshots):
-                    snaps.append(DensityField(space, row, t))
+                for averages, fields in zip(state.T.copy(), rows):
+                    fields.append(DensityField(space, averages, t))
             if check:
                 rates.append(rate)
                 np.minimum(low, state[:, :lead], out=low)
@@ -499,7 +504,7 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
                             "exceeds 1e-10", drift_mass)
             if worst < -1e-8:
                 log.warning("forward solve produced cell average %.3e below -1e-8", worst)
-    return finals
+    return rows if keep else finals
 
 
 def solve_transport(
@@ -528,12 +533,9 @@ def solve_transport(
     rows' snapshots, each bitwise those of its own solve.  Each row logs its
     own CFL warning, and a row past the hard CFL bound fails the sweep.
 
-    The work that depends only on the controls is done before the stages
-    that use it (_stage_schedule): the speeds at the edges for every stage
-    time, their largest magnitude for the CFL check, and the limiter's
-    speed-only coefficients.  They are built _BLOCK_DOUBLES // (n_cells + 1)
-    steps at a time (at least one), with one DriftSpec.speed call a block
-    and row, and each block's CFL check runs before any of its steps.
+    The speeds at the edges, their CFL check and the limiter's speed-only
+    coefficients are built a block of steps ahead (_stage_schedule), and
+    each block's CFL check runs before any of its steps.
     """
     starts, drifts = [f0], [drift]
     if adjoint is not None:
@@ -543,13 +545,11 @@ def solve_transport(
             raise ValueError("the adjoint row reverses drift, which must be forward")
         starts.append(adjoint)
         drifts.append(DriftSpec(drift.control, drift.activation, time_reversed=True))
-    forward = not drift.time_reversed
     if limit_positive is None:
-        limit_positive = forward
+        limit_positive = not drift.time_reversed
     lam = grid.dt / f0.grid.dx if limit_positive else None
-    snapshots = [[f] for f in starts]
-    _sweep(starts, drifts, grid, cfl, 1, lam, snapshots)
-    return snapshots[0] if adjoint is None else tuple(snapshots)
+    rows = _sweep(starts, drifts, grid, cfl, 1, lam, keep=True)
+    return rows[0] if adjoint is None else tuple(rows)
 
 
 def solve_final_fields(f0: DensityField, drifts: list[DriftSpec], grid: TimeGrid,

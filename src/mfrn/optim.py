@@ -8,8 +8,10 @@ controls depends on them and the target alone, so the solves whose controls
 training goes on with (the first iterate, and each line search's first trial
 and the step it takes) advance the adjoint in the same sweep as the forward
 transport, and the line search hands the controls it accepts over with both
-solves.  A search's other trials only need a cost: they are the rows of one
-forward sweep that keeps only their final fields.  The stopping rule is the
+solves: reduced_cost(..., paired=True) returns both beside the cost.  A
+search's other trials only need a cost: they are the rows of one forward
+sweep that keeps only their final fields, as a lone reduced_cost is one such
+row, with the cost bitwise the paired one.  The stopping rule is the
 relative change of the control pair between iterates in the max norm over
 time nodes.
 
@@ -149,25 +151,24 @@ def reduced_cost(
     act: Activation,
     cfg: RunConfig,
     *,
-    trajectory: list[DensityField] | None = None,
-    adjoint: list[DensityField] | None = None,
-) -> float:
+    paired: bool = False,
+) -> float | tuple[float, list[DensityField], list[DensityField]]:
     """Terminal mean-field loss plus Tikhonov terms, via a fresh forward solve.
 
-    A list passed as trajectory receives the solve's snapshots, so a caller
-    that goes on with these controls need not solve them again.  A list
-    passed as adjoint receives the adjoint solve of the same controls, made
-    in the same sweep.
+    The solve is one forward row that keeps only its final field
+    (solve_final_fields).  With paired, it is instead one sweep of the
+    forward and adjoint solves of c that keeps every node's field, and the
+    call returns (cost, forward trajectory, adjoint trajectory), so a caller
+    that goes on with these controls need not solve them again.  The cost is
+    bitwise the same either way.
     """
-    if adjoint is None:
-        f_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl)
-    else:
-        f_traj, lam_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl,
-                                           adjoint=adjoint_initial(g, f0.grid))
-        adjoint.extend(lam_traj)
-    if trajectory is not None:
-        trajectory.extend(f_traj)
-    return _terminal_cost(f_traj[-1], g) + _regularization(c, cfg)
+    drift = DriftSpec(c, act)
+    if not paired:
+        (f_T,) = solve_final_fields(f0, [drift], c.grid, cfg.cfl)
+        return _terminal_cost(f_T, g) + _regularization(c, cfg)
+    f_traj, lam_traj = solve_transport(f0, drift, c.grid, cfl=cfg.cfl,
+                                       adjoint=adjoint_initial(g, f0.grid))
+    return _terminal_cost(f_traj[-1], g) + _regularization(c, cfg), f_traj, lam_traj
 
 
 def control_gradient(
@@ -294,7 +295,7 @@ def armijo_search(
     unchanged.
 
     The first trial, which the search usually takes, is one paired sweep
-    (reduced_cost with its adjoint), handed over when taken.  Otherwise the
+    (reduced_cost(..., paired=True)), handed over when taken.  Otherwise the
     other trials are the rows of one forward sweep that keeps only their
     final fields (solve_final_fields).  Each row is bitwise its own solve,
     so the costs, and the step taken from them, are those of trials solved
@@ -331,10 +332,7 @@ def armijo_search(
 
     def paired(trial):
         """The trial solved as one paired sweep, as the search returns it."""
-        rho, cand, _ = trial
-        traj, lam_traj = [], []
-        cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
-        return cand, rho, cost, traj, lam_traj
+        return (trial[1], trial[0], *reduced_cost(trial[1], f0, g, act, cfg, paired=True))
 
     def accepted(cost: float, trial) -> bool:
         return math.isfinite(cost) and cost <= current_cost + ARMIJO_DECREASE * trial[2]

@@ -186,3 +186,66 @@ def test_training_goes_through_the_traced_entry_points(monkeypatch):
     assert calls["speed"] == reads
     assert calls["eval_w"] == calls["eval_b"] == calls["speed"]
     assert np.isfinite(state.cost_history).all()
+
+
+def _calls_into_the_package():
+    """Every call in bench/child.py of a "<layer>.<name>" callable, and every
+    rnd.op(<layer>.<name>, ...) call, as (line, qualname, positional count,
+    keyword names, whether a *args or **kwargs makes the count a floor)."""
+    found = []
+    for node in ast.walk(_tree("child.py")):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if ast.unparse(func) == "rnd.op" and args:
+            func, args = args[0], args[1:]
+        name = ast.unparse(func)
+        parts = name.split(".")
+        # a dotted name only: core.ControlPath(...).pinned() is a method of
+        # the result, whose ControlPath call is found on its own
+        if parts[0] not in LAYERS or not all(p.isidentifier() for p in parts):
+            continue
+        keywords = [k.arg for k in node.keywords if k.arg is not None]
+        open_ended = (any(isinstance(a, ast.Starred) for a in args)
+                      or len(keywords) < len(node.keywords))
+        positional = sum(not isinstance(a, ast.Starred) for a in args)
+        found.append((node.lineno, name, positional, keywords, open_ended))
+    return sorted(found)
+
+
+BENCH_CALLS = _calls_into_the_package()
+
+
+def test_the_benchmark_calls_into_the_package():
+    # the calls whose arguments the benchmark's solver workload depends on
+    keywords = {(name, tuple(kw)) for _, name, _, kw, _ in BENCH_CALLS}
+    for call in (("fvm.solve_transport", ("cfl", "limit_positive")),
+                 ("fvm.DriftSpec", ("time_reversed",)),
+                 ("optim.TargetMeasure", ("mean", "second_moment")),
+                 ("core.RunConfig", ("gamma_w", "gamma_b", "tol", "max_armijo", "cfl",
+                                     "domain", "n_cells", "dimension"))):
+        assert call in keywords, call
+    assert {name for _, name, *_ in BENCH_CALLS} >= {
+        "optim.reduced_cost", "optim.control_gradient", "optim.adjoint_initial",
+        "core.TimeGrid.from_step", "core.ControlPath.constant", "cli.main"}
+
+
+@pytest.mark.parametrize("qualname", sorted({name for _, name, *_ in BENCH_CALLS}))
+def test_the_benchmark_calls_bind(qualname):
+    """Each call the benchmark makes binds to the package's signature by its
+    positional count and keyword names; otherwise the benchmark counts the
+    TypeError as a failed operation."""
+    layer, *path = qualname.split(".")
+    target = importlib.import_module(f"mfrn.{layer}")
+    for part in path:
+        target = getattr(target, part)
+    sig = inspect.signature(target)
+    for line, name, positional, keywords, open_ended in BENCH_CALLS:
+        if name != qualname:
+            continue
+        bind = sig.bind_partial if open_ended else sig.bind
+        try:
+            bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"bench/child.py line {line}: {qualname}{sig} does not take "
+                        f"{positional} positional argument(s) and keywords {keywords}: {exc}")

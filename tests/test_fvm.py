@@ -287,8 +287,8 @@ class TestLeanKernelsAreBitwiseTheFormulas:
 
 
 class TestStageWorkspace:
-    @given(st.sampled_from([(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (9, 0), (9, 9)]),
-           st.integers(min_value=8, max_value=30), st.data(), st.sampled_from([1e-2, 5e-2]))
+    @given(st.sampled_from([(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 3)]),
+           st.integers(min_value=8, max_value=16), st.data(), st.sampled_from([1e-2, 5e-2]))
     def test_a_reused_workspace_carries_nothing_over(self, rows_limited, cells, data, pos_dt):
         # A then B on one workspace: B is bitwise B on a fresh workspace and
         # the reference kernels, signed zeros included, so no where= mask,

@@ -107,6 +107,27 @@ class TestReducedCost:
         hi = reduced_cost(c, f0, g, act, make_cfg(gamma_b=0.5))
         assert_allclose(hi - lo, 0.25 * tg.t_final, rtol=1e-12)
 
+    @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])
+    def test_the_two_forms_agree(self, act):
+        # the lone cost (one final-field row) is bitwise the paired cost, and
+        # the paired trajectories are bitwise the paired solve's.  The box's
+        # edges make the limiter act on the forward row
+        grid = Grid1D(-2.0, 3.0, 40)
+        f0 = project_initial(lambda x: ((x >= -0.75) & (x <= -0.25)).astype(float), grid)
+        g = TargetMeasure(1.0, 1.01)
+        tg = TimeGrid.from_step(0.5, 2.5e-2)
+        c = ControlPath.from_functions(tg, lambda t: 0.3 * np.sin(np.pi * t),
+                                       lambda t: 0.5 * t).pinned()
+        act, cfg = Activation(act), make_cfg(n_cells=40)
+        cost = reduced_cost(c, f0, g, act, cfg)
+        paired_cost, f_traj, lam_traj = reduced_cost(c, f0, g, act, cfg, paired=True)
+        assert np.float64(cost).tobytes() == np.float64(paired_cost).tobytes()
+        want = solve_transport(f0, DriftSpec(c, act), tg, cfl=cfg.cfl,
+                               adjoint=adjoint_initial(g, grid))
+        for got, fresh in zip((f_traj, lam_traj), want):
+            assert [(f.time, f.averages.tobytes()) for f in got] == \
+                [(f.time, f.averages.tobytes()) for f in fresh]
+
 
 class TestControlGradient:
     def test_zero_fields_leave_only_regularization(self):
@@ -226,8 +247,7 @@ def reference_armijo_search(c, grad, f0, g, act, cfg, current_cost, current_traj
         cand = ControlPath(c.grid, w_c, b_c).pinned()
         inner = optim._trapezoid(g_w * (cand.w - c.w) + g_b * (cand.b - c.b), c.grid.dt)
         if inner < 0.0:
-            traj, lam_traj = [], []
-            cost = reduced_cost(cand, f0, g, act, cfg, trajectory=traj, adjoint=lam_traj)
+            cost, traj, lam_traj = reduced_cost(cand, f0, g, act, cfg, paired=True)
             if math.isfinite(cost) and cost <= current_cost + ARMIJO_DECREASE * inner:
                 return (cand, rho, cost, traj, lam_traj), tried
             tried += 1
@@ -289,8 +309,8 @@ class TestArmijo:
         zeros = np.zeros(tg.n_steps + 1)
         cfg = make_cfg(n_cells=16)
         act = Activation("tanh")
-        traj0 = []
-        cost0 = reduced_cost(c, f0, g, act, cfg, trajectory=traj0)
+        traj0 = solve_transport(f0, DriftSpec(c, act), tg, cfl=cfg.cfl)
+        cost0 = reduced_cost(c, f0, g, act, cfg)
         new_c, rho, cost, traj, lam_traj = armijo_search(
             c, (zeros, zeros), f0, g, act, cfg, cost0, traj0
         )

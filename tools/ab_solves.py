@@ -13,7 +13,11 @@ and 400 cells also a batch of 9 forward solves under the controls scaled by
 sweep of both rows (``solve_transport(..., adjoint=lam0)``), and both final
 snapshots are compared.  The batch case solves the 9 rows in one sweep that
 keeps only their final fields (``solve_final_fields``), and all 9 are
-compared.  The ensemble cases integrate 1e2, 1e3, 1e4 and 1e5 particles
+compared.  The cost cases are those of the benchmark's gradient probe: one
+``optim.reduced_cost`` call at 400 cells, dt 5e-3, T = 0.5, under the pinned
+controls w = 0.3 sin(pi t), b = 0.5 t, from the exact cell averages of
+N(0.3, 0.25^2), with identity, tanh and sigmoid; the costs are compared.
+The ensemble cases integrate 1e2, 1e3, 1e4 and 1e5 particles
 drawn from N(0.5, 0.3^2) with RK4 (``particle.ode_integrate``) under the
 controls of ``scenarios/convergence.json`` (w = 0.4 sin(pi t), b = 0.3 t,
 dt 0.01, T = 1), with identity, sigmoid and tanh, and compare the final
@@ -30,7 +34,7 @@ head / base, each side's median count of minor page faults a call
 noisy times, of the pages the call's temporaries had mapped in anew), and
 whether the results are bitwise equal.  The last lines are the geometric
 means of the ratios, over the forward, adjoint and paired cases, over the
-batch cases, over the ensemble cases and of the study.  Plain timings of
+batch cases, over the cost cases, over the ensemble cases and of the study.  Plain timings of
 one tree on a shared machine can drift by 2x within minutes; two runs of
 this script on the same tree read within a few percent of 1 on a quiet
 machine, and the 200- and 400-cell cases spread to about 0.88-1.18 under
@@ -60,6 +64,7 @@ BATCH_CELLS = (200, 400)
 BATCH_ROWS = 9
 STEPS = 100
 ROUNDS = 15
+COST_ACTIVATIONS = ("identity", "tanh", "sigmoid")
 ENSEMBLE_SIZES = (100, 1000, 10_000, 100_000)
 STUDY_ROUNDS = 5  # a study takes about a second a call
 
@@ -114,6 +119,25 @@ def _case(pkg, n_cells: int, act: str, kind: str):
         f_traj, lam_traj = fvm.solve_transport(f0, fwd, tg, adjoint=lam0)
         return [f_traj[-1], lam_traj[-1]]
     return paired
+
+
+def _cost(pkg, act: str):
+    """The benchmark probe's cost of its base controls, as a zero-argument
+    callable that returns it."""
+    core, fvm, optim = pkg.core, pkg.fvm, pkg.optim
+    cfg = core.RunConfig(gamma_w=1e-3, gamma_b=1e-3, tol=1e-4, max_armijo=10, cfl=0.45,
+                         domain=(-2.0, 3.0), n_cells=400, dimension=1)
+    grid = fvm.Grid1D(-2.0, 3.0, 400)
+    tg = core.TimeGrid.from_step(0.5, 5e-3)
+    nodes = tg.nodes
+    base = core.ControlPath(tg, 0.3 * np.sin(np.pi * nodes), 0.5 * nodes).pinned()
+    edges = -2.0 + 5.0 / 400 * np.arange(401)
+    cdf = np.array([0.5 * math.erfc(-(e - 0.3) / (0.25 * math.sqrt(2.0))) for e in edges])
+    f0 = np.diff(cdf) / np.diff(edges)
+    f0 = fvm.DensityField(grid, f0 / (np.sum(f0) * (edges[1] - edges[0])), 0.0)
+    target = optim.TargetMeasure(mean=1.0, second_moment=1.01)
+    act = core.Activation(act)
+    return lambda: [np.float64(optim.reduced_cost(base, f0, target, act, cfg))]
 
 
 def _ensemble(pkg, size: int, act: str):
@@ -182,6 +206,8 @@ def main(argv: list[str]) -> int:
                 group = "batch" if kind == "batch" else "forward, adjoint and paired"
                 report(n_cells, act, kind, group,
                        {side: _case(pkg, n_cells, act, kind) for side, pkg in sides.items()})
+    for act in COST_ACTIVATIONS:
+        report(400, act, "cost", "cost", {side: _cost(pkg, act) for side, pkg in sides.items()})
     for size in ENSEMBLE_SIZES:
         for act in ACTIVATIONS:
             report(size, act, "ensemble", "ensemble",
