@@ -32,6 +32,9 @@ its ghost-padded averages, faces, limiter terms, fluxes and derivative into
 those arrays through out= arguments, so it allocates nothing the size of
 the grid, and the states alternate between two arrays.  Fresh per-stage
 temporaries would be freed to the heap top, trimmed and faulted in again.
+Those arrays, the two states and the schedule's tables start on 64-byte
+cache lines (_slots): a 3-operand add of 3200 doubles took 1.6 us there
+and 2.7-3.0 us off a line, on a shared 2-vCPU x86-64 box.
 """
 
 from __future__ import annotations
@@ -63,9 +66,30 @@ _CFL_HARD = 1.45
 # tables keep the size of a paired sweep's however many rows it has.
 _BLOCK_DOUBLES = 2048
 
+# Bytes of a cache line.  np.empty aligns to 16 bytes only, so where its
+# arrays start within a line depends on the state of the heap.
+_LINE = 64
+
 # 3-point Gauss-Legendre rule on [-1/2, 1/2] (nodes scaled by cell width).
 _GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0) / 2.0, 0.0, np.sqrt(3.0 / 5.0) / 2.0])
 _GAUSS_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+
+def _slots(k: int, shape, dtype=float) -> np.ndarray:
+    """k C-contiguous arrays of the given shape and dtype, as one array of
+    shape (k,) + shape, each starting on a 64-byte boundary: one line more
+    than the slots need is allocated, the slots begin at its first aligned
+    address and each is padded to whole lines.  Their contents are
+    undefined, as np.empty's are."""
+    dtype = np.dtype(dtype)
+    strides, size = [], dtype.itemsize  # a slot's C strides, and its bytes
+    for n in reversed(shape):
+        strides.insert(0, size)
+        size *= n
+    stride = -(-size // _LINE) * _LINE
+    raw = np.empty(k * stride + _LINE, np.uint8)
+    start = -raw.ctypes.data % _LINE
+    return np.ndarray((k, *shape), dtype, raw, start, (stride, *strides))
 
 
 class CFLViolationError(RuntimeError):
@@ -308,12 +332,13 @@ class _StageWork:
     intermediate stage."""
 
     def __init__(self, n_cells: int, rows: int, limited: int):
-        self.padded = np.zeros((n_cells + 4, rows))
-        self.faces = np.empty((10, n_cells + 3, rows))
-        self.flux = np.empty((3, n_cells + 1, rows))
+        self.padded = _slots(1, (n_cells + 4, rows))[0]
+        self.padded.fill(0.0)
+        self.faces = _slots(10, (n_cells + 3, rows))
+        self.flux = _slots(3, (n_cells + 1, rows))
         size = n_cells * limited
-        self.limiter = np.empty((6, size)), np.empty((2, size), bool)
-        self.stage = np.empty((n_cells, rows))
+        self.limiter = _slots(6, (size,)), _slots(2, (size,), bool)
+        self.stage = _slots(1, (n_cells, rows))[0]
 
 
 def _rhs(avg: np.ndarray, grid: Grid1D, speed: np.ndarray, limiter, work: _StageWork,
@@ -371,12 +396,12 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
     size = 2 * block + 1
     # buffers per solve, not per block: fresh tables for every block
     # fragment the heap
-    speeds = np.empty((size, n_edges, len(drifts)))
+    speeds = _slots(size, (n_edges, len(drifts)))
     smax = np.empty((size, len(drifts)))
     coefs = []
     if lam is not None:
-        coefs = [*np.empty((4, size, n_edges - 1, limited)),
-                 np.empty((size, n_edges - 1, limited), bool)]
+        coefs = [*(_slots(size, (n_edges - 1, limited)) for _ in range(4)),
+                 _slots(size, (n_edges - 1, limited), bool)]
     flat = [c.reshape(size, -1) for c in coefs]  # views: a stage's cells and rows on one axis
     times, done = [t], 0
     while done < n_steps:
@@ -450,9 +475,11 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
     the kept fields' array and the rows' outflow rates."""
     space, dt = starts[0].grid, grid.dt
     check = not drifts[0].time_reversed
-    state = np.stack([f.averages for f in starts], axis=1)  # cells x rows
+    # the states alternate between two arrays, cells x rows
+    state, spare = _slots(2, (space.n_cells, len(starts)))
+    for r, f in enumerate(starts):
+        state[:, r] = f.averages
     work = _StageWork(space.n_cells, len(starts), lead if lam is not None else 0)
-    spare = np.empty_like(state)  # the states alternate between two arrays
     worst_nu = [0.0] * len(starts)
     outflow = np.zeros(lead)  # mass each lead row has lost through the boundary
     low = state[:, :lead].copy()  # each cell's smallest average so far

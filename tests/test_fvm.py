@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from mfrn import fvm
@@ -341,6 +342,106 @@ class TestStageWorkspace:
             tracemalloc.stop()
         assert out.tobytes() == want.tobytes()
         assert peak <= 8192 + 64 * rows < avg.nbytes
+
+
+_aligned_slots = fvm._slots
+
+
+def placed(k, shape, dtype=float, *, offset):
+    """k C-contiguous slots like fvm._slots's, each starting offset bytes
+    past a cache line instead of on one."""
+    skip = offset // np.dtype(dtype).itemsize
+    count = int(np.prod(shape))
+    slots = _aligned_slots(k, (skip + count,), dtype)[:, skip:].reshape(k, *shape)
+    assert all(s.ctypes.data % 64 == offset for s in slots if s.size)  # a view, not a copy
+    return slots
+
+
+def aligned(items):
+    """Whether every array of items is C-contiguous and starts on a cache line."""
+    return all(a.flags.c_contiguous and a.ctypes.data % 64 == 0 for a in items)
+
+
+class TestAlignedStageMemory:
+    @given(st.integers(min_value=1, max_value=12),
+           st.lists(st.integers(min_value=0, max_value=9), max_size=3),
+           st.sampled_from([float, bool]))
+    @example(3, [4, 0, 2], bool)
+    def test_slots_are_separate_aligned_arrays(self, k, shape, dtype):
+        slots = fvm._slots(k, shape, dtype)
+        assert slots.shape == (k, *shape) and slots.dtype == dtype
+        assert aligned(slots[j, ...] for j in range(k))
+        slots[...] = 0
+        for j in range(k):
+            # a write to slot j reaches all of it and nothing else
+            slots[j, ...] = 1
+            assert np.count_nonzero(slots) == np.count_nonzero(slots[j]) == slots[j].size
+            slots[j, ...] = 0
+
+    @pytest.mark.parametrize("cells", [203, 1601])
+    def test_sweeps_compute_in_aligned_arrays(self, monkeypatch, cells):
+        # a row of 203 or 1601 doubles is not whole lines, so consecutive
+        # slots start on one only when each is padded.  A paired sweep (one
+        # limited row and its adjoint) and a three-row final-field sweep:
+        # every step's two states, its whole workspace and its stages'
+        # speeds and limiter terms start on a cache line
+        grid = Grid1D(-2.0, 3.0, cells)
+        dt = 0.4 * grid.dx
+        tg = TimeGrid.from_step(25 * dt, dt)
+        drifts = scaled_trials(tg, "tanh", lambda t: 0.3 + 0.0 * t, lambda t: 0.2 + t, 3)
+        f0 = project_initial(gaussian_density(0.3, 0.25), grid)
+        lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
+        seen, step = [], fvm._step
+
+        def spy(avg, space, dt, stages, work, out):
+            seen.append((avg, out, work, stages))
+            return step(avg, space, dt, stages, work, out)
+
+        monkeypatch.setattr(fvm, "_step", spy)
+        for sweep in (lambda: solve_transport(f0, drifts[0], tg, adjoint=lam0),
+                      lambda: solve_final_fields(f0, drifts, tg)):
+            seen.clear()
+            sweep()
+            assert len(seen) == 25
+            assert len({avg.ctypes.data for avg, *_ in seen}) == 2  # the states alternate
+            for avg, out, work, stages in seen:
+                assert aligned([avg, out, work.padded, *work.faces, *work.flux,
+                                *work.limiter[0], *work.limiter[1], work.stage])
+                for speed, limiter in stages:
+                    assert aligned([speed, *limiter])
+
+    @given(st.sampled_from([(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 3)]),
+           st.integers(min_value=8, max_value=40), st.data(), st.sampled_from([1e-2, 5e-2]))
+    def test_a_stage_is_bitwise_the_same_at_every_placement(self, rows_limited, cells, data,
+                                                            pos_dt):
+        # numpy's loops may start differently off a cache line, but not
+        # round differently: a stage's buffers, its inputs included, at each
+        # 8-byte offset within a line give the same bits, signed zeros too
+        rows, limited = rows_limited
+        grid = Grid1D(-2.0, 3.0, cells)
+        lam = pos_dt / grid.dx
+        avg = data.draw(arrays(float, (cells, rows), elements=_AVERAGE))
+        speed = data.draw(arrays(float, (cells + 1, rows), elements=_SPEED))
+        results = set()
+        for offset in range(0, 64, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fvm, "_slots", lambda k, shape, dtype=float: placed(
+                    k, shape, dtype, offset=offset))
+                a, out = fvm._slots(2, avg.shape)
+                a[...] = avg
+                s = fvm._slots(1, speed.shape)[0]
+                s[...] = speed
+                limiter = None
+                if limited:
+                    coefs = [*fvm._slots(4, (cells, limited)),
+                             fvm._slots(1, (cells, limited), bool)[0]]
+                    _limiter_coefficients(s[:-1, :limited], s[1:, :limited], lam, coefs)
+                    limiter = [c.reshape(-1) for c in coefs]
+                work = fvm._StageWork(cells, rows, limited)
+                assert work.faces[0].ctypes.data % 64 == offset
+                du, rate = quiet(_rhs, a, grid, s, limiter, work, out)
+            results.add((du.tobytes(), rate.tobytes()))
+        assert len(results) == 1
 
 
 # rounding allowance of the limiter's guarantees, relative to the cell's

@@ -11,6 +11,7 @@ from mfrn import particle
 from mfrn.core import Activation, ControlPath, TimeGrid
 from mfrn.fvm import DriftSpec
 from mfrn.particle import ode_integrate, resnet_forward
+from test_fvm import _AVERAGE, aligned, placed
 
 KINDS = ["identity", "tanh", "sigmoid", "relu", "gcu"]
 
@@ -262,3 +263,42 @@ class TestBlockedIntegration:
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes + 9 * block
+
+
+class TestAlignedStageMemory:
+    @pytest.fixture(scope="class")
+    def controls(self):
+        rng = np.random.default_rng(11)
+        tg = TimeGrid.from_step(0.5, 0.05)
+        return ControlPath(tg, w=rng.uniform(-1, 1, tg.n_steps + 1),
+                           b=rng.uniform(-1, 1, tg.n_steps + 1))
+
+    @pytest.mark.parametrize("m", [100, 20_000])
+    def test_every_stage_reads_and_writes_aligned_arrays(self, monkeypatch, controls, m):
+        # the ensemble's copy, whose blocks the stages read and move, and the
+        # five stage buffers start on cache lines; 20,000 rows are two blocks
+        seen, speed = [], DriftSpec.speed
+
+        def spy(self, x, t, out=None):
+            seen.extend((x, out))
+            return speed(self, x, t, out=out)
+
+        monkeypatch.setattr(DriftSpec, "speed", spy)
+        x0 = np.random.default_rng(m).standard_normal(m)
+        out = ode_integrate(x0, controls, Activation("tanh"), 0.05, 0.5)
+        assert len(seen) == 2 * 4 * 10 * -(-m // particle._BLOCK_ROWS)
+        assert aligned([out, *seen])
+
+    @given(st.lists(_AVERAGE, min_size=1, max_size=40), st.sampled_from(["tanh", "sigmoid"]))
+    def test_the_bits_do_not_depend_on_placement(self, controls, values, kind):
+        # the ensemble and the five stage buffers at each 8-byte offset
+        # within a cache line give the same final positions, signed zeros too
+        results = set()
+        for offset in range(0, 64, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(particle, "_slots", lambda k, shape, dtype=float: placed(
+                    k, shape, dtype, offset=offset))
+                ens = placed(1, (len(values),), offset=offset)[0]
+                ens[...] = values
+                results.add(ode_integrate(ens, controls, Activation(kind), 0.05, 0.5).tobytes())
+        assert len(results) == 1
