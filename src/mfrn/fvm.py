@@ -35,6 +35,11 @@ temporaries would be freed to the heap top, trimmed and faulted in again.
 Those arrays, the two states and the schedule's tables start on 64-byte
 cache lines (_slots): a 3-operand add of 3200 doubles took 1.6 us there
 and 2.7-3.0 us off a line, on a shared 2-vCPU x86-64 box.
+
+The views a stage passes to the kernels are built with the workspace, and
+those of the schedule's tables with the tables, so a stage slices nothing
+and a block after the first holds no fresh array.  A block holds at least
+four steps of a lone solve and two of a paired one (_block_steps).
 """
 
 from __future__ import annotations
@@ -62,8 +67,9 @@ _CFL_HARD = 1.45
 
 # Edge values per block and row of a solve's stage schedule: the speeds of
 # one or two rows are built _BLOCK_DOUBLES // (n_cells + 1) steps at a time,
-# and at least one.  More rows share the budget of two, so that a sweep's
-# tables keep the size of a paired sweep's however many rows it has.
+# and at least 4 // rows and one (_block_steps).  More rows share the budget
+# of two, so that a sweep's tables keep the size of a paired sweep's however
+# many rows it has.
 _BLOCK_DOUBLES = 2048
 
 # Bytes of a cache line.  np.empty aligns to 16 bytes only, so where its
@@ -187,24 +193,34 @@ class DriftSpec:
         return v
 
 
-def _cweno3_faces(cells: np.ndarray, eps: float, work: np.ndarray):
-    """Left and right face values of the CWENO3 reconstruction in each cell
-    of cells[1:-1], from it and its two neighbours (consecutive cell averages
-    on axis 0).  The solver passes eps = dx, so that smooth extrema keep the
-    ideal weights under refinement.
-
-    work is a float array of shape (10, len(cells) - 1) + cells.shape[1:]:
-    the faces are written into work[0, :-1] and work[1, :-1], which are
-    returned, and the rest is scratch.  Each cell's floating-point operations
-    and their order are those of the formulas D / (eps + IS)**2 and
-    sum(w * candidate face), so the result is bitwise theirs.  A difference of
-    neighbours, the right one of a stencil and the left one of the next, is
-    formed once, and so is its side weight: the two side weights share their
-    ideal weight."""
-    a, b, c = cells[:-2], cells[1:-1], cells[2:]
+def _cweno3_views(cells: np.ndarray, work: np.ndarray) -> tuple:
+    """The views _cweno3_faces reads and writes, to be built once: the
+    stencils' cells a, b, c of cells[1:-1] (consecutive cell averages on
+    axis 0), the two shifted views whose difference is every neighbour
+    difference, and the slots of work, a float array of shape
+    (10, len(cells) - 1) + cells.shape[1:]: work[8] and work[9] with their
+    first and last len(cells) - 2 rows, and the other eight without their
+    last row.  The faces are written into work[0, :-1] and work[1, :-1],
+    and the rest is scratch."""
     diff, side = work[8], work[9]
-    left, right, d2, c_a, half_sum, ac, wl, wr = work[:8, :-1]
-    np.subtract(cells[1:], cells[:-1], out=diff)  # b - a is diff[:-1], c - b diff[1:]
+    return (cells[:-2], cells[1:-1], cells[2:], cells[1:], cells[:-1],
+            diff, diff[:-1], diff[1:], side, side[:-1], side[1:], *work[:8, :-1])
+
+
+def _cweno3_faces(views: tuple, eps: float):
+    """Left and right face values of the CWENO3 reconstruction in each cell
+    of cells[1:-1], from it and its two neighbours, given _cweno3_views(cells,
+    work).  The solver passes eps = dx, so that smooth extrema keep the
+    ideal weights under refinement.  Returns the two face views.
+
+    Each cell's floating-point operations and their order are those of the
+    formulas D / (eps + IS)**2 and sum(w * candidate face), so the result is
+    bitwise theirs.  A difference of neighbours, the right one of a stencil
+    and the left one of the next, is formed once, and so is its side weight:
+    the two side weights share their ideal weight."""
+    (a, b, c, hi, lo, diff, d_left, d_right, side, al, ar,
+     left, right, d2, c_a, half_sum, ac, wl, wr) = views
+    np.subtract(hi, lo, out=diff)      # b - a is diff[:-1], c - b diff[1:]
     # nonlinear weights D / (eps + IS)**CWENO_POWER; numpy squares in place
     # for the power 2 (x * x, bitwise), it does not call a float pow
     np.multiply(diff, diff, out=side)
@@ -224,22 +240,22 @@ def _cweno3_faces(cells: np.ndarray, eps: float, work: np.ndarray):
     ac += eps
     ac **= CWENO_POWER
     np.divide(_D_CENTER, ac, out=ac)
-    s = np.add(side[:-1], ac, out=c_a)
-    s += side[1:]
-    np.divide(side[:-1], s, out=wl)
+    s = np.add(al, ac, out=c_a)
+    s += ar
+    np.divide(al, s, out=wl)
     ac /= s
-    np.divide(side[1:], s, out=wr)
+    np.divide(ar, s, out=wr)
 
     d2 /= 6.0
     d2 += b                            # the parabola's face value without the odd term
     term = c_a                         # one candidate's weighted face at a time
     for face, sign in ((left, np.subtract), (right, np.add)):
-        sign(b, diff[:-1], out=face)
+        sign(b, d_left, out=face)
         face *= wl
         sign(d2, half_sum, out=term)
         term *= ac
         face += term
-        sign(b, diff[1:], out=term)
+        sign(b, d_right, out=term)
         term *= wr
         face += term
     return left, right
@@ -247,12 +263,13 @@ def _cweno3_faces(cells: np.ndarray, eps: float, work: np.ndarray):
 
 def llf_flux(u_minus, u_plus, speed, out=None):
     """Local Lax-Friedrichs flux for the linear-in-u flux speed * u.  With
-    out, a float array of shape (3,) + the flux's shape, the flux is written
-    into out[0] and returned, and out[1:] is scratch; without, that array is
-    allocated.  The result is bitwise the formula's."""
+    out, three float arrays of the flux's shape, the flux is written into
+    the first and returned, and the other two are scratch; without, they
+    are allocated.  The result is bitwise the formula's."""
     if out is None:
         out = np.empty((3, *np.broadcast_shapes(*map(np.shape, (u_minus, u_plus, speed)))))
-    flux, total, spread = out[0, ...], out[1, ...], out[2, ...]  # arrays, even 0-d
+        out = out[0, ...], out[1, ...], out[2, ...]  # arrays, even 0-d
+    flux, total, spread = out
     np.multiply(0.5, speed, out=flux)
     flux *= np.add(u_minus, u_plus, out=total)
     np.abs(speed, out=spread)
@@ -286,8 +303,8 @@ def _limited_faces(uc, uL, uR, coefs, work):
     Scaling toward the average is conservative and leaves resolved smooth
     data untouched (theta stays 1 there).  ``coefs`` are the cells'
     _limiter_coefficients.  The limited faces are written over uL and uR;
-    work is a pair of stacks of uc's shape, six float arrays and two bool
-    ones, for the scratch."""
+    work is a pair of sequences of arrays of uc's shape, six float ones and
+    two bool ones, for the scratch."""
     out_l, out_r, s_out, rest, open_ = coefs
     (m, q, theta, uL1, uR1, drain), (floor, mask) = work
     np.minimum(uL, uR, out=m)
@@ -325,23 +342,50 @@ def _limited_faces(uc, uL, uR, coefs, work):
 
 class _StageWork:
     """The arrays an SSP-RK3 stage computes in, allocated once a sweep for
-    n_cells cells and `rows` rows, the first `limited` of them limited:
+    the grid's cells and `rows` rows, the first `limited` of them limited:
     the ghost-padded averages, whose two zero ghost rows at each end are
     written here and never again, the CWENO3 faces with their scratch, the
     flux with its scratch, the limiter's flat scratch, and a step's
-    intermediate stage."""
+    intermediate stage.
 
-    def __init__(self, n_cells: int, rows: int, limited: int):
-        self.padded = _slots(1, (n_cells + 4, rows))[0]
+    The views a stage reads and writes are built here too, about forty of
+    them; a stage that built them took 1.08-1.22 times as long, bitwise the
+    same.  They are the padded interior a stage copies its averages into,
+    the reconstruction's stencils and slots (_cweno3_views), the limited
+    rows' averages and faces flat and cell-major, as the limiter takes
+    them, the flux's two face inputs and its slots, and the flux's
+    differences.  The limited rows are the first one or all of them, so
+    reshape gives views, and the limiter writes through them: its many
+    numpy calls run faster on 1-d arrays.  The limiter reads the averages
+    from the padded interior, which holds them bit for bit."""
+
+    def __init__(self, grid: Grid1D, rows: int, limited: int):
+        n = grid.n_cells
+        self.dx = grid.dx
+        self.padded = _slots(1, (n + 4, rows))[0]
         self.padded.fill(0.0)
-        self.faces = _slots(10, (n_cells + 3, rows))
-        self.flux = _slots(3, (n_cells + 1, rows))
-        size = n_cells * limited
-        self.limiter = _slots(6, (size,)), _slots(2, (size,), bool)
-        self.stage = _slots(1, (n_cells, rows))[0]
+        self.faces = _slots(10, (n + 3, rows))
+        self.flux = _slots(3, (n + 1, rows))
+        size = n * limited
+        self.limiter = tuple(_slots(6, (size,))), tuple(_slots(2, (size,), bool))
+        self.stage = _slots(1, (n, rows))[0]
+        self.inner = self.padded[2:-2]
+        self.cweno = _cweno3_views(self.padded, self.faces)
+        # physical cell j owns faces index j + 1 and edge speeds j, j + 1
+        left, right = self.faces[0, :-1], self.faces[1, :-1]
+        self.uc = self.inner[:, :limited].reshape(-1)
+        self.uL = left[1 : n + 1, :limited].reshape(-1)
+        self.uR = right[1 : n + 1, :limited].reshape(-1)
+        # reconstruction k covers padded cell k+1; interface i has cell i-1
+        # on its left (faces index i) and cell i on its right (faces index i+1)
+        self.u_minus, self.u_plus = right[0 : n + 1], left[1 : n + 2]
+        self.flux_out = tuple(self.flux)
+        flux = self.flux[0]
+        self.flux_hi, self.flux_lo = flux[1:], flux[:-1]
+        self.flux_last, self.flux_first = flux[-1], flux[0]
 
 
-def _rhs(avg: np.ndarray, grid: Grid1D, speed: np.ndarray, limiter, work: _StageWork,
+def _rhs(avg: np.ndarray, speed: np.ndarray, limiter, work: _StageWork,
          out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d/dt of the rows' cell averages (cells on axis 0, rows on axis 1) under
     the conservative advection flux, given the rows' speeds at the n_cells + 1
@@ -351,26 +395,27 @@ def _rhs(avg: np.ndarray, grid: Grid1D, speed: np.ndarray, limiter, work: _Stage
     through the boundary edges.  The derivative is written into out (not
     avg) and every intermediate into the sweep's work, so a stage allocates
     only the rows' outflow rates; what it reads of work it has written
-    first, so nothing carries over from the stage before."""
-    n, dx = grid.n_cells, grid.dx
-    padded = work.padded  # zero-inflow ghosts
-    padded[2:-2] = avg
-    left_faces, right_faces = _cweno3_faces(padded, dx, work.faces)
+    first, so nothing carries over from the stage before.  Every view it
+    passes was built with the workspace, so a stage slices nothing."""
+    np.copyto(work.inner, avg)  # between the zero-inflow ghosts
+    _cweno3_faces(work.cweno, work.dx)
     if limiter is not None:
-        # physical cell j owns faces index j + 1 and edge speeds j, j + 1.
-        # The limited rows are the first one or all of them, so reshape gives
-        # flat views, cell-major like the coefficients, and the limiter writes
-        # through them: its many numpy calls run faster on 1-d arrays
-        f = limiter[0].size // n
-        _limited_faces(avg[:, :f].reshape(-1), left_faces[1 : n + 1, :f].reshape(-1),
-                       right_faces[1 : n + 1, :f].reshape(-1), limiter, work.limiter)
-    # reconstruction k covers padded cell k+1; interface i has cell i-1 on its
-    # left (faces index i) and cell i on its right (faces index i+1)
-    flux = llf_flux(right_faces[0 : n + 1], left_faces[1 : n + 2], speed, out=work.flux)
-    np.subtract(flux[1:], flux[:-1], out=out)
+        _limited_faces(work.uc, work.uL, work.uR, limiter, work.limiter)
+    llf_flux(work.u_minus, work.u_plus, speed, out=work.flux_out)
+    np.subtract(work.flux_hi, work.flux_lo, out=out)
     np.negative(out, out=out)
-    out /= dx
-    return out, flux[-1] - flux[0]
+    out /= work.dx
+    return out, np.subtract(work.flux_last, work.flux_first)
+
+
+def _block_steps(n_edges: int, rows: int) -> int:
+    """Steps a block of the stage schedule holds for `rows` rows over
+    n_edges edges, unless a solve's last block is shorter.  A block's fixed
+    costs (its speed calls, the CFL check, the carried-over row) are spread
+    over at least four steps of a lone solve and two of a paired one: the
+    floor alone took the benchmark's 800- to 3200-cell sweep solves to 0.89
+    of their time (geometric mean of six, one interpreter)."""
+    return max(1, 4 // rows, 2 * _BLOCK_DOUBLES // (n_edges * max(2, rows)))
 
 
 def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
@@ -390,19 +435,50 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
     derived from it, is carried over as the next block's first.  So each
     drift of a solve of n steps is read at 2n + 1 times, in one call a
     block.  A block's stages and smax are views of those buffers: they hold
-    until the next block is drawn."""
-    n_edges = grid.n_cells + 1
-    block = min(n_steps, max(1, 2 * _BLOCK_DOUBLES // (n_edges * max(2, len(drifts)))))
+    until the next block is drawn.
+
+    A block after the first holds no fresh array while its steps run: a
+    lone drift's speeds are written straight into the table, and the
+    tables' views (a stage's speeds and limiter terms, a full block's steps,
+    the rows a later full block writes and those it carries over) are built
+    with the tables.  A fresh speed array a block, once glibc's mmap
+    threshold had risen above its size, was carved from the heap between
+    the snapshots a sweep keeps: with four steps a block the benchmark's
+    refinement solves peaked 3.5 MB higher in a fresh process, and 0.6 MB
+    higher with no fresh array (the larger tables).  The drifts of a sweep
+    of several interleave in the table, where numpy strides or buffers its
+    loops over one drift's rows: each is computed in a scratch of the solve
+    and copied in, which took a nine-row line search's solves to 0.91 of
+    the time."""
+    n_edges, rows = grid.n_cells + 1, len(drifts)
+    block = min(n_steps, _block_steps(n_edges, rows))
     size = 2 * block + 1
     # buffers per solve, not per block: fresh tables for every block
     # fragment the heap
-    speeds = _slots(size, (n_edges, len(drifts)))
-    smax = np.empty((size, len(drifts)))
+    speeds = _slots(size, (n_edges, rows))
+    smax = np.empty((size, rows))
+    # a lone drift's speeds need none: the scratch would cost the
+    # benchmark's 3200-cell solves 0.2 MB of peak memory
+    scratch = _slots(1, (size, n_edges))[0] if rows > 1 else None
     coefs = []
     if lam is not None:
         coefs = [*(_slots(size, (n_edges - 1, limited)) for _ in range(4)),
                  _slots(size, (n_edges - 1, limited), bool)]
-    flat = [c.reshape(size, -1) for c in coefs]  # views: a stage's cells and rows on one axis
+    # a stage's cells and rows on one axis, as views
+    limiters = zip(*(c.reshape(size, -1) for c in coefs)) if coefs else itertools.repeat(None)
+    stages = list(zip(speeds, limiters))
+    full = list(zip(stages[:-1:2], stages[2::2], stages[1::2]))
+    carry = [(table[0], table[-1]) for table in (speeds, smax, *coefs)]
+
+    def targets(new: slice):
+        """What a block writes into the rows new of the tables: each drift
+        with its speeds and their maxima, and the limited drifts' speeds at
+        the cells' left and right edges with the coefficients' rows."""
+        lead = speeds[new, :, :limited]
+        return ([(d, speeds[new, :, r], smax[new, r]) for r, d in enumerate(drifts)],
+                (lead[:, :-1], lead[:, 1:], [c[new] for c in coefs]))
+
+    later = targets(slice(1, size))  # every full block but the first
     times, done = [t], 0
     while done < n_steps:
         k = min(block, n_steps - done)
@@ -410,26 +486,30 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
             times += (t + 0.5 * dt, t + dt)
             t = t + dt
         n_rows = 2 * k + 1
-        new = slice(n_rows - len(times), n_rows)  # all rows but a carried one
+        writes, (s_left, s_right, terms) = later if done and k == block else targets(
+            slice(n_rows - len(times), n_rows))  # all rows but a carried one
         times = np.array(times)
-        for r, drift in enumerate(drifts):
-            fresh = drift.speed(grid.edges, times)
-            speeds[new, :, r] = fresh
-            np.max(np.abs(fresh, out=fresh), axis=1, out=smax[new, r])
-        limiters = itertools.repeat(None)
+        for drift, row, top in writes:
+            if scratch is None:
+                v = drift.speed(grid.edges, times, out=row)
+                # max |v| as max(|max v|, |min v|), bitwise, keeping v
+                np.abs(np.max(v, axis=1, out=top), out=top)
+                np.maximum(top, np.abs(np.min(v, axis=1)), out=top)
+            else:
+                v = drift.speed(grid.edges, times, out=scratch[: len(times)])
+                np.copyto(row, v)
+                np.max(np.abs(v, out=v), axis=1, out=top)
         if coefs:
-            lead = speeds[new, :, :limited]
-            _limiter_coefficients(lead[:, :-1], lead[:, 1:], lam, [c[new] for c in coefs])
-            limiters = zip(*(c[:n_rows] for c in flat))
-        stages = list(zip(speeds[:n_rows], limiters))
-        yield list(zip(stages[:-1:2], stages[2::2], stages[1::2])), smax[:n_rows]
-        for table in (speeds, smax, *coefs):
-            table[0] = table[n_rows - 1]
-        times, done = [], done + k
+            _limiter_coefficients(s_left, s_right, lam, terms)
+        yield full[:k], smax[:n_rows]
+        done += k
+        if done < n_steps:  # only a full block has a next one
+            for first, last in carry:
+                np.copyto(first, last)
+        times = []
 
 
-def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages, work: _StageWork,
-          out: np.ndarray):
+def _step(avg: np.ndarray, dt: float, stages, work: _StageWork, out: np.ndarray):
     """One SSP-RK3 step through the schedule's (start, end, mid) stages: the
     advanced averages, written into out (not avg), and the rates at which
     each row's mass leaves through the boundary in the three stages.  The
@@ -439,16 +519,16 @@ def _step(avg: np.ndarray, grid: Grid1D, dt: float, stages, work: _StageWork,
     # formulas avg + dt du, 0.75 avg + 0.25 (u1 + dt du) and
     # (avg + 2 (u2 + dt du)) / 3, worked operation for operation in place on
     # each derivative
-    u1, o0 = _rhs(avg, grid, s0, l0, work, work.stage)
+    u1, o0 = _rhs(avg, s0, l0, work, work.stage)
     u1 *= dt
     u1 += avg
-    du, o1 = _rhs(u1, grid, s1, l1, work, out)  # out is free until the last stage
+    du, o1 = _rhs(u1, s1, l1, work, out)  # out is free until the last stage
     du *= dt
     du += u1
     du *= 0.25
     u2 = np.multiply(0.75, avg, out=work.stage)  # u1 is spent
     u2 += du
-    du, o2 = _rhs(u2, grid, s2, l2, work, out)
+    du, o2 = _rhs(u2, s2, l2, work, out)
     du *= dt
     du += u2
     du *= 2.0
@@ -479,7 +559,7 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
     state, spare = _slots(2, (space.n_cells, len(starts)))
     for r, f in enumerate(starts):
         state[:, r] = f.averages
-    work = _StageWork(space.n_cells, len(starts), lead if lam is not None else 0)
+    work = _StageWork(space, len(starts), lead if lam is not None else 0)
     worst_nu = [0.0] * len(starts)
     outflow = np.zeros(lead)  # mass each lead row has lost through the boundary
     low = state[:, :lead].copy()  # each cell's smallest average so far
@@ -498,7 +578,7 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
             worst_nu[r] = max(worst_nu[r], nu)
         rates = []  # the block's three stage outflow rates a step
         for stages in steps:
-            spare, (state, rate) = state, _step(state, space, dt, stages, work, spare)
+            spare, (state, rate) = state, _step(state, dt, stages, work, spare)
             t = t + dt
             if keep:
                 # one fresh array of the step's rows, each row contiguous

@@ -19,7 +19,7 @@ import pytest
 
 from mfrn import optim
 from mfrn.core import Activation, ControlPath, RunConfig, TimeGrid
-from mfrn.fvm import _BLOCK_DOUBLES, DriftSpec, Grid1D, project_initial
+from mfrn.fvm import _BLOCK_DOUBLES, _block_steps, DriftSpec, Grid1D, project_initial
 from mfrn.optim import TargetMeasure, gauss_seidel_train
 from mfrn.scenarios import gaussian_density
 
@@ -181,7 +181,8 @@ def test_training_goes_through_the_traced_entry_points(monkeypatch):
     assert tg.n_steps * n_edges <= _BLOCK_DOUBLES
     reads = 2 * calls["sweeps"]
     for rows in calls["batches"]:
-        block = max(1, 2 * _BLOCK_DOUBLES // (n_edges * rows))
+        block = _block_steps(n_edges, rows)
+        assert block == 11  # 9 rows of 41 edges
         reads += rows * -(-tg.n_steps // block)
     assert calls["speed"] == reads
     assert calls["eval_w"] == calls["eval_b"] == calls["speed"]

@@ -22,8 +22,9 @@ from mfrn.fvm import (
     project_initial,
     solve_final_fields,
     solve_transport,
-    _BLOCK_DOUBLES,
+    _block_steps,
     _cweno3_faces,
+    _cweno3_views,
     _limited_faces,
     _limiter_coefficients,
     _rhs,
@@ -69,7 +70,8 @@ def oracle_cweno3(a, b, c, eps=1e-6):
 def cweno3_faces(a, b, c, eps):
     """The solver's faces of the stencils (a, b, c), one a column of a
     three-cell array."""
-    left, right = _cweno3_faces(np.stack([a, b, c]), eps, np.empty((10, 2, a.size)))
+    cells, work = np.stack([a, b, c]), np.empty((10, 2, a.size))
+    left, right = _cweno3_faces(_cweno3_views(cells, work), eps)
     return left[0], right[0]
 
 
@@ -164,8 +166,8 @@ def sweep_rhs(avg, grid, speed, limited=0, lam=None, work=None):
         limiter = [c.reshape(-1) for c in coefficients(speed[:-1, :limited],
                                                        speed[1:, :limited], lam)]
     if work is None:
-        work = fvm._StageWork(grid.n_cells, avg.shape[1], limited)
-    return _rhs(avg, grid, speed, limiter, work, np.empty(avg.shape))
+        work = fvm._StageWork(grid, avg.shape[1], limited)
+    return _rhs(avg, speed, limiter, work, np.empty(avg.shape))
 
 
 def reference_rhs(avg, grid, speed, positivity_dt=None):
@@ -304,7 +306,7 @@ class TestStageWorkspace:
 
         a, b = draw(_AVERAGE, cells), draw(_AVERAGE, cells)
         speed_a, speed_b = draw(_SPEED, cells + 1), draw(_SPEED, cells + 1)
-        work = fvm._StageWork(cells, rows, limited)
+        work = fvm._StageWork(grid, rows, limited)
         quiet(sweep_rhs, a, grid, speed_a, limited, lam, work)
         got_du, got_out = quiet(sweep_rhs, b, grid, speed_b, limited, lam, work)
         fresh_du, fresh_out = quiet(sweep_rhs, b, grid, speed_b, limited, lam)
@@ -322,26 +324,55 @@ class TestStageWorkspace:
         # with the sweep's workspace and its output array given, one SSP-RK3
         # step allocates nothing of the grid's size: its outflow rates and
         # numpy's view objects only.  A cast through numpy's buffer (a bool
-        # array into a float one) would take up to 8 KiB
+        # array into a float one) would take up to 8 KiB.  The step is the
+        # first of its block, which holds both steps for one or two rows
         grid = Grid1D(-2.0, 3.0, 3200)
         tg = TimeGrid.from_step(4e-3, 2e-3)
         drifts = scaled_trials(tg, "tanh", lambda t: 0.3 + 0.0 * t, lambda t: 0.2 + t, rows)
         avg = np.repeat(project_initial(gaussian_density(0.3, 0.25), grid).averages[:, None],
                         rows, axis=1)
-        work, out = fvm._StageWork(grid.n_cells, rows, limited), np.empty_like(avg)
+        work, out = fvm._StageWork(grid, rows, limited), np.empty_like(avg)
         lam = tg.dt / grid.dx if limited else None
         schedule = _stage_schedule(drifts, grid, 0.0, tg.dt, tg.n_steps, lam, limited)
-        (stages,), _ = next(schedule)
-        fvm._step(avg, grid, tg.dt, stages, work, out)  # numpy's one-time set-up
+        stages = next(schedule)[0][0]
+        fvm._step(avg, tg.dt, stages, work, out)  # numpy's one-time set-up
         want = out.copy()
         tracemalloc.start()
         try:
-            fvm._step(avg, grid, tg.dt, stages, work, out)
+            fvm._step(avg, tg.dt, stages, work, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.tobytes() == want.tobytes()
         assert peak <= 8192 + 64 * rows < avg.nbytes
+
+    @pytest.mark.parametrize("rows, limited", [(2, 1), (9, 9)])
+    def test_the_prebuilt_views_are_views(self, rows, limited):
+        # the limiter writes through flat views and the flux reads the faces
+        # through slices, all built with the workspace: a reshape that
+        # copied would drop the limiter's writes.  One limited row of two is
+        # the strided case
+        grid = Grid1D(-2.0, 3.0, 40)
+        n = grid.n_cells
+        work = fvm._StageWork(grid, rows, limited)
+        left, right = work.faces[0], work.faces[1]
+        for view, slot, cells in ((work.uc, work.padded, work.padded[2:-2, :limited]),
+                                  (work.uL, left, left[1 : n + 1, :limited]),
+                                  (work.uR, right, right[1 : n + 1, :limited])):
+            assert view.shape == (n * limited,) and np.shares_memory(view, slot)
+            slot.fill(0.0)
+            view[...] = np.arange(1, view.size + 1)
+            # cell-major, the rows varying fastest, and nothing outside them
+            assert np.array_equal(cells, np.arange(1, view.size + 1).reshape(n, limited))
+            assert np.count_nonzero(slot) == view.size
+        assert np.shares_memory(work.inner, work.padded)
+        assert all(np.shares_memory(v, work.padded) or np.shares_memory(v, work.faces)
+                   for v in work.cweno)
+        assert np.shares_memory(work.u_minus, right) and np.shares_memory(work.u_plus, left)
+        for view, slot in zip(work.flux_out, work.flux):
+            assert view.shape == slot.shape and np.shares_memory(view, slot)
+        assert all(np.shares_memory(v, work.flux[0]) for v in
+                   (work.flux_hi, work.flux_lo, work.flux_last, work.flux_first))
 
 
 _aligned_slots = fvm._slots
@@ -393,9 +424,9 @@ class TestAlignedStageMemory:
         lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
         seen, step = [], fvm._step
 
-        def spy(avg, space, dt, stages, work, out):
+        def spy(avg, dt, stages, work, out):
             seen.append((avg, out, work, stages))
-            return step(avg, space, dt, stages, work, out)
+            return step(avg, dt, stages, work, out)
 
         monkeypatch.setattr(fvm, "_step", spy)
         for sweep in (lambda: solve_transport(f0, drifts[0], tg, adjoint=lam0),
@@ -437,9 +468,9 @@ class TestAlignedStageMemory:
                              fvm._slots(1, (cells, limited), bool)[0]]
                     _limiter_coefficients(s[:-1, :limited], s[1:, :limited], lam, coefs)
                     limiter = [c.reshape(-1) for c in coefs]
-                work = fvm._StageWork(cells, rows, limited)
+                work = fvm._StageWork(grid, rows, limited)
                 assert work.faces[0].ctypes.data % 64 == offset
-                du, rate = quiet(_rhs, a, grid, s, limiter, work, out)
+                du, rate = quiet(_rhs, a, s, limiter, work, out)
             results.add((du.tobytes(), rate.tobytes()))
         assert len(results) == 1
 
@@ -698,9 +729,9 @@ class TestTransportSolve:
         times = []
         original = DriftSpec.speed
 
-        def counted(self, x, t):
+        def counted(self, x, t, out=None):
             times.append(np.array(t, copy=True))
-            return original(self, x, t)
+            return original(self, x, t, out=out)
 
         monkeypatch.setattr(DriftSpec, "speed", counted)
         grid = Grid1D(-2.0, 3.0, 100)
@@ -708,7 +739,7 @@ class TestTransportSolve:
         tg = TimeGrid.from_step(0.5, 1e-2)
         drift = DriftSpec(ControlPath.constant(tg, w=0.3, b=0.1), Activation("tanh"))
         solve_transport(f0, drift, tg)
-        block = _BLOCK_DOUBLES // (grid.n_cells + 1)
+        block = _block_steps(grid.n_cells + 1, 1)
         assert block == 20 and tg.n_steps == 50
         assert [t.size for t in times] == [2 * block + 1, 2 * block, 2 * (tg.n_steps - 2 * block)]
         want, t = [0.0], 0.0
@@ -808,14 +839,16 @@ class TestPairedSweep:
     """A limited forward row and an adjoint row in one sweep are the two
     solves on their own."""
 
-    @pytest.mark.parametrize("cells, n_steps", [(200, 23), (1100, 6)],
+    @pytest.mark.parametrize("cells, n_steps", [(200, 23), (1100, 5)],
                              ids=["200-cells", "1100-cells"])
     @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])
     def test_rows_are_the_solves(self, caplog, act, cells, n_steps):
-        # 23 steps are two blocks of 10 and one of 3 at 200 cells; at 1100
-        # cells a block holds a single step
-        block = max(1, _BLOCK_DOUBLES // (cells + 1))
-        assert block == (10 if cells == 200 else 1)
+        # 23 steps are two blocks of 10 and one of 3 at 200 cells, alone or
+        # paired; at 1100 cells the 5 steps of a lone solve are blocks of 4
+        # and 1, and those of the paired sweep blocks of 2, 2 and 1, so
+        # each ends on a single step carried over from a full block
+        lone, paired = _block_steps(cells + 1, 1), _block_steps(cells + 1, 2)
+        assert (lone, paired) == ((10, 10) if cells == 200 else (4, 2))
         dt = 1e-2 if cells == 200 else 1e-3
         tg = TimeGrid.from_step(n_steps * dt, dt)
         c = ControlPath.from_functions(
@@ -850,7 +883,7 @@ class TestPairedSweep:
         # block, reaching CFL 1.6 at its end; the adjoint speed -b(T - t)
         # passes it in the first
         grid = Grid1D(-2.0, 3.0, 100)
-        assert _BLOCK_DOUBLES // (grid.n_cells + 1) == 20
+        assert _block_steps(grid.n_cells + 1, 1) == _block_steps(grid.n_cells + 1, 2) == 20
         tg = TimeGrid.from_step(0.4, 1e-2)
         f0 = project_initial(gaussian_density(0.3, 0.25), grid)
         lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
@@ -1000,7 +1033,7 @@ class TestBlockCFLCheck:
         # the second block; the solve takes the first block's 20 steps, then
         # raises naming the second block's largest speed, at t = 0.3
         grid = Grid1D(-2.0, 3.0, 100)
-        assert _BLOCK_DOUBLES // (grid.n_cells + 1) == 20
+        assert _block_steps(grid.n_cells + 1, 1) == 20
         tg = TimeGrid.from_step(0.3, 1e-2)
         f0 = project_initial(gaussian_density(0.3, 0.25), grid)
         drift = DriftSpec(ControlPath.from_functions(tg, lambda t: 0.0 * t, lambda t: 30.0 * t),
@@ -1016,7 +1049,7 @@ class TestBlockCFLCheck:
             solve_transport(f0, drift, tg)
         assert len(steps) == 20
 
-    # blocks of 20, 10, 2 and 1 steps
+    # blocks of 20, 10, 4 and 4 steps alone, 20, 10, 2 and 2 paired
     @pytest.mark.parametrize("cells", [100, 200, 700, 1100])
     @pytest.mark.parametrize("kind", ["forward", "adjoint", "paired"])
     @pytest.mark.parametrize("peak", [6.5, 25.0], ids=["mid-time", "end"])
@@ -1050,16 +1083,16 @@ class TestBlockCFLCheck:
 
 
 class TestStageSchedule:
-    @pytest.mark.parametrize("cells, n_steps", [(200, 47), (3200, 4)],
+    @pytest.mark.parametrize("cells, n_steps", [(200, 47), (3200, 5)],
                              ids=["200-cells", "3200-cells"])
     @pytest.mark.parametrize("reversed_", [False, True], ids=["forward", "adjoint"])
     @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])
     def test_rows_are_the_per_stage_formulas(self, monkeypatch, act, reversed_, cells,
                                              n_steps):
-        # 47 steps are four blocks of 10 and one of 7 at 200 cells; at 3200
-        # cells a block holds a single step
-        block = max(1, _BLOCK_DOUBLES // (cells + 1))
-        assert (block, n_steps % block) == ((10, 7) if cells == 200 else (1, 0))
+        # 47 steps of the two rows are four blocks of 10 and one of 7 at 200
+        # cells; at 3200 cells 5 steps are two blocks of 2 and one of 1
+        block = _block_steps(cells + 1, 2)
+        assert (block, n_steps % block) == ((10, 7) if cells == 200 else (2, 1))
         dt = 2e-3 if cells == 3200 else 1e-2
         tg = TimeGrid.from_step(n_steps * dt, dt)
         c = ControlPath.from_functions(
@@ -1073,9 +1106,9 @@ class TestStageSchedule:
         calls = []
         original = DriftSpec.speed
 
-        def counted(self, x, t):
+        def counted(self, x, t, out=None):
             calls.append(t)
-            return original(self, x, t)
+            return original(self, x, t, out=out)
 
         monkeypatch.setattr(DriftSpec, "speed", counted)
         # a block's rows are checked before the next block is drawn: the
@@ -1109,6 +1142,34 @@ class TestStageSchedule:
         assert sizes == [block] * (n_steps // block) + [n_steps % block] * (n_steps % block > 0)
         assert len(calls) == 2 * len(sizes)
 
+    @pytest.mark.parametrize("cells, rows", [(3200, 1), (400, 9)])
+    @pytest.mark.parametrize("act", ["identity", "tanh"])
+    def test_a_later_block_holds_no_fresh_array(self, act, cells, rows):
+        # a drawn block's steps run while the sweep allocates its snapshots;
+        # what the block holds meanwhile stays where the heap put it.  Each
+        # drift's speeds are computed in a scratch of the solve and copied
+        # into the table, and the tables' views are built with them, so a
+        # later block holds less than one drift's speeds at one stage time;
+        # a fresh speed array a block would hold two or more.  (numpy may
+        # buffer the speed call's broadcast operands while it runs; those
+        # buffers are gone when it returns.)  At 3200 cells 13 steps are
+        # blocks of 4, 4, 4 and 1; nine rows of 400 cells take one a block
+        grid = Grid1D(-2.0, 3.0, cells)
+        dt = 0.4 * grid.dx
+        tg = TimeGrid.from_step(13 * dt, dt)
+        drifts = scaled_trials(tg, act, lambda t: 0.3 + 0.0 * t, lambda t: 0.2 + t, rows)
+        schedule = _stage_schedule(drifts, grid, 0.0, dt, tg.n_steps, dt / grid.dx, rows)
+        sizes, held = [len(next(schedule)[0])], []
+        tracemalloc.start()
+        try:
+            for steps, _ in schedule:
+                sizes.append(len(steps))
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert sizes == ([4, 4, 4, 1] if rows == 1 else [1] * 13)
+        assert max(held) < grid.edges.nbytes
+
     @pytest.mark.parametrize("rows, block", [(1, 10), (2, 10), (3, 6), (9, 2), (30, 1)])
     def test_more_rows_share_the_budget_of_two(self, rows, block):
         # at 200 cells one or two rows take blocks of 10 steps, and more rows
@@ -1121,7 +1182,7 @@ class TestStageSchedule:
                  _stage_schedule(drifts, grid, 0.0, tg.dt, tg.n_steps, 0.5, rows)]
         assert sum(sizes) == tg.n_steps
         assert sizes[:-1] == [block] * (len(sizes) - 1) and sizes[-1] <= block
-        assert block == 1 or block * (grid.n_cells + 1) * max(rows, 2) <= 2 * _BLOCK_DOUBLES
+        assert _block_steps(grid.n_cells + 1, rows) == block
 
     @pytest.mark.parametrize("reversed_", [False, True], ids=["forward", "adjoint"])
     @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid", "tanh", "gcu"])

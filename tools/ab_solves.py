@@ -18,13 +18,15 @@ compared.  The cost cases are those of the benchmark's gradient probe: one
 controls w = 0.3 sin(pi t), b = 0.5 t, from the exact cell averages of
 N(0.3, 0.25^2), with identity, tanh and sigmoid; the costs are compared.
 The sweep cases are the benchmark's refinement-sweep solves at its finest
-grids (``bench/child.py::run_sweep``), 1600 and 3200 cells on [-2, 3]: one
+grids (``bench/child.py::run_sweep``), 800, 1600 and 3200 cells on [-2, 3]: one
 row, ``solve_transport`` keeping its snapshots, constant speed 1 (identity,
 w = 0, b = 1), dt = 0.4 dx up to T = 1.  The forward case carries the exact
 cell averages of N(0, 0.25^2), limited; the reversed case those of the
 derivative of the N(1, 0.25^2) density, unlimited.  The final snapshots are
-compared.  Over SWEEP_ROUNDS rounds a single sweep case of two identical
-trees read 0.91-1.02, so their geometric mean is the check.
+compared.  These are every sweep size from which a lone solve's block holds
+fewer than 4 steps by _BLOCK_DOUBLES alone (fvm._block_steps).  Over
+SWEEP_ROUNDS rounds a single sweep case of two identical trees read
+0.91-1.02, so their geometric mean is the check.
 The ensemble cases integrate 1e2, 1e3, 1e4 and 1e5 particles
 drawn from N(0.5, 0.3^2) with RK4 (``particle.ode_integrate``) under the
 controls of ``scenarios/convergence.json`` (w = 0.4 sin(pi t), b = 0.3 t,
@@ -78,7 +80,7 @@ STEPS = 100
 ROUNDS = 15
 COST_ACTIVATIONS = ("identity", "tanh", "sigmoid")
 ENSEMBLE_SIZES = (100, 1000, 10_000, 100_000)
-SWEEP_CELLS = (1600, 3200)
+SWEEP_CELLS = (800, 1600, 3200)
 SWEEP_ROUNDS = 9  # a 3200-cell sweep solve takes about a second
 STUDY_ROUNDS = 9  # a study takes about a second a call
 
