@@ -437,19 +437,17 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
     block.  A block's stages and smax are views of those buffers: they hold
     until the next block is drawn.
 
-    A block after the first holds no fresh array while its steps run: a
-    lone drift's speeds are written straight into the table, and the
-    tables' views (a stage's speeds and limiter terms, a full block's steps,
-    the rows a later full block writes and those it carries over) are built
-    with the tables.  A fresh speed array a block, once glibc's mmap
-    threshold had risen above its size, was carved from the heap between
-    the snapshots a sweep keeps: with four steps a block the benchmark's
-    refinement solves peaked 3.5 MB higher in a fresh process, and 0.6 MB
-    higher with no fresh array (the larger tables).  The drifts of a sweep
-    of several interleave in the table, where numpy strides or buffers its
-    loops over one drift's rows: each is computed in a scratch of the solve
-    and copied in, which took a nine-row line search's solves to 0.91 of
-    the time."""
+    A block after the first holds no fresh array while its steps run: each
+    drift's speeds are computed in one scratch of the solve and copied into
+    the table, and the tables' views (a stage's speeds and limiter terms, a
+    full block's steps, the rows it carries over) are built with the
+    tables.  A fresh speed array a block, once glibc's mmap threshold had
+    risen above its size, was carved from the heap between the snapshots a
+    sweep keeps: with four steps a block the benchmark's refinement solves
+    peaked 3.5 MB higher in a fresh process.  The scratch is contiguous
+    where a drift's rows in the table are not (the drifts interleave), so
+    the speed call's loops run over one buffer: written straight into the
+    table, a nine-row line search's solves took 1.10 times as long."""
     n_edges, rows = grid.n_cells + 1, len(drifts)
     block = min(n_steps, _block_steps(n_edges, rows))
     size = 2 * block + 1
@@ -457,9 +455,7 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
     # fragment the heap
     speeds = _slots(size, (n_edges, rows))
     smax = np.empty((size, rows))
-    # a lone drift's speeds need none: the scratch would cost the
-    # benchmark's 3200-cell solves 0.2 MB of peak memory
-    scratch = _slots(1, (size, n_edges))[0] if rows > 1 else None
+    scratch = _slots(1, (size, n_edges))[0]
     coefs = []
     if lam is not None:
         coefs = [*(_slots(size, (n_edges - 1, limited)) for _ in range(4)),
@@ -470,15 +466,6 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
     full = list(zip(stages[:-1:2], stages[2::2], stages[1::2]))
     carry = [(table[0], table[-1]) for table in (speeds, smax, *coefs)]
 
-    def targets(new: slice):
-        """What a block writes into the rows new of the tables: each drift
-        with its speeds and their maxima, and the limited drifts' speeds at
-        the cells' left and right edges with the coefficients' rows."""
-        lead = speeds[new, :, :limited]
-        return ([(d, speeds[new, :, r], smax[new, r]) for r, d in enumerate(drifts)],
-                (lead[:, :-1], lead[:, 1:], [c[new] for c in coefs]))
-
-    later = targets(slice(1, size))  # every full block but the first
     times, done = [t], 0
     while done < n_steps:
         k = min(block, n_steps - done)
@@ -486,21 +473,16 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
             times += (t + 0.5 * dt, t + dt)
             t = t + dt
         n_rows = 2 * k + 1
-        writes, (s_left, s_right, terms) = later if done and k == block else targets(
-            slice(n_rows - len(times), n_rows))  # all rows but a carried one
+        new = slice(n_rows - len(times), n_rows)  # all rows but a carried one
         times = np.array(times)
-        for drift, row, top in writes:
-            if scratch is None:
-                v = drift.speed(grid.edges, times, out=row)
-                # max |v| as max(|max v|, |min v|), bitwise, keeping v
-                np.abs(np.max(v, axis=1, out=top), out=top)
-                np.maximum(top, np.abs(np.min(v, axis=1)), out=top)
-            else:
-                v = drift.speed(grid.edges, times, out=scratch[: len(times)])
-                np.copyto(row, v)
-                np.max(np.abs(v, out=v), axis=1, out=top)
+        for r, drift in enumerate(drifts):
+            v = drift.speed(grid.edges, times, out=scratch[: len(times)])
+            np.copyto(speeds[new, :, r], v)
+            np.max(np.abs(v, out=v), axis=1, out=smax[new, r])
         if coefs:
-            _limiter_coefficients(s_left, s_right, lam, terms)
+            # the limited drifts' speeds at the cells' left and right edges
+            lead = speeds[new, :, :limited]
+            _limiter_coefficients(lead[:, :-1], lead[:, 1:], lam, [c[new] for c in coefs])
         yield full[:k], smax[:n_rows]
         done += k
         if done < n_steps:  # only a full block has a next one

@@ -1148,23 +1148,26 @@ class TestStageSchedule:
         # a drawn block's steps run while the sweep allocates its snapshots;
         # what the block holds meanwhile stays where the heap put it.  Each
         # drift's speeds are computed in a scratch of the solve and copied
-        # into the table, and the tables' views are built with them, so a
-        # later block holds less than one drift's speeds at one stage time;
-        # a fresh speed array a block would hold two or more.  (numpy may
-        # buffer the speed call's broadcast operands while it runs; those
-        # buffers are gone when it returns.)  At 3200 cells 13 steps are
-        # blocks of 4, 4, 4 and 1; nine rows of 400 cells take one a block
+        # into the table, so the array buffers a later block holds (numpy's
+        # tracemalloc domain; the views' object headers are Python's) come
+        # to less than one drift's speeds at one stage time; a fresh speed
+        # array a block would hold two or more.  (numpy may buffer the speed
+        # call's broadcast operands while it runs; those buffers are gone
+        # when it returns.)  At 3200 cells 13 steps are blocks of 4, 4, 4
+        # and 1; nine rows of 400 cells take one a block
         grid = Grid1D(-2.0, 3.0, cells)
         dt = 0.4 * grid.dx
         tg = TimeGrid.from_step(13 * dt, dt)
         drifts = scaled_trials(tg, act, lambda t: 0.3 + 0.0 * t, lambda t: 0.2 + t, rows)
         schedule = _stage_schedule(drifts, grid, 0.0, dt, tg.n_steps, dt / grid.dx, rows)
         sizes, held = [len(next(schedule)[0])], []
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
         tracemalloc.start()
         try:
             for steps, _ in schedule:
                 sizes.append(len(steps))
-                held.append(tracemalloc.get_traced_memory()[0])
+                snapshot = tracemalloc.take_snapshot().filter_traces(arrays)
+                held.append(sum(trace.size for trace in snapshot.traces))
         finally:
             tracemalloc.stop()
         assert sizes == ([4, 4, 4, 1] if rows == 1 else [1] * 13)
