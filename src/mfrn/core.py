@@ -52,6 +52,21 @@ def reject_unknown(section: dict, allowed, prefix: str = "") -> None:
                                f"is not a known key; expected one of {sorted(allowed)}")
 
 
+def bisect(below: Callable, residual: Callable, lo: float, hi: float) -> float:
+    """A root of residual in [lo, hi], whose sides below tells apart: halve
+    toward the side whose below differs from lo's until no float lies between
+    the ends, then return the end with the smaller |residual|, lo on a tie."""
+    lo_below = below(lo)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if below(mid) == lo_below:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo if abs(residual(lo)) <= abs(residual(hi)) else hi
+
+
 @dataclass(frozen=True)
 class Activation:
     """Scalar activation applied componentwise by every solver.
@@ -156,9 +171,10 @@ class ControlPath:
     (constant-bias transports, closed-form solutions) legitimately use
     unpinned paths.  The optimizer re-pins after every update.
 
-    The samples are read-only copies, so a scalar time is interpolated once:
-    eval_w and eval_b keep the value read at each float time, and the RK4
-    particle stages read the same few hundred times for every block.
+    The samples are read-only copies, so a scalar time is checked and
+    interpolated once: eval_w and eval_b keep the value read at each float
+    time, and the RK4 particle stages read the same few hundred times for
+    every block.
     """
 
     grid: TimeGrid
@@ -201,11 +217,9 @@ class ControlPath:
         return cls(grid, np.full(n, float(w)), np.full(n, float(b)))
 
     def _check_time(self, t):
-        if isinstance(t, float) and 0.0 <= t <= self.grid.t_final:
-            return t  # the particles' case: a scalar time inside the domain
         t = np.asarray(t, dtype=float)
         if t.size and 0.0 <= t.min() and t.max() <= self.grid.t_final:
-            return t  # the grid solver's case: a block of stage times inside it
+            return t
         # NaN fails both bounds; np.interp reads a time in the slack as the end sample
         slack = 1e-12 * max(1.0, self.grid.t_final)
         if not np.all((-slack <= t) & (t <= self.grid.t_final + slack)):

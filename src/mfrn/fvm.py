@@ -182,8 +182,6 @@ class DriftSpec:
         b = self.control.eval_b(tau)
         if isinstance(tau, np.ndarray) and tau.ndim:
             w, b = w[:, None], b[:, None]
-        else:
-            w, b = float(w), float(b)
         # asarray: a 0-d x makes a scalar product, which cannot be written to
         v = np.asarray(np.multiply(w, np.asarray(x, dtype=float), out=out))
         v += b
@@ -261,14 +259,11 @@ def _cweno3_faces(views: tuple, eps: float):
     return left, right
 
 
-def llf_flux(u_minus, u_plus, speed, out=None):
-    """Local Lax-Friedrichs flux for the linear-in-u flux speed * u.  With
-    out, three float arrays of the flux's shape, the flux is written into
-    the first and returned, and the other two are scratch; without, they
-    are allocated.  The result is bitwise the formula's."""
-    if out is None:
-        out = np.empty((3, *np.broadcast_shapes(*map(np.shape, (u_minus, u_plus, speed)))))
-        out = out[0, ...], out[1, ...], out[2, ...]  # arrays, even 0-d
+def llf_flux(u_minus, u_plus, speed, out):
+    """Local Lax-Friedrichs flux for the linear-in-u flux speed * u, written
+    into the first of out's three float arrays of the flux's shape and
+    returned; the other two are scratch.  The result is bitwise the
+    formula's."""
     flux, total, spread = out
     np.multiply(0.5, speed, out=flux)
     flux *= np.add(u_minus, u_plus, out=total)
@@ -293,7 +288,6 @@ def _limiter_coefficients(sL, sR, lam, out):
     np.add(out_l, out_r, out=s_out)
     np.subtract(1.0, s_out, out=rest)
     np.less(s_out, 1.0, out=open_)
-    return out
 
 
 def _limited_faces(uc, uL, uR, coefs, work):
@@ -421,21 +415,22 @@ def _block_steps(n_edges: int, rows: int) -> int:
 def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
                     n_steps: int, lam: float | None = None, limited: int = 1):
     """The SSP-RK3 stages of the solve, one block of steps at a time, as
-    (steps, smax).  steps lists each step of the block as its (start, end,
+    (steps, peaks).  steps lists each step of the block as its (start, end,
     mid) stages, at the times t, t + dt and t + dt/2, with t accumulated by
     repeated + dt.  A stage is (the speeds at the edges, one column per
     drift, and with lam the cells' _limiter_coefficients at the speeds of
     the first `limited` drifts, flat and cell-major as _rhs takes them, else
-    None).  smax holds, for each of the block's stage times in time order
-    (node, mid, node, ..., node) and each drift, the largest speed
-    magnitude.
+    None).  peaks holds, for each drift, the largest speed magnitude (a
+    float) over the stage times the block adds: all of the first block's,
+    and all of a later block's but its first node, which was the block
+    before's last and counted there.
 
     The tables live in buffers allocated per solve: one speed call per drift
-    covers a block's stage times, and the block's last node, with what was
-    derived from it, is carried over as the next block's first.  So each
-    drift of a solve of n steps is read at 2n + 1 times, in one call a
-    block.  A block's stages and smax are views of those buffers: they hold
-    until the next block is drawn.
+    covers the stage times a block adds, and the block's last node, with
+    what was derived from it, is carried over as the next block's first.  So
+    each drift of a solve of n steps is read at 2n + 1 times, in one call a
+    block.  A block's stages are views of those buffers: they hold until the
+    next block is drawn.
 
     A block after the first holds no fresh array while its steps run: each
     drift's speeds are computed in one scratch of the solve and copied into
@@ -454,7 +449,6 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
     # buffers per solve, not per block: fresh tables for every block
     # fragment the heap
     speeds = _slots(size, (n_edges, rows))
-    smax = np.empty((size, rows))
     scratch = _slots(1, (size, n_edges))[0]
     coefs = []
     if lam is not None:
@@ -464,7 +458,7 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
     limiters = zip(*(c.reshape(size, -1) for c in coefs)) if coefs else itertools.repeat(None)
     stages = list(zip(speeds, limiters))
     full = list(zip(stages[:-1:2], stages[2::2], stages[1::2]))
-    carry = [(table[0], table[-1]) for table in (speeds, smax, *coefs)]
+    carry = [(table[0], table[-1]) for table in (speeds, *coefs)]
 
     times, done = [t], 0
     while done < n_steps:
@@ -474,16 +468,16 @@ def _stage_schedule(drifts: list[DriftSpec], grid: Grid1D, t: float, dt: float,
             t = t + dt
         n_rows = 2 * k + 1
         new = slice(n_rows - len(times), n_rows)  # all rows but a carried one
-        times = np.array(times)
+        times, peaks = np.array(times), []
         for r, drift in enumerate(drifts):
             v = drift.speed(grid.edges, times, out=scratch[: len(times)])
             np.copyto(speeds[new, :, r], v)
-            np.max(np.abs(v, out=v), axis=1, out=smax[new, r])
+            peaks.append(float(np.max(np.abs(v, out=v))))
         if coefs:
             # the limited drifts' speeds at the cells' left and right edges
             lead = speeds[new, :, :limited]
             _limiter_coefficients(lead[:, :-1], lead[:, 1:], lam, [c[new] for c in coefs])
-        yield full[:k], smax[:n_rows]
+        yield full[:k], peaks
         done += k
         if done < n_steps:  # only a full block has a next one
             for first, last in carry:
@@ -528,9 +522,10 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
     With keep, return instead every row's fields at every node, start field
     first, one list a row; a step's fields are views of one fresh array.
     The lead rows are limited with lam, and checked when drifts[0] is forward
-    (a sweep's lead rows all run one way).  A block that takes any row past
-    the hard CFL margin raises before its first step, naming that row's
-    speed.
+    (a sweep's lead rows all run one way).  Each row's CFL number is its
+    schedule peak times dt / dx, a block at a time, and a block that takes
+    any row past the hard CFL margin raises before its first step, naming
+    that row's speed.
 
     The stages compute in one _StageWork, allocated here, and the state
     alternates between two arrays, so the loop's allocations per step are
@@ -547,10 +542,10 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
     low = state[:, :lead].copy()  # each cell's smallest average so far
     rows = [[f] for f in starts] if keep else None
     t = starts[0].time
-    for steps, smax in _stage_schedule(drifts, space, t, dt, grid.n_steps, lam, lead):
-        # rounding is monotone: the block's largest speed gives its largest
-        # step CFL number
-        for r, m in enumerate(np.max(smax, axis=0).tolist()):
+    for steps, peaks in _stage_schedule(drifts, space, t, dt, grid.n_steps, lam, lead):
+        # rounding is monotone: a row's peak gives the largest step CFL
+        # number of the stage times the block adds
+        for r, m in enumerate(peaks):
             nu = m * dt / space.dx
             if nu > _CFL_HARD:
                 raise CFLViolationError(

@@ -23,15 +23,11 @@ summed over the two components.  The first search, and any whose <s,y> is
 not positive, starts at ARMIJO_RHO0.  From there it is monotone Armijo
 backtracking with no other acceptance rule: if no trial passes, rho = 0.
 
-Every line-search candidate is projected nodewise before it is solved (see
-armijo_search): for every activation the shear |w| is capped at
-SHEAR_FRACTION of the speed the configured CFL number admits, divided by the
-domain's largest |x|, and for unbounded activations, whose induced speeds a
-descent step can push past what the fixed time step tolerates, w x + b is
-also capped at the domain corners, which keeps their CFL number at the
-configured cfl <= 1.  A bounded activation's speeds reach 1 at most, so its
-CFL number is at most dt / dx, and training refuses, up front, a dt / dx past
-the solver's hard CFL bound.  So no trial ever reaches that bound.
+Every line-search candidate is projected nodewise before it is solved, onto
+the region _project_to_speed describes, which keeps an unbounded activation's
+CFL number at the configured cfl <= 1.  A bounded activation's speeds reach 1
+at most, so its CFL number is at most dt / dx, and training refuses, up front,
+a dt / dx past the solver's hard CFL bound.  So no trial ever reaches that bound.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Activation, ControlPath, RunConfig
+from .core import Activation, ControlPath, RunConfig, bisect
 from .fvm import (
     _CFL_HARD,
     DensityField,
@@ -132,16 +128,13 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
     return float(dt * (np.sum(values) - 0.5 * (values[0] + values[-1])))
 
 
-def _regularization(c: ControlPath, cfg: RunConfig) -> float:
+def _cost(c: ControlPath, f_T: DensityField, g: TargetMeasure, cfg: RunConfig) -> float:
+    """J(c) from c's final field f_T: the terminal mean-field loss plus the
+    Tikhonov terms, added as terminal + (w term + b term)."""
+    terminal = float(f_T.grid.dx * np.sum(tilde_loss(f_T.grid.centers, g) * f_T.averages))
     dt = c.grid.dt
-    return 0.5 * cfg.gamma_w * _trapezoid(c.w**2, dt) + 0.5 * cfg.gamma_b * _trapezoid(
-        c.b**2, dt
-    )
-
-
-def _terminal_cost(f_T: DensityField, g: TargetMeasure) -> float:
-    x = f_T.grid.centers
-    return float(f_T.grid.dx * np.sum(tilde_loss(x, g) * f_T.averages))
+    return terminal + (0.5 * cfg.gamma_w * _trapezoid(c.w**2, dt)
+                       + 0.5 * cfg.gamma_b * _trapezoid(c.b**2, dt))
 
 
 def reduced_cost(
@@ -165,10 +158,10 @@ def reduced_cost(
     drift = DriftSpec(c, act)
     if not paired:
         (f_T,) = solve_final_fields(f0, [drift], c.grid, cfg.cfl)
-        return _terminal_cost(f_T, g) + _regularization(c, cfg)
+        return _cost(c, f_T, g, cfg)
     f_traj, lam_traj = solve_transport(f0, drift, c.grid, cfl=cfg.cfl,
                                        adjoint=adjoint_initial(g, f0.grid))
-    return _terminal_cost(f_traj[-1], g) + _regularization(c, cfg), f_traj, lam_traj
+    return _cost(c, f_traj[-1], g, cfg), f_traj, lam_traj
 
 
 def control_gradient(
@@ -227,6 +220,8 @@ def _project_to_speed(
     which satisfy |sigma(y)| <= |y|, the full argument w*x + b additionally
     stays below the speed cap at the domain corners [lo, hi], which bounds
     the induced speed everywhere; bounded activations need no such guard.
+    cap is the speed the configured CFL number admits at the fixed time
+    step, cfl * dx / dt, so |w| <= SHEAR_FRACTION * cap / max(|lo|, |hi|).
 
     The feasible set per node is a convex polygon; its projection is the
     point itself, the foot on one face, or a vertex.  Projecting (rather than
@@ -302,14 +297,11 @@ def armijo_search(
     one by one.  The step taken is solved again as one paired sweep for the
     trajectories it hands over.
 
-    Every candidate is projected nodewise (_project_to_speed): for every
-    activation onto the shear cap |w| <= SHEAR_FRACTION * cap / max(|a|, |b|),
-    with cap the speed the configured CFL number admits at the fixed time
-    step, and for unbounded activations also onto |w x + b| <= cap at the
-    domain corners, so the search never wastes trials on solves that would go
-    unstable.  The decrease test uses the inner product with the projected
-    step, which reduces to the usual -rho*|grad|^2 whenever the projection is
-    inactive; a candidate whose projected step does not descend is no trial.
+    Every candidate is projected nodewise (_project_to_speed), so the search
+    never wastes trials on solves that would go unstable.  The decrease test
+    uses the inner product with the projected step, which reduces to the
+    usual -rho*|grad|^2 whenever the projection is inactive; a candidate whose
+    projected step does not descend is no trial.
     """
     g_w = _projected(grad[0])
     g_b = _projected(grad[1])
@@ -350,7 +342,7 @@ def armijo_search(
     finals = solve_final_fields(f0, [DriftSpec(cand, act) for _, cand, _ in rest], c.grid,
                                 cfg.cfl)
     for trial, f_T in zip(rest, finals):
-        if accepted(_terminal_cost(f_T, g) + _regularization(trial[1], cfg), trial):
+        if accepted(_cost(trial[1], f_T, g, cfg), trial):
             return paired(trial)
     return unchanged
 
@@ -410,7 +402,7 @@ def gauss_seidel_train(
     # later one was solved by the line search that accepted it
     f_traj, lam_traj = solve_transport(f0, DriftSpec(c, act), c.grid, cfl=cfg.cfl,
                                        adjoint=adjoint_initial(g, f0.grid))
-    cost = _terminal_cost(f_traj[-1], g) + _regularization(c, cfg)
+    cost = _cost(c, f_traj[-1], g, cfg)
     if not math.isfinite(cost):
         raise SolverDivergenceError(f"non-finite cost {cost!r} of the starting controls "
                                     f"(C0 norm {c.c0_norm():.6g})")
@@ -475,13 +467,12 @@ def identity_w_root(c: float) -> float:
 
     The left-hand side increases up to its maximum 1/(2e) at w = 1/2, so any
     c <= 1/(2e) has exactly one root on the branch; larger c has none.
-    Bisection on the branch bracket until no float lies between its ends;
-    the end with the smaller residual is the root.
+    Bisection (core.bisect) on the branch bracket; every root lies at
+    w >= -1/2 ln(float max), where the left-hand side is -inf, not an overflow.
     """
-    if c > W_EQUATION_BOUND:
-        raise ValueError(
-            f"no root: c = {c!r} exceeds the branch maximum 1/(2e) = {W_EQUATION_BOUND!r}"
-        )
+    if not (math.isfinite(c) and c <= W_EQUATION_BOUND):
+        raise ValueError(f"no root: c = {c!r} is not a finite number up to the branch "
+                         f"maximum 1/(2e) = {W_EQUATION_BOUND!r}")
     if c == W_EQUATION_BOUND:
         return 0.5
 
@@ -490,13 +481,5 @@ def identity_w_root(c: float) -> float:
 
     lo, hi = (0.0, 0.5) if c >= 0.0 else (-1.0, 0.0)
     while h(lo) > 0.0:
-        lo *= 2.0
-    # h(lo) <= 0 < h(hi) throughout
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if h(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    return lo if abs(h(lo)) <= abs(h(hi)) else hi
+        lo = max(2.0 * lo, -0.5 * math.log(np.finfo(float).max))
+    return bisect(lambda w: h(w) <= 0.0, h, lo, hi)  # h(lo) <= 0 < h(hi)

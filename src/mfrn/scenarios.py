@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGrid, activation,
-                   is_number, read_number, reject_unknown)
+                   bisect, is_number, read_number, reject_unknown)
 from .fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from .measures import moments, particles_to_density, variance, wasserstein1
 from .optim import OptimState, TargetMeasure, _bounded_step_excess, gauss_seidel_train
@@ -162,10 +162,7 @@ class Scenario:
                 return f0(x * ea + (1.0 - ea) * p["mu"]) * ea
 
         elif self.name == "test3":
-            f0 = self.initial_density()
-            exact = self.exact_controls()
-            return solve_transport(f0, DriftSpec(exact, self.act), self.time_grid,
-                                   cfl=self.config.cfl)[-1]
+            return _push_forward(self, self.initial_density(), self.exact_controls())
         else:
             raise ValueError(f"scenario {self.name!r} has no fixed target density")
         return project_initial(fn, self.space_grid)
@@ -252,8 +249,8 @@ def activation_preimage(act: Activation, r: float) -> float:
             raise ValueError(f"rate {r!r} is outside the tanh image (-1, 1)")
         return math.atanh(r)
     # gcu: x*cos(x) is continuous and unbounded both ways, so a root always
-    # exists; bracket by scanning outward, then bisect until no float lies
-    # between the ends, comparing signs (a product of residuals can overflow)
+    # exists; bracket by scanning outward, then bisect, comparing x cos(x)
+    # with r (a product of residuals can overflow)
     span = 4.0
     while True:
         if not math.isfinite(2.0 * span):  # the next scan's width overflows
@@ -263,17 +260,15 @@ def activation_preimage(act: Activation, r: float) -> float:
         sign_change = np.nonzero(np.diff(below))[0]
         if sign_change.size:
             lo, hi = xs[sign_change[0]].item(), xs[sign_change[0] + 1].item()
-            break
+            return bisect(lambda x: x * math.cos(x) < r, lambda x: x * math.cos(x) - r, lo, hi)
         span *= 2.0
-    lo_below = lo * math.cos(lo) < r
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if (mid * math.cos(mid) < r) == lo_below:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return min(lo, hi, key=lambda x: abs(x * math.cos(x) - r))
+
+
+def _push_forward(sc: Scenario, f0: DensityField, controls: ControlPath) -> DensityField:
+    """f0 carried to t_final under controls: the scenarios' one final-only
+    solve (test3's target, the exact controls, the study), by solve_transport,
+    whose calls the benchmark's per-layer metrics count."""
+    return solve_transport(f0, DriftSpec(controls, sc.act), sc.time_grid, cfl=sc.config.cfl)[-1]
 
 
 @dataclass(frozen=True)
@@ -355,8 +350,7 @@ def run_exact_control(sc: Scenario) -> ExactControlReport:
         raise ValueError(f"scenario {sc.name!r} carries no exact controls")
     f0 = sc.initial_density()
     g_field = sc.target_field()
-    f_T = solve_transport(f0, DriftSpec(controls, sc.act), sc.time_grid,
-                          cfl=sc.config.cfl)[-1]
+    f_T = _push_forward(sc, f0, controls)
     return ExactControlReport(
         scenario=sc, controls=controls, f0=f0, target_field=g_field, f_T=f_T,
         w1=wasserstein1(f_T, g_field),
@@ -391,8 +385,7 @@ def run_convergence_study(sc: Scenario) -> ConvergenceReport:
     t0 = time.perf_counter()
     controls = sc.exact_controls()
     f0 = sc.initial_density()
-    f_T = solve_transport(f0, DriftSpec(controls, sc.act), sc.time_grid,
-                          cfl=sc.config.cfl)[-1]
+    f_T = _push_forward(sc, f0, controls)
     M_list, n_seeds = list(sc.params["M_list"]), sc.params["n_seeds"]
 
     edges = np.cumsum([0, *M_list])

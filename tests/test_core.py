@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from mfrn.core import Activation, ControlPath, RunConfig, TimeGrid, activation, is_number
+from mfrn.core import (Activation, ControlPath, RunConfig, TimeGrid, activation, bisect,
+                       is_number)
 from mfrn.fvm import DriftSpec
 
 ALL_KINDS = ("identity", "relu", "sigmoid", "tanh", "gcu")
@@ -105,6 +106,40 @@ class TestSigmoidWithoutMasks:
         for x in self.SPECIAL:
             got = Activation("sigmoid").value(x)
             assert got.shape == () and _same_bits(got, masked_sigmoid(x))
+
+
+class TestBisect:
+    @staticmethod
+    def ends(below, residual, lo, hi):
+        """bisect's result and the two ends it compared: its last two
+        residual calls."""
+        seen = []
+
+        def recorded(x):
+            seen.append(x)
+            return residual(x)
+
+        return bisect(below, recorded, lo, hi), seen[-2:]
+
+    @pytest.mark.parametrize("residual, lo_wins", [(lambda x: 1.0, True),
+                                                   (lambda x: x - 0.3, False)])
+    def test_a_monotone_side_test(self, residual, lo_wins):
+        # below changes between 0.3 and the float before it; a constant
+        # residual ties the ends, so lo is taken
+        x, (lo, hi) = self.ends(lambda x: x < 0.3, residual, 0.0, 1.0)
+        assert (lo, hi) == (np.nextafter(0.3, 0.0), 0.3)
+        assert x == (lo if lo_wins else hi)
+
+    def test_a_non_monotone_residual(self):
+        # (x - 1)(x - 2)(x - 3) on [0, 3.5] changes sign three times; the
+        # first halving keeps [0, 1.75], and the ends close on the root 1
+        def cubic(x):
+            return (x - 1.0) * (x - 2.0) * (x - 3.0)
+
+        x, (lo, hi) = self.ends(lambda x: cubic(x) < 0.0, cubic, 0.0, 3.5)
+        assert np.nextafter(lo, math.inf) == hi
+        assert (cubic(lo) < 0.0) != (cubic(hi) < 0.0)
+        assert x == hi == 1.0 and abs(cubic(x)) < abs(cubic(lo))
 
 
 class TestTimeGrid:

@@ -410,8 +410,8 @@ ACTIVATIONS = ["identity", "relu", "gcu", "sigmoid", "tanh"]
 def largest_cfl_number(drift, grid, tg):
     """The largest step CFL number of a solve of drift, over the stage
     schedule's speeds, as the solver reckons it."""
-    return max(float(np.max(smax)) * tg.dt / grid.dx
-               for _, smax in _stage_schedule([drift], grid, 0.0, tg.dt, tg.n_steps))
+    return max(max(peaks) * tg.dt / grid.dx
+               for _, peaks in _stage_schedule([drift], grid, 0.0, tg.dt, tg.n_steps))
 
 
 class TestNoTrialBreaksTheHardBound:
@@ -807,6 +807,20 @@ class TestIdentityClosedForm:
     def test_above_branch_maximum_rejected(self):
         with pytest.raises(ValueError, match="branch maximum"):
             identity_w_root(0.2)
+
+    @pytest.mark.parametrize("c", [math.nan, -math.inf, math.inf])
+    def test_non_finite_rates_rejected(self, c):
+        with pytest.raises(ValueError, match="not a finite number"):
+            identity_w_root(c)
+
+    @pytest.mark.parametrize("c", [-1e300, -1.7e308])
+    def test_far_negative_rates_have_roots(self, c):
+        # below c = -256 e^512, about -5.8e224, the bracket's doubling once
+        # reached w = -512, where exp(1024) overflows; every root lies above
+        # -1/2 ln(float max), about -354.9
+        w = identity_w_root(c)
+        assert -355.0 < w < -256.0
+        assert abs(w * math.exp(-2.0 * w) - c) <= 1e-12 * abs(c)
 
     def test_negative_rate_gives_negative_root(self):
         w = identity_w_root(-1.5)
