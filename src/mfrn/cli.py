@@ -71,7 +71,10 @@ def _key_line(text: str, key: str) -> int:
     return line
 
 
-def load_config(path: str) -> tuple[Scenario, bytes]:
+def load_config(path: str, activation: str | None = None,
+                seed: int | None = None) -> tuple[Scenario, bytes]:
+    """The config file's scenario, with each override that is not None applied
+    after the file is read, and its bytes; a ConfigError names any error's line."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -86,6 +89,10 @@ def load_config(path: str) -> tuple[Scenario, bytes]:
         raise ConfigError("config root must be a JSON object")
     try:
         sc = scenario_from_config(data)
+        if activation is not None:
+            sc = dataclasses.replace(sc, activation=activation)
+        if seed is not None:
+            sc = dataclasses.replace(sc, seed=seed)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(str(e), line=_key_line(text, getattr(e, "key", ""))) from e
     return sc, raw
@@ -94,11 +101,10 @@ def load_config(path: str) -> tuple[Scenario, bytes]:
 def _write_csv(path: str, header: str, *columns) -> None:
     """Write the header line, then one line per row of the columns.
 
-    A column is one string for every row, an array of numbers, or a sequence
-    of values; a number is written by `_fmt`, None as an empty field and a
+    A column is one string for every row or a sequence of values (an array
+    among them); a number is written by `_fmt`, None as an empty field and a
     string as it is."""
     cells = [itertools.repeat(c) if isinstance(c, str)
-             else list(map(_fmt, c.tolist())) if isinstance(c, np.ndarray)
              else ["" if v is None else v if isinstance(v, str) else _fmt(v) for v in c]
              for c in columns]
     with open(path, "w") as fh:
@@ -178,15 +184,7 @@ def _emit_convergence(out_dir: str, report: ConvergenceReport) -> dict:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        sc, raw = load_config(args.config)
-        try:
-            if args.activation is not None:
-                sc = dataclasses.replace(sc, activation=args.activation)
-            if args.seed is not None:
-                sc = dataclasses.replace(sc, seed=args.seed)
-        except ValueError as e:
-            text = raw.decode("utf-8", errors="replace")
-            raise ConfigError(str(e), line=_key_line(text, getattr(e, "key", ""))) from e
+        sc, raw = load_config(args.config, args.activation, args.seed)
     except ConfigError as e:
         print(f"{args.config}:{e.line}: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -298,8 +296,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_BAD_CONFIG
 
     for key in ("n_cells", "domain"):
-        va = cfg_a["run"].get(key)
-        vb = cfg_b["run"].get(key)
+        va, vb = cfg_a["run"].get(key), cfg_b["run"].get(key)
         if va != vb:
             print(f"mismatched grids: {key} {va} vs {vb}", file=sys.stderr)
             return EXIT_BAD_CONFIG

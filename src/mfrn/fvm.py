@@ -109,10 +109,11 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
-        if self.n_cells < 8:
-            raise ValueError(f"n_cells must be >= 8, got {self.n_cells}")
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"need finite bounds a < b, got [{self.a}, {self.b}]")
+        n = self.n_cells
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 8:
+            raise ValueError(f"n_cells must be an integer >= 8, got {n!r}")
 
     @property
     def dx(self) -> float:
@@ -583,10 +584,10 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
                                        np.min(low, axis=0).tolist()):
             # mass carried out through the zero-inflow boundary is not drift
             drift_mass = abs(f_T.mass - f0.mass + out)
-            if drift_mass > 1e-10:
+            if not drift_mass <= 1e-10:  # a NaN fails both tests
                 log.warning("forward solve mass drift %.3e (net of boundary outflow) "
                             "exceeds 1e-10", drift_mass)
-            if worst < -1e-8:
+            if not worst >= -1e-8:
                 log.warning("forward solve produced cell average %.3e below -1e-8", worst)
     return rows if keep else finals
 
@@ -596,7 +597,7 @@ def solve_transport(
     drift: DriftSpec,
     grid: TimeGrid,
     cfl: float = 0.45,
-    limit_positive: bool | None = None,
+    limit_positive: bool = True,
     adjoint: DensityField | None = None,
 ) -> list[DensityField] | tuple[list[DensityField], list[DensityField]]:
     """Snapshots of the field at every node of the time grid (n_steps + 1).
@@ -607,9 +608,9 @@ def solve_transport(
     warning.  An adjoint solve is not checked; its field carries neither sign
     nor mass.
 
-    limit_positive guards nonnegativity of the averages via face scaling; by
-    default it is on exactly for forward solves, since the adjoint field is
-    signed and must not be clipped.
+    limit_positive (on by default) guards a forward solve's averages against
+    going negative via face scaling.  A time-reversed solve is never limited,
+    whatever limit_positive says: its adjoint field is signed, not clipped.
 
     adjoint, a start field on the same grid and time, adds a second, never
     limited or checked row to the same sweep, with drift read in reversed
@@ -629,9 +630,7 @@ def solve_transport(
             raise ValueError("the adjoint row reverses drift, which must be forward")
         starts.append(adjoint)
         drifts.append(DriftSpec(drift.control, drift.activation, time_reversed=True))
-    if limit_positive is None:
-        limit_positive = not drift.time_reversed
-    lam = grid.dt / f0.grid.dx if limit_positive else None
+    lam = grid.dt / f0.grid.dx if limit_positive and not drift.time_reversed else None
     rows = _sweep(starts, drifts, grid, cfl, 1, lam, keep=True)
     return rows[0] if adjoint is None else tuple(rows)
 
@@ -662,9 +661,7 @@ def project_initial(density, grid: Grid1D, renormalize: bool = True) -> DensityF
     condition) passes renormalize=False.
     """
     x = grid.centers[:, None] + _GAUSS_NODES[None, :] * grid.dx
-    vals = np.asarray(density(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.broadcast_to(vals, x.shape)
+    vals = np.broadcast_to(np.asarray(density(x), dtype=float), x.shape)
     if not np.all(np.isfinite(vals)):
         raise ValueError("density evaluated to a non-finite value during projection")
     avg = vals @ _GAUSS_WEIGHTS

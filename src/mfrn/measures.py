@@ -39,8 +39,8 @@ def wasserstein1(mu: DensityField, nu: DensityField) -> float:
     h = points[1:] - points[:-1]
     same_sign = d0 * d1 >= 0
     trapezoid = 0.5 * h * (np.abs(d0) + np.abs(d1))
-    denom = np.where(same_sign, 1.0, np.abs(d1 - d0))
-    crossing = 0.5 * h * (d0 * d0 + d1 * d1) / np.where(denom == 0.0, 1.0, denom)
+    denom = np.where(same_sign, 1.0, np.abs(d1 - d0))  # > 0: d0 * d1 < 0 where signs differ
+    crossing = 0.5 * h * (d0 * d0 + d1 * d1) / denom
     return float(np.sum(np.where(same_sign, trapezoid, crossing)))
 
 

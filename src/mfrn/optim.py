@@ -32,6 +32,7 @@ a dt / dx past the solver's hard CFL bound.  So no trial ever reaches that bound
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -79,6 +80,8 @@ class TargetMeasure:
     second_moment: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean) and math.isfinite(self.second_moment)):
+            raise ValueError(f"non-finite target moments {self.mean!r}, {self.second_moment!r}")
         if self.second_moment < self.mean**2 - 1e-12:
             raise ValueError(
                 f"second moment {self.second_moment!r} below mean^2 {self.mean**2!r}"
@@ -246,15 +249,12 @@ def _project_to_speed(
     for a, cbound in faces:
         s = p @ a
         cands.append(p - ((s - cbound) / (a @ a))[:, None] * a[None, :])
-    for i in range(len(faces)):
-        for j in range(i + 1, len(faces)):
-            ai, ci = faces[i]
-            aj, cj = faces[j]
-            mat = np.stack([ai, aj])
-            if abs(np.linalg.det(mat)) < 1e-12:
-                continue
-            vertex = np.linalg.solve(mat, np.array([ci, cj]))
-            cands.append(np.broadcast_to(vertex, p.shape))
+    for (ai, ci), (aj, cj) in itertools.combinations(faces, 2):
+        mat = np.stack([ai, aj])
+        if abs(np.linalg.det(mat)) < 1e-12:
+            continue
+        vertex = np.linalg.solve(mat, np.array([ci, cj]))
+        cands.append(np.broadcast_to(vertex, p.shape))
     tol = 1e-10 * max(1.0, cap)
     best = p
     best_d = np.full(p.shape[0], np.inf)
@@ -426,12 +426,7 @@ def gauss_seidel_train(
         )
         dist = new_c.c0_distance(c)
         denom = new_c.c0_norm()
-        if dist == 0.0:
-            e = 0.0
-        elif denom == 0.0:
-            e = math.inf
-        else:
-            e = dist / denom
+        e = dist / denom if denom else math.inf if dist else 0.0
         errors.append(e)
         rhos.append(rho)
         c, cost, f_traj = new_c, new_cost, new_traj

@@ -279,6 +279,26 @@ class TestRunFailures:
         assert capsys.readouterr().err.startswith(f"{cfgp}:{line}: seed must be an integer")
         assert not out.exists()
 
+    def test_load_config_applies_each_override_after_the_file(self, tmp_path):
+        cfgp = SCENARIO_DIR / "test1_identity.json"
+        base, raw = cli.load_config(str(cfgp))
+        sc, raw_o = cli.load_config(str(cfgp), activation=" RELU", seed=7)
+        assert raw == raw_o == cfgp.read_bytes()
+        assert sc == replace(base, activation="relu", seed=7)
+        # an override's error names its key's line, as the file's own do
+        line = 1 + next(i for i, r in enumerate(cfgp.read_text().splitlines())
+                        if '"seed":' in r)
+        with pytest.raises(cli.ConfigError, match="seed must be an integer") as err:
+            cli.load_config(str(cfgp), seed=-1)
+        assert err.value.line == line
+        # the file is validated first: its error wins over a bad override's
+        data = scenario_to_config(base)
+        data["seeed"] = 1
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(data, indent=2, sort_keys=True))
+        with pytest.raises(cli.ConfigError, match="seeed is not a known key"):
+            cli.load_config(str(bad), activation="blorp")
+
     def test_unsupported_dimension_rejected(self, tmp_path, capsys):
         data = scenario_to_config(shipped("test2"))
         data["run"]["dimension"] = 2

@@ -827,6 +827,33 @@ class TestTransportSolve:
         assert abs(snaps[-1].mass - lam0.mass) > 1e-10
         assert caplog.records == []
 
+    def test_a_reversed_solve_is_never_limited(self):
+        # limit_positive asks for the limiter on a forward row only: the
+        # signed adjoint field, well below zero here, is never clipped
+        grid = Grid1D(-2.0, 3.0, 200)
+        tg = TimeGrid.from_step(0.5, 1e-2)
+        lam0 = DensityField(grid, 2.0 * grid.centers - 1.0)
+        drift = DriftSpec(ControlPath.from_functions(tg, lambda t: 0.8 * np.sin(30.0 * t),
+                                                     lambda t: 4.0 * t - 0.5),
+                          Activation("tanh"), time_reversed=True)
+        plain = solve_transport(lam0, drift, tg, limit_positive=False)
+        assert density_diagnostics(plain)["min_average"] < -1.0
+        _assert_same_snapshots(solve_transport(lam0, drift, tg, limit_positive=True), plain)
+        _assert_same_snapshots(solve_transport(lam0, drift, tg), plain)
+
+    def test_a_nan_forward_solve_fails_its_check(self, caplog):
+        # NaN compares False both ways, so a check written as "drift > tol"
+        # would pass it; both of the solve's checks name it instead
+        grid = Grid1D(-2.0, 3.0, 200)
+        avg = project_initial(gaussian_density(0.3, 0.25), grid).averages.copy()
+        avg[100] = np.nan
+        f0, tg = DensityField(grid, avg), TimeGrid.from_step(0.1, 1e-2)
+        said, snaps = _warnings(
+            caplog, lambda: solve_transport(f0, constant_speed(1.0, 0.1, 1e-2), tg))
+        assert np.isnan(snaps[-1].averages).any()
+        assert said == ["forward solve mass drift nan (net of boundary outflow) exceeds 1e-10",
+                        "forward solve produced cell average nan below -1e-8"]
+
 
 def _warnings(caplog, solve):
     """The fvm warnings a solve logs, sorted, and what it returned."""
@@ -1250,6 +1277,15 @@ class TestContainers:
             Grid1D(1.0, -1.0, 64)
         with pytest.raises(ValueError, match="n_cells"):
             Grid1D(0.0, 1.0, 7)
+        # a grid that cannot be represented names the value at fault
+        for a, b in [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)]:
+            with pytest.raises(ValueError, match="finite bounds"):
+                Grid1D(a, b, 10)
+        for n in [10.5, 10.0, np.float64(10.0), True, "10", None]:
+            with pytest.raises(ValueError, match=re.escape(f"integer >= 8, got {n!r}")):
+                Grid1D(0.0, 1.0, n)
+        for n in [10, np.int64(10), np.int32(10), np.uint16(10)]:
+            assert Grid1D(0.0, 1.0, n).centers.size == 10
 
     def test_grid_geometry(self):
         grid = Grid1D(0.0, 1.0, 10)

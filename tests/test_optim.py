@@ -46,6 +46,13 @@ class TestTargetMeasure:
         with pytest.raises(ValueError, match="below mean"):
             TargetMeasure(mean=2.0, second_moment=1.0)
 
+    @pytest.mark.parametrize("mean, second_moment", [(math.nan, 1.0), (0.0, math.nan),
+                                                       (0.0, math.inf), (math.inf, math.inf)])
+    def test_non_finite_moments_rejected(self, mean, second_moment):
+        # a NaN target would otherwise fail training late, as a divergence
+        with pytest.raises(ValueError, match="non-finite target moments"):
+            TargetMeasure(mean, second_moment)
+
     def test_variance_clamps_roundoff(self):
         assert TargetMeasure(mean=1.0, second_moment=1.0).variance == 0.0
         assert_allclose(TargetMeasure(1.0, 1.25).variance, 0.25, rtol=1e-15)
