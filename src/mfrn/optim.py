@@ -21,7 +21,8 @@ with s the change of the controls since the last iterate and y the change
 of the projected gradient, both inner products trapezoidal over time and
 summed over the two components.  The first search, and any whose <s,y> is
 not positive, starts at ARMIJO_RHO0.  From there it is monotone Armijo
-backtracking with no other acceptance rule: if no trial passes, rho = 0.
+backtracking with no other acceptance rule: if no trial passes, the search
+takes no step, training records rho = 0 and stops.
 
 Every line-search candidate is projected nodewise before it is solved, onto
 the region _project_to_speed describes, which keeps an unbounded activation's
@@ -82,9 +83,9 @@ class TargetMeasure:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mean) and math.isfinite(self.second_moment)):
             raise ValueError(f"non-finite target moments {self.mean!r}, {self.second_moment!r}")
-        if self.second_moment < self.mean**2 - 1e-12:
+        if self.second_moment < self.mean * self.mean - 1e-12:
             raise ValueError(
-                f"second moment {self.second_moment!r} below mean^2 {self.mean**2!r}"
+                f"second moment {self.second_moment!r} below mean^2 {self.mean * self.mean!r}"
             )
 
     @property
@@ -108,8 +109,9 @@ class OptimState:
     rel_error_history: np.ndarray   # stopping quantity after each update
     iteration: int                  # number of outer updates performed
     converged: bool
-    rho_history: np.ndarray         # accepted step sizes (0 = no acceptable step);
-                                    # a spectral start may exceed 1
+    rho_history: np.ndarray         # accepted step sizes, 0 where a search took no
+                                    # step and ended the run; a spectral start may
+                                    # exceed 1
     grad_w_max_history: np.ndarray  # max |projected w-gradient| per iteration
     grad_b_max_history: np.ndarray
 
@@ -232,40 +234,29 @@ def _project_to_speed(
     active constraints instead of stalling the whole step on them.
     """
     w_cap = SHEAR_FRACTION * cap / max(abs(lo), abs(hi))
-    # halfplanes a . z <= c with z = (w, b)
-    faces = [
-        (np.array([1.0, 0.0]), w_cap),
-        (np.array([-1.0, 0.0]), w_cap),
-    ]
+    # halfplanes a . z <= c with z = (w, b), a the rows of faces, c the bounds
+    faces = [[1.0, 0.0], [-1.0, 0.0]]
+    bounds = [w_cap, w_cap]
     if linear_speed:
-        faces += [
-            (np.array([lo, 1.0]), cap),
-            (np.array([-lo, -1.0]), cap),
-            (np.array([hi, 1.0]), cap),
-            (np.array([-hi, -1.0]), cap),
-        ]
+        faces += [[lo, 1.0], [-lo, -1.0], [hi, 1.0], [-hi, -1.0]]
+        bounds += [cap] * 4
+    faces, bounds = np.array(faces), np.array(bounds)
     p = np.stack([w1, b1], axis=-1)
     cands = [p]
-    for a, cbound in faces:
-        s = p @ a
-        cands.append(p - ((s - cbound) / (a @ a))[:, None] * a[None, :])
-    for (ai, ci), (aj, cj) in itertools.combinations(faces, 2):
-        mat = np.stack([ai, aj])
+    for a, cbound in zip(faces, bounds):
+        cands.append(p - ((p @ a - cbound) / (a @ a))[:, None] * a[None, :])
+    for i, j in itertools.combinations(range(len(faces)), 2):
+        mat = faces[[i, j]]
         if abs(np.linalg.det(mat)) < 1e-12:
             continue
-        vertex = np.linalg.solve(mat, np.array([ci, cj]))
+        vertex = np.linalg.solve(mat, bounds[[i, j]])
         cands.append(np.broadcast_to(vertex, p.shape))
+    cands = np.stack(cands)
     tol = 1e-10 * max(1.0, cap)
-    best = p
-    best_d = np.full(p.shape[0], np.inf)
-    for cand in cands:
-        feasible = np.ones(p.shape[0], dtype=bool)
-        for a, cbound in faces:
-            feasible &= cand @ a <= cbound + tol
-        d2 = np.where(feasible, np.sum((cand - p) ** 2, axis=-1), np.inf)
-        take = d2 < best_d
-        best = np.where(take[:, None], cand, best)
-        best_d = np.minimum(best_d, d2)
+    feasible = np.all(cands @ faces.T <= bounds + tol, axis=-1)
+    # the nearest feasible candidate, the first of equals; p itself if none is
+    d2 = np.where(feasible, np.sum((cands - p) ** 2, axis=-1), np.inf)
+    best = np.take_along_axis(cands, np.argmin(d2, axis=0)[None, :, None], axis=0)[0]
     return best[..., 0], best[..., 1]
 
 
@@ -277,17 +268,15 @@ def armijo_search(
     act: Activation,
     cfg: RunConfig,
     current_cost: float,
-    current_traj: list[DensityField],
     rho0: float = ARMIJO_RHO0,
-) -> tuple[ControlPath, float, float, list[DensityField], list[DensityField] | None]:
-    """Backtracking step from c, whose cost and forward trajectory are
-    current_cost and current_traj, returning (new controls, accepted rho,
-    their cost, their forward trajectory, their adjoint trajectory).
+) -> tuple[ControlPath, float, float, list[DensityField], list[DensityField]] | None:
+    """Backtracking step from the pinned controls c, whose cost is
+    current_cost, along grad, the projected gradient (_projected), returning
+    (new controls, accepted rho, their cost, their forward trajectory, their
+    adjoint trajectory), or None if it takes no step.
 
     Tries rho0, then halves it.  Takes the first step size with sufficient
-    decrease (the Armijo test); if none passes, returns the controls
-    unchanged with rho = 0.  The adjoint is None exactly when c comes back
-    unchanged.
+    decrease (the Armijo test); if none passes, returns None.
 
     The first trial, which the search usually takes, is one paired sweep
     (reduced_cost(..., paired=True)), handed over when taken.  Otherwise the
@@ -303,8 +292,7 @@ def armijo_search(
     usual -rho*|grad|^2 whenever the projection is inactive; a candidate whose
     projected step does not descend is no trial.
     """
-    g_w = _projected(grad[0])
-    g_b = _projected(grad[1])
+    g_w, g_b = grad
     speed_cap = cfg.cfl * f0.grid.dx / c.grid.dt
 
     def trials():
@@ -329,11 +317,10 @@ def armijo_search(
     def accepted(cost: float, trial) -> bool:
         return math.isfinite(cost) and cost <= current_cost + ARMIJO_DECREASE * trial[2]
 
-    unchanged = c, 0.0, current_cost, current_traj, None
     pending = trials()  # the candidates after the first are built only if it is rejected
     first = next(pending, None)
     if first is None:
-        return unchanged
+        return None
     step = paired(first)
     if accepted(step[2], first):
         return step
@@ -344,7 +331,7 @@ def armijo_search(
     for trial, f_T in zip(rest, finals):
         if accepted(_cost(trial[1], f_T, g, cfg), trial):
             return paired(trial)
-    return unchanged
+    return None
 
 
 def _bounded_step_excess(act: Activation, dt: float, dx: float) -> str | None:
@@ -378,8 +365,8 @@ def gauss_seidel_train(
     Stops when the relative control change e = ||c_new - c_old|| / ||c_new||
     (max over time nodes, max over the two components) drops to cfg.tol, or
     after max_outer updates.  A line search that finds no acceptable step
-    leaves the controls unchanged, so e = 0 stops the run too; the closing
-    log line names which of the three ended it.  A non-finite cost of the
+    stops the run too, recorded as e = 0 and rho = 0 with converged set; the
+    closing log line names which of the three ended it.  A non-finite cost of the
     starting controls aborts with diagnostics; every later cost is finite,
     as the line search takes only finite costs.
 
@@ -396,6 +383,7 @@ def gauss_seidel_train(
     gw_hist: list[float] = []
     gb_hist: list[float] = []
     converged = False
+    stop = "stopped at the iteration cap"
     log.info("training start: Lipschitz budget of initial controls = %.6g", c.lipschitz_budget())
 
     # the first iterate is solved here, its adjoint in the same sweep; every
@@ -421,27 +409,25 @@ def gauss_seidel_train(
             if sy > 0.0:
                 rho0 = _trapezoid(s_w**2 + s_b**2, c.grid.dt) / sy
         last = (c.w, c.b, pg_w, pg_b)
-        new_c, rho, new_cost, new_traj, lam_traj = armijo_search(
-            c, (g_w, g_b), f0, g, act, cfg, cost, f_traj, rho0=rho0
-        )
+        step = armijo_search(c, (pg_w, pg_b), f0, g, act, cfg, cost, rho0=rho0)
+        if step is None:
+            errors.append(0.0)
+            rhos.append(0.0)
+            converged = True
+            stop = "stopped on a line search that found no acceptable step"
+            break
+        new_c, rho, cost, f_traj, lam_traj = step
         dist = new_c.c0_distance(c)
         denom = new_c.c0_norm()
         e = dist / denom if denom else math.inf if dist else 0.0
         errors.append(e)
         rhos.append(rho)
-        c, cost, f_traj = new_c, new_cost, new_traj
+        c = new_c
         if e <= cfg.tol:
             converged = True
+            stop = f"converged on the relative control change {e:.3g} <= tol {cfg.tol:g}"
             break
     costs.append(cost)
-    # the rule that stopped the run: a search that returned the controls
-    # unchanged (rho 0) also meets the relative-change rule, with e = 0
-    if not converged:
-        stop = "stopped at the iteration cap"
-    elif rhos[-1] == 0.0:
-        stop = "stopped on a line search that found no acceptable step"
-    else:
-        stop = f"converged on the relative control change {errors[-1]:.3g} <= tol {cfg.tol:g}"
     log.info("training %s after %d iteration(s): cost %.8g, Lipschitz budget %.6g",
              stop, len(errors), cost, c.lipschitz_budget())
     return OptimState(

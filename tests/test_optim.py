@@ -1,6 +1,7 @@
 """Loss, adjoint gradient, line search, training loop, closed-form controls."""
 
 import inspect
+import itertools
 import logging
 import math
 
@@ -45,6 +46,10 @@ class TestTargetMeasure:
     def test_inconsistent_moments_rejected(self):
         with pytest.raises(ValueError, match="below mean"):
             TargetMeasure(mean=2.0, second_moment=1.0)
+        # mean^2 overflows to inf, which the check names rather than raising
+        # OverflowError
+        with pytest.raises(ValueError, match=r"below mean\^2 inf"):
+            TargetMeasure(mean=1e200, second_moment=1e300)
 
     @pytest.mark.parametrize("mean, second_moment", [(math.nan, 1.0), (0.0, math.nan),
                                                        (0.0, math.inf), (math.inf, math.inf)])
@@ -237,14 +242,13 @@ def residual_at_start_and_end(report):
     return start, end_w, end_b
 
 
-def reference_armijo_search(c, grad, f0, g, act, cfg, current_cost, current_traj,
-                            rho0=ARMIJO_RHO0):
+def reference_armijo_search(c, grad, f0, g, act, cfg, current_cost, rho0=ARMIJO_RHO0):
     """The line search as it was written first: each trial in turn is one
     paired sweep, and the first with sufficient decrease is taken.  Returns
     what armijo_search returns, and how the search ended: the index of the
     accepted trial, or "rejected"."""
-    g_w = optim._projected(grad[0])
-    g_b = optim._projected(grad[1])
+    g_w, g_b = grad
+    assert g_w[0] == g_b[0] == 0.0  # the projected gradient of pinned controls
     assert optim._trapezoid(g_w**2 + g_b**2, c.grid.dt) > 0.0
     speed_cap = cfg.cfl * f0.grid.dx / c.grid.dt
     rho, tried = rho0, 0
@@ -259,26 +263,27 @@ def reference_armijo_search(c, grad, f0, g, act, cfg, current_cost, current_traj
                 return (cand, rho, cost, traj, lam_traj), tried
             tried += 1
         rho *= ARMIJO_HALVING
-    return (c, 0.0, current_cost, current_traj, None), "rejected"
+    return None, "rejected"
 
 
 def assert_same_step(got, want):
-    """Two line-search results are bitwise the same: controls, rho, cost and
-    both trajectories."""
+    """Two line-search results are bitwise the same: both None, or the same
+    controls, rho, cost and both trajectories."""
+    assert (got is None) == (want is None)
+    if got is None:
+        return
     (c1, rho1, cost1, traj1, lam1), (c2, rho2, cost2, traj2, lam2) = got, want
     assert c1.w.tobytes() == c2.w.tobytes() and c1.b.tobytes() == c2.b.tobytes()
     assert rho1 == rho2
     assert np.float64(cost1).tobytes() == np.float64(cost2).tobytes()
     for a, b in ((traj1, traj2), (lam1, lam2)):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert [(f.time, f.averages.tobytes()) for f in a] == \
-                [(f.time, f.averages.tobytes()) for f in b]
+        assert [(f.time, f.averages.tobytes()) for f in a] == \
+            [(f.time, f.averages.tobytes()) for f in b]
 
 
 def box_problem():
     """The 8-cell identity problem of the line-search tests at zero controls:
-    (c, grad, f0, g, act, cfg, cost, forward trajectory)."""
+    (c, projected gradient, f0, g, act, cfg, cost)."""
     grid = Grid1D(-2.0, 3.0, 8)
     f0 = project_initial(lambda x: ((x >= -0.5) & (x <= 0.5)).astype(float), grid)
     g = TargetMeasure(1.0, 1.01)
@@ -290,8 +295,8 @@ def box_problem():
     lam_traj = solve_transport(
         adjoint_initial(g, grid), DriftSpec(c, act, time_reversed=True), tg, cfg.cfl
     )
-    grad = control_gradient(c, f_traj, lam_traj, act, cfg)
-    return c, grad, f0, g, act, cfg, reduced_cost(c, f0, g, act, cfg), f_traj
+    grad = tuple(map(optim._projected, control_gradient(c, f_traj, lam_traj, act, cfg)))
+    return c, grad, f0, g, act, cfg, reduced_cost(c, f0, g, act, cfg)
 
 
 def counted_batches(monkeypatch):
@@ -307,7 +312,7 @@ def counted_batches(monkeypatch):
 
 
 class TestArmijo:
-    def test_zero_gradient_returns_unchanged(self):
+    def test_zero_gradient_takes_no_step(self):
         grid = Grid1D(-2.0, 3.0, 16)
         f0 = project_initial(gaussian_density(0.3, 0.25), grid)
         g = TargetMeasure(1.0, 1.01)
@@ -316,34 +321,13 @@ class TestArmijo:
         zeros = np.zeros(tg.n_steps + 1)
         cfg = make_cfg(n_cells=16)
         act = Activation("tanh")
-        traj0 = solve_transport(f0, DriftSpec(c, act), tg, cfl=cfg.cfl)
         cost0 = reduced_cost(c, f0, g, act, cfg)
-        new_c, rho, cost, traj, lam_traj = armijo_search(
-            c, (zeros, zeros), f0, g, act, cfg, cost0, traj0
-        )
-        # no candidate step descends, so the search records that no step was taken
-        assert lam_traj is None
-        assert rho == 0.0
-        assert cost == cost0
-        assert np.array_equal(new_c.w, c.w) and np.array_equal(new_c.b, c.b)
-        assert_same_trajectory(traj, new_c, f0, act, cfg)
+        # no candidate step descends, so the search takes no step
+        assert armijo_search(c, (zeros, zeros), f0, g, act, cfg, cost0) is None
 
     def test_descent_step_lowers_the_cost(self):
-        grid = Grid1D(-2.0, 3.0, 8)
-        f0 = project_initial(lambda x: ((x >= -0.5) & (x <= 0.5)).astype(float), grid)
-        g = TargetMeasure(1.0, 1.01)
-        tg = TimeGrid.from_step(0.1, 1e-2)
-        c = ControlPath.zero(tg)
-        act = Activation("identity")
-        cfg = make_cfg(n_cells=8)
-        f_traj = solve_transport(f0, DriftSpec(c, act), tg, cfg.cfl)
-        lam_traj = solve_transport(
-            adjoint_initial(g, grid), DriftSpec(c, act, time_reversed=True), tg, cfg.cfl
-        )
-        grad = control_gradient(c, f_traj, lam_traj, act, cfg)
-        cost0 = reduced_cost(c, f0, g, act, cfg)
-        new_c, rho, cost, traj, lam_traj = armijo_search(c, grad, f0, g, act, cfg, cost0,
-                                                         f_traj)
+        c, grad, f0, g, act, cfg, cost0 = box_problem()
+        new_c, rho, cost, traj, lam_traj = armijo_search(c, grad, f0, g, act, cfg, cost0)
         assert rho > 0.0
         assert cost == reduced_cost(new_c, f0, g, act, cfg)
         assert cost < cost0
@@ -363,14 +347,13 @@ class TestArmijo:
         # first-order one, which no trial gives, though eight of the ten
         # lower the cost, so the search takes no step; a negated gradient
         # points uphill
-        c, grad, f0, g, act, cfg, cost0, f_traj = box_problem()
+        c, grad, f0, g, act, cfg, cost0 = box_problem()
         grad = (scale * grad[0], scale * grad[1])
-        want, how = reference_armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj, rho0)
+        want, how = reference_armijo_search(c, grad, f0, g, act, cfg, cost0, rho0)
         assert how == end
-        if end == "rejected":
-            assert want[0] is c and want[1] == 0.0 and want[4] is None
+        assert (want is None) == (end == "rejected")
         rows = counted_batches(monkeypatch)
-        got = armijo_search(c, grad, f0, g, act, cfg, cost0, f_traj, rho0=rho0)
+        got = armijo_search(c, grad, f0, g, act, cfg, cost0, rho0=rho0)
         # the trials after a rejected first one are one batch
         assert rows == ([] if end == 0 else [cfg.max_armijo - 1])
         assert_same_step(got, want)
@@ -378,15 +361,13 @@ class TestArmijo:
     @given(st.sampled_from([-1.0, 1.0]), st.floats(-4.0, 16.0), st.floats(-10.0, 10.0))
     @example(1.0, 15.0, -10.0)  # the steep case above, where no trial passes
     def test_a_step_taken_passes_the_armijo_test(self, sign, log2_scale, log2_rho0):
-        c, grad, f0, g, act, cfg, cost0, f_traj = box_problem()
+        c, grad, f0, g, act, cfg, cost0 = box_problem()
         scale = sign * 2.0**log2_scale
-        grad = (scale * grad[0], scale * grad[1])
-        new_c, rho, cost, traj, lam_traj = armijo_search(c, grad, f0, g, act, cfg, cost0,
-                                                         f_traj, rho0=2.0**log2_rho0)
-        if rho == 0.0:
-            assert new_c is c and cost == cost0 and lam_traj is None
-        else:
-            g_w, g_b = optim._projected(grad[0]), optim._projected(grad[1])
+        g_w, g_b = scale * grad[0], scale * grad[1]
+        step = armijo_search(c, (g_w, g_b), f0, g, act, cfg, cost0, rho0=2.0**log2_rho0)
+        if step is not None:
+            new_c, rho, cost, _, _ = step
+            assert rho > 0.0
             inner = optim._trapezoid(g_w * (new_c.w - c.w) + g_b * (new_c.b - c.b),
                                      c.grid.dt)
             assert cost <= cost0 + ARMIJO_DECREASE * inner
@@ -419,6 +400,67 @@ def largest_cfl_number(drift, grid, tg):
     schedule's speeds, as the solver reckons it."""
     return max(max(peaks) * tg.dt / grid.dx
                for _, peaks in _stage_schedule([drift], grid, 0.0, tg.dt, tg.n_steps))
+
+
+class TestProjection:
+    """_project_to_speed is the Euclidean projection of each node onto the
+    line search's region: the strip |w| <= w_cap, and for an unbounded
+    activation also |lo w + b| <= cap and |hi w + b| <= cap."""
+
+    @staticmethod
+    def _faces(cap, lo, hi, linear_speed):
+        """The region's halfplanes a . (w, b) <= c, as (a, c, w_cap)."""
+        w_cap = optim.SHEAR_FRACTION * cap / max(abs(lo), abs(hi))
+        rows = [(1.0, 0.0, w_cap), (-1.0, 0.0, w_cap)]
+        if linear_speed:
+            rows += [(lo, 1.0, cap), (-lo, -1.0, cap), (hi, 1.0, cap), (-hi, -1.0, cap)]
+        rows = np.array(rows)
+        return rows[:, :2], rows[:, 2], w_cap
+
+    @staticmethod
+    def _corners(a, c, slack):
+        """The pairwise intersections of the faces that lie in the region."""
+        corners = []
+        for i, j in itertools.combinations(range(len(c)), 2):
+            det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
+            if det != 0.0:
+                corners.append(((c[i] * a[j, 1] - c[j] * a[i, 1]) / det,
+                                (a[i, 0] * c[j] - a[j, 0] * c[i]) / det))
+        corners = np.array(corners)
+        return corners[np.all(corners @ a.T <= c + slack, axis=-1)]
+
+    @given(st.data(), st.booleans(),
+           st.one_of(st.sampled_from([1.125, 0.5625]), st.floats(1e-3, 10.0)),
+           st.sampled_from([(-2.0, 3.0), (-1.0, 4.0)]), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_the_projection_is_the_nearest_admissible_point(self, data, linear_speed, cap,
+                                                            domain, n, seed):
+        lo, hi = domain
+        nodes = st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)
+        p = np.stack([np.array(data.draw(nodes)), np.array(data.draw(nodes))], axis=-1)
+        w, b = optim._project_to_speed(p[:, 0], p[:, 1], cap, lo, hi, linear_speed)
+        z = np.stack([w, b], axis=-1)
+        a, c, w_cap = self._faces(cap, lo, hi, linear_speed)
+        assert np.all(z @ a.T <= c + 1e-10 * max(1.0, cap))
+        inside = np.all(p @ a.T <= c, axis=-1)
+        assert z[inside].tobytes() == p[inside].tobytes()
+        # an independent sample of admissible points: the polygon's corners
+        # and random convex combinations of them, or the strip's own
+        # projection (clip w) and random points of the strip
+        rng = np.random.default_rng(seed)
+        if linear_speed:
+            corners = self._corners(a, c, 1e-14 * max(1.0, cap))
+            mixes = rng.dirichlet(np.ones(len(corners)), size=200) @ corners
+            sample = np.broadcast_to(np.concatenate([corners, mixes]), (n, len(corners) + 200, 2))
+        else:
+            clipped = np.stack([np.clip(p[:, 0], -w_cap, w_cap), p[:, 1]], axis=-1)
+            strip = np.stack([rng.uniform(-w_cap, w_cap, (n, 200)),
+                              p[:, 1:] + rng.normal(0.0, 1.0, (n, 200))], axis=-1)
+            sample = np.concatenate([clipped[:, None, :], strip], axis=1)
+        nearest = np.min(np.linalg.norm(sample - p[:, None, :], axis=-1), axis=1)
+        # none nearer than the result, to 1e-12 of the point's own scale
+        got = np.linalg.norm(z - p, axis=-1)
+        assert np.all(got <= nearest + 1e-12 * np.maximum(1.0, np.linalg.norm(p, axis=-1)))
 
 
 class TestNoTrialBreaksTheHardBound:
@@ -558,7 +600,7 @@ class TestTraining:
         def counted_search(*args, **kwargs):
             solves.append("search")
             out = search(*args, **kwargs)
-            handed_over.append(out[4] is not None)
+            handed_over.append(out is not None)
             return out
 
         monkeypatch.setattr(optim, "solve_transport", counted_solve)
@@ -587,9 +629,8 @@ class TestTraining:
         def recorded_search(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            c, grad = bound.arguments["c"], bound.arguments["grad"]
-            pinned = tuple(np.concatenate(([0.0], part[1:])) for part in grad)
-            searches.append((c, pinned, bound.arguments["rho0"]))
+            searches.append((bound.arguments["c"], bound.arguments["grad"],
+                             bound.arguments["rho0"]))
             return search(*args, **kwargs)
 
         monkeypatch.setattr(optim, "armijo_search", recorded_search)
@@ -706,6 +747,13 @@ class TestTraining:
         closing = caplog.records[-1].getMessage()
         assert closing.startswith(said + ": cost ")
         assert state.converged == (max_outer == 8)
+        # the histories' last entries, as iteration_log.csv writes them
+        if "no acceptable step" in said:
+            assert state.rel_error_history[-1] == 0.0 and state.rho_history[-1] == 0.0
+        elif "relative control change" in said:
+            assert state.rho_history[-1] > 0.0
+        else:
+            assert len(state.rel_error_history) == len(state.rho_history) == max_outer
 
     def test_nonfinite_cost_aborts(self):
         grid = Grid1D(-2.0, 3.0, 200)
