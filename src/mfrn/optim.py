@@ -9,11 +9,12 @@ training goes on with (the first iterate, and each line search's first trial
 and the step it takes) advance the adjoint in the same sweep as the forward
 transport, and the line search hands the controls it accepts over with both
 solves: reduced_cost(..., paired=True) returns both beside the cost.  A
-search's other trials only need a cost: they are the rows of one forward
-sweep that keeps only their final fields, as a lone reduced_cost is one such
-row, with the cost bitwise the paired one.  The stopping rule is the
-relative change of the control pair between iterates in the max norm over
-time nodes.
+search's other trials only need a cost: they are the rows of forward sweeps
+that keep only their final fields, as a lone reduced_cost is one such row,
+with the cost bitwise the paired one.  The next FIRST_BATCH trials are one
+sweep, and the rest are a second only if none of those passes.  The
+stopping rule is the relative change of the control pair between iterates
+in the max norm over time nodes.
 
 The step is spectral projected gradient (Barzilai & Borwein 1988; Birgin,
 Martinez & Raydan 2000): each line search starts at rho0 = <s,s> / <s,y>,
@@ -63,6 +64,13 @@ ARMIJO_RHO0 = 1.0
 ARMIJO_HALVING = 0.5
 ARMIJO_DECREASE = 1e-4
 MAX_OUTER_ITERATIONS = 500
+
+# Trials a line search solves in its first sweep after a rejected first
+# trial: rho0/2, rho0/4 and rho0/8; the rest get a sweep of their own only if
+# none of these passes.  In every search of the six shipped training configs
+# that backtracks and takes a step, the step taken is one of these three:
+# the BB start rho0 is within a factor 8 of it.
+FIRST_BATCH = 3
 
 # Largest root of the identity-activation w-equation's monotone branch:
 # w * exp(-2w) attains its maximum 1/(2e) at w = 1/2.
@@ -280,11 +288,13 @@ def armijo_search(
 
     The first trial, which the search usually takes, is one paired sweep
     (reduced_cost(..., paired=True)), handed over when taken.  Otherwise the
-    other trials are the rows of one forward sweep that keeps only their
-    final fields (solve_final_fields).  Each row is bitwise its own solve,
-    so the costs, and the step taken from them, are those of trials solved
-    one by one.  The step taken is solved again as one paired sweep for the
-    trajectories it hands over.
+    next FIRST_BATCH trials are the rows of one forward sweep that keeps
+    only their final fields (solve_final_fields), and the remaining trials
+    are the rows of a second such sweep only if none of those passes; a
+    batch's candidates are built when it is solved.  Each row is bitwise its
+    own solve, so the costs, and the step taken from them, are those of
+    trials solved one by one.  The step taken is solved again as one paired
+    sweep for the trajectories it hands over.
 
     Every candidate is projected nodewise (_project_to_speed), so the search
     never wastes trials on solves that would go unstable.  The decrease test
@@ -317,7 +327,7 @@ def armijo_search(
     def accepted(cost: float, trial) -> bool:
         return math.isfinite(cost) and cost <= current_cost + ARMIJO_DECREASE * trial[2]
 
-    pending = trials()  # the candidates after the first are built only if it is rejected
+    pending = trials()  # a batch's candidates are built only when it is solved
     first = next(pending, None)
     if first is None:
         return None
@@ -325,12 +335,15 @@ def armijo_search(
     if accepted(step[2], first):
         return step
     del step  # a rejected trial holds no trajectories
-    rest = list(pending)
-    finals = solve_final_fields(f0, [DriftSpec(cand, act) for _, cand, _ in rest], c.grid,
-                                cfg.cfl)
-    for trial, f_T in zip(rest, finals):
-        if accepted(_cost(trial[1], f_T, g, cfg), trial):
-            return paired(trial)
+    for size in (FIRST_BATCH, None):  # the rest only if the first batch takes no step
+        batch = list(itertools.islice(pending, size))
+        if not batch:
+            return None
+        finals = solve_final_fields(f0, [DriftSpec(cand, act) for _, cand, _ in batch],
+                                    c.grid, cfg.cfl)
+        for trial, f_T in zip(batch, finals):
+            if accepted(_cost(trial[1], f_T, g, cfg), trial):
+                return paired(trial)
     return None
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 from .core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGrid, activation,
                    bisect, is_number, read_number, reject_unknown)
 from .fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
-from .measures import moments, particles_to_density, variance, wasserstein1
+from .measures import _MASS_TOL, moments, particles_to_density, variance, wasserstein1
 from .optim import OptimState, TargetMeasure, _bounded_step_excess, gauss_seidel_train
 from .particle import ode_integrate
 
@@ -57,6 +58,15 @@ def beta_density(a1: float, a2: float):
         return np.where(inside, norm * xs ** (a1 - 1.0) * (1.0 - xs) ** (a2 - 1.0), 0.0)
 
     return pdf
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _normal_mass_outside(mu: float, sd: float, a: float, b: float) -> float:
+    """The mass of N(mu, sd^2) outside [a, b]."""
+    r = sd * math.sqrt(2.0)
+    return 0.5 * (math.erfc((mu - a) / r) + math.erfc((b - mu) / r))
 
 
 # the numeric params each family reads (convergence also reads the integers
@@ -117,12 +127,48 @@ class Scenario:
         if not (0.5 + beta) - (-0.5 + beta) > 0:  # target_field's indicator has no width
             raise ConfigValueError("params.beta", f"= {beta!r} leaves the target indicator "
                                                   "[beta - 1/2, beta + 1/2] no width")
+        self._check_mass_inside()
         if self.name in TRAINING_NAMES:
             # refused here too, so a run reports it at the dt line before it
             # writes anything
             excess = _bounded_step_excess(self.act, self.dt, self.space_grid.dx)
             if excess:
                 raise ConfigValueError("dt", f"= {excess}")
+
+    def _check_mass_inside(self) -> None:
+        """Refuse an initial density or fixed target with mass outside
+        run.domain, which projection would cut off and renormalize: an
+        indicator or the beta density must lie inside, a Gaussian may put at
+        most _MASS_TOL of its mass outside (the tolerance to which W1 takes
+        a density as normalized)."""
+        p, (a, b) = self.params, self.config.domain
+        where = f"run.domain [{a!r}, {b!r}]"
+        if self.name in ("test1", "shift_control", "test3"):
+            lo, hi = (0.0, 1.0) if self.name == "test3" else (-0.5, 0.5)
+            if not a <= lo < hi <= b:
+                raise ConfigValueError("run.domain", f"[{a!r}, {b!r}] does not hold the initial "
+                                                     f"density's support [{lo!r}, {hi!r}]")
+            if self.name == "test3":
+                return
+            lo, hi = -0.5 + p["beta"], 0.5 + p["beta"]
+            if not a <= lo < hi <= b:
+                raise ConfigValueError("params.beta", f"= {p['beta']!r} puts the target "
+                                                      f"indicator [{lo!r}, {hi!r}] outside {where}")
+            return
+        spreads = {"initial density": p["s"]}
+        if self.name != "convergence":  # the target N(mu, (s e^-alpha)^2)
+            alpha = p["alpha"]
+            sd = p["s"] * math.exp(-alpha) if abs(alpha) < _LOG_FLOAT_MAX else 0.0
+            if sd == 0.0:  # target_field scales by e^alpha
+                raise ConfigValueError("params.alpha", f"= {alpha!r} leaves the target "
+                                                       "N(mu, (s e^-alpha)^2) no float spread")
+            spreads["target"] = sd
+        for what, sd in spreads.items():
+            outside = _normal_mass_outside(p["mu"], sd, a, b)
+            if not outside <= _MASS_TOL:
+                raise ConfigValueError("params.mu", f"= {p['mu']!r} puts {outside:.3g} of the "
+                                                    f"{what} N(mu, {sd:.6g}^2) outside {where}, "
+                                                    f"more than {_MASS_TOL:g}")
 
     @property
     def time_grid(self) -> TimeGrid:

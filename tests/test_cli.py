@@ -386,6 +386,26 @@ class TestRunFailures:
             "[beta - 1/2, beta + 1/2] no width\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config, key, value", [
+        ("test1_identity", "beta", 2.8), ("test2", "mu", 2.9),
+    ])
+    def test_mass_outside_the_domain_exits_two_at_its_line(self, tmp_path, capsys, config,
+                                                           key, value):
+        # test1 once ran to "converged" toward a target cut off at the domain,
+        # and test2 trained, then failed on the target's mass 0.626
+        data = json.loads((SCENARIO_DIR / f"{config}.json").read_text())
+        data["params"][key] = value
+        text = json.dumps(data, indent=2, sort_keys=True)
+        cfgp = tmp_path / "outside.json"
+        cfgp.write_text(text)
+        rc, out = cli_run(cfgp, tmp_path / "o")
+        assert rc == 2
+        line = 1 + next(i for i, r in enumerate(text.splitlines()) if f'"{key}":' in r)
+        err = capsys.readouterr().err
+        assert err.startswith(f"{cfgp}:{line}: params.{key} = {value} puts ")
+        assert "outside run.domain [-2.0, 3.0]" in err and err.count("\n") == 1
+        assert not out.exists()
+
     COARSE = ("dt = 0.04 > 1.45*dx = 0.03625: the bounded activation sigmoid reaches speed 1, "
               "so a line-search trial could break the hard CFL bound")
 

@@ -338,24 +338,37 @@ class TestArmijo:
     @pytest.mark.parametrize("case, scale, rho0, end", [
         ("first-trial-accepted", 1.0, 1.0, 0),
         ("batch-trial-accepted", 1.0, 32.0, 2),
+        ("second-batch-trial-accepted", 1.0, 256.0, 5),
         ("steep-every-trial-rejected", 2.0**15, 2.0**-10, "rejected"),
         ("every-trial-rejected", -1.0, 1.0, "rejected"),
     ])
     def test_the_search_is_the_sequential_search(self, monkeypatch, case, scale, rho0, end):
         # rho = 32 and 16 fail the decrease test on this problem and 8 passes
-        # it.  A gradient scaled by 2^15 asks for a decrease 3.3 times the
+        # it, so from 256 the search takes the second batch's second trial.
+        # A gradient scaled by 2^15 asks for a decrease 3.3 times the
         # first-order one, which no trial gives, though eight of the ten
         # lower the cost, so the search takes no step; a negated gradient
-        # points uphill
+        # points uphill.  Every trial of this problem descends
         c, grad, f0, g, act, cfg, cost0 = box_problem()
         grad = (scale * grad[0], scale * grad[1])
         want, how = reference_armijo_search(c, grad, f0, g, act, cfg, cost0, rho0)
         assert how == end
         assert (want is None) == (end == "rejected")
         rows = counted_batches(monkeypatch)
+        project, projected = optim._project_to_speed, []
+
+        def counted_projection(*args, **kwargs):
+            projected.append(None)
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "_project_to_speed", counted_projection)
         got = armijo_search(c, grad, f0, g, act, cfg, cost0, rho0=rho0)
-        # the trials after a rejected first one are one batch
-        assert rows == ([] if end == 0 else [cfg.max_armijo - 1])
+        # a rejected first trial is followed by one sweep of the next three
+        # trials, and by one of the other six only if none of those passes;
+        # a batch's candidates are projected only when it is solved
+        in_first = end != "rejected" and end <= 3
+        assert rows == ([] if end == 0 else [3] if in_first else [3, 6])
+        assert len(projected) == (1 if end == 0 else 1 + 3 if in_first else cfg.max_armijo)
         assert_same_step(got, want)
 
     @given(st.sampled_from([-1.0, 1.0]), st.floats(-4.0, 16.0), st.floats(-10.0, 10.0))
@@ -699,9 +712,10 @@ class TestTraining:
 
     def test_accepted_line_search_solve_is_reused(self, monkeypatch):
         # the first iterate is one paired sweep, and so is each line search's
-        # first trial.  A search that rejects it solves the other trials as
-        # one final-field sweep, then solves the step it takes, if any, as
-        # one more paired sweep; no solve is a lone one
+        # first trial.  A search that rejects it solves the next three trials
+        # as one final-field sweep and the other six as a second only if none
+        # of those passes, then solves the step it takes, if any, as one more
+        # paired sweep; no solve is a lone one
         state, solves, handed_over, (f0, g, act, cfg) = self._counted_training(monkeypatch)
         assert solves[0] == "sweep"
         per_search = []
@@ -718,12 +732,17 @@ class TestTraining:
                 kinds.append("first trial")
                 assert handed
             else:
-                assert 1 <= part[1] <= cfg.max_armijo - 1
-                assert part[2:] == (["sweep"] if handed else [])
-                kinds.append("later trial" if handed else "none")
-        # this run takes the first trial, a later one, and in its last
-        # search none, which hands over nothing and ends the run
-        assert kinds == ["first trial"] * (state.iteration - 2) + ["later trial", "none"]
+                batches = part[1:-1] if handed else part[1:]
+                assert batches in ([3], [3, 6])
+                if handed:
+                    assert part[-1] == "sweep"
+                    kinds.append(f"batch {len(batches)}")
+                else:
+                    assert batches == [3, 6]
+                    kinds.append("none")
+        # this run takes the first trial, a trial of the first batch, and in
+        # its last search none, which hands over nothing and ends the run
+        assert kinds == ["first trial"] * (state.iteration - 2) + ["batch 1", "none"]
         assert state.rho_history[-1] == 0.0
         assert state.cost_history[-1] == reduced_cost(state.controls, f0, g, act, cfg)
 

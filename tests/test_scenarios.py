@@ -123,6 +123,40 @@ class TestBuildersAndConfigs:
         with pytest.raises(ValueError, match=rf"^params\.{key} must "):
             scenario_from_config(data)
 
+    @pytest.mark.parametrize("config, params, domain, key", [
+        ("test1_identity", {"beta": 2.8}, None, "params.beta"),  # target on [2.3, 3.3]
+        ("shift_identity", {"beta": -1.6}, None, "params.beta"),
+        ("test1_identity", {}, (-0.4, 3.0), "run.domain"),  # starts on [-0.5, 0.5]
+        ("test3_zero", {}, (0.5, 3.0), "run.domain"),  # starts on [0, 1]
+        ("test2", {"mu": 2.9}, None, "params.mu"),
+        ("test2", {"mu": 2.45}, None, "params.mu"),  # 5.5 sd inside: 1.9e-8 outside
+        ("scale", {"mu": 2.0, "alpha": -2.0}, None, "params.mu"),  # the wider target spills
+        ("convergence", {"mu": -1.0}, None, "params.mu"),
+        ("test2", {"alpha": 800.0}, None, "params.alpha"),
+        ("scale", {"alpha": -800.0}, None, "params.alpha"),
+    ])
+    def test_mass_outside_the_domain_rejected(self, config, params, domain, key):
+        # projection would cut the density off at the domain and renormalize
+        # it: test1 with beta = 2.8 once trained toward height 1/0.7 on
+        # [2.3, 3.0], mean 2.65, and reported that it converged
+        data = json.loads((SCENARIO_DIR / f"{config}.json").read_text())
+        data["params"].update(params)
+        if domain:
+            data["run"]["domain"] = list(domain)
+        with pytest.raises(ConfigValueError, match=rf"^{key} ") as exc:
+            scenario_from_config(data)
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize("config, params", [
+        ("test1_identity", {"beta": 2.5}),  # the target fills [2, 3]
+        ("shift_identity", {"beta": -1.5}),
+        ("test2", {"mu": 2.43}),  # 5.7 sd inside: 6e-9 outside
+    ])
+    def test_mass_inside_the_domain_accepted(self, config, params):
+        data = json.loads((SCENARIO_DIR / f"{config}.json").read_text())
+        data["params"].update(params)
+        scenario_from_config(data)
+
     def test_missing_config_keys_named(self):
         data = scenario_to_config(shipped("test2"))
         del data["run"], data["dt"]

@@ -22,7 +22,24 @@ cost case of two trees that left the cost path as it was read 1.207 in one
 run and 1.139 in the next, so the group could not resolve a 1.02 gate.  At
 31 rounds the same three cases read 0.995 to 1.000 in four repeats, and in
 five more repeats on loaded shared cores 0.906 to 1.026 a case and 0.969 to
-1.013 for the group's geometric mean.
+1.013 for the group's geometric mean.  So the cost group runs GROUP_REPEATS
+times, and its line reports the median of the repeats' geometric means
+beside each of them.  In two full runs against a parent whose cost path was
+the same, the repeats read 0.997 to 0.999 and 0.990 to 1.007, medians 0.998
+and 1.001.
+The training cases run ``optim.gauss_seidel_train`` on the shipped
+test1_identity, test3_zero and test3_linear, set up as
+``scenarios.run_training`` sets them up (the starting density and the target
+are built once, outside the timed calls), over TRAIN_ROUNDS rounds, and
+compare the trained controls and the cost histories.  So a change to the
+line search or the training loop is timed in one interpreter, not only by
+``bench/run.py`` across two checkouts, whose layout alone can move ``train``
+by up to 8%.  The training group runs GROUP_REPEATS times too, and reports
+the median of its repeats' geometric means.  Its cases spread: in one run
+against a tree that solved a search's later trials as one 9-row sweep,
+test1_identity (five iterations, about 0.2 s a call) read 0.920 to 1.076
+over the three repeats, test3_zero 0.691 to 0.818, and the group 0.852 to
+0.932.
 The sweep cases are the benchmark's refinement-sweep solves at its finest
 grids (``bench/child.py::run_sweep``), 800, 1600 and 3200 cells on [-2, 3]: one
 row, ``solve_transport`` keeping its snapshots, constant speed 1 (identity,
@@ -55,8 +72,8 @@ head / base, each side's median count of minor page faults a call
 noisy times, of the pages the call's temporaries had mapped in anew), and
 whether the results are bitwise equal.  The last lines are the geometric
 means of the ratios, over the forward, adjoint and paired cases, over the
-batch cases, over the cost cases, over the sweep cases and over the
-ensemble cases with the study.  Plain timings of
+batch cases, over the cost cases, over the training cases, over the sweep
+cases and over the ensemble cases with the study.  Plain timings of
 one tree on a shared machine can drift by 2x within minutes; two runs of
 this script on the same tree read within a few percent of 1 on a quiet
 machine, and the 200- and 400-cell cases spread to about 0.88-1.18 under
@@ -92,6 +109,9 @@ ENSEMBLE_SIZES = (100, 1000, 10_000, 100_000)
 SWEEP_CELLS = (800, 1600, 3200)
 SWEEP_ROUNDS = 9  # a 3200-cell sweep solve takes about a second
 STUDY_ROUNDS = 9  # a study takes about a second a call
+TRAIN_CONFIGS = ("test1_identity", "test3_zero", "test3_linear")
+TRAIN_ROUNDS = 7  # the three trainings take about 1.5 s a round and side
+GROUP_REPEATS = 3  # the cost and training groups read as the median of 3 group means
 
 
 def _load(tree: Path, name: str):
@@ -108,13 +128,13 @@ def _load(tree: Path, name: str):
     raise SystemExit(f"{tree}: no mfrn package in it or in its src/")
 
 
-def _study_config(tree: Path) -> dict:
-    """scenarios/convergence.json of the checkout tree (or of its src's parent)."""
+def _config(tree: Path, name: str) -> dict:
+    """scenarios/<name>.json of the checkout tree (or of its src's parent)."""
     for root in (tree, tree.parent):
-        path = root / "scenarios" / "convergence.json"
+        path = root / "scenarios" / f"{name}.json"
         if path.is_file():
             return json.loads(path.read_text())
-    raise SystemExit(f"{tree}: no scenarios/convergence.json in it or its parent")
+    raise SystemExit(f"{tree}: no scenarios/{name}.json in it or its parent")
 
 
 def _case(pkg, n_cells: int, act: str, kind: str):
@@ -206,6 +226,20 @@ def _study(pkg, config: dict):
     return lambda: [pkg.scenarios.run_convergence_study(sc).w1_by_seed]
 
 
+def _train(pkg, config: dict):
+    """The training of config as run_training makes it, its starting density
+    and target built once, as a zero-argument callable that returns the
+    trained controls and the cost history."""
+    sc = pkg.scenarios.scenario_from_config(config)
+    f0, target = sc.initial_density(), pkg.optim.TargetMeasure.from_density(sc.target_field())
+    c0 = sc.initial_controls()
+
+    def train():
+        state = pkg.optim.gauss_seidel_train(f0, target, c0, sc.act, sc.config)
+        return [state.controls.w, state.controls.b, state.cost_history]
+    return train
+
+
 def _compare(calls: dict, rounds: int = ROUNDS) -> tuple[dict, dict, bool]:
     """Each side's median time and median minor page faults over rounds
     alternating calls, and whether the two sides' results are bitwise
@@ -233,15 +267,18 @@ def main(argv: list[str]) -> int:
     logging.disable(logging.WARNING)
     sides = {"base": _load(Path(argv[0]).resolve(), "mfrn_base"),
              "head": _load(Path(argv[1]).resolve(), "mfrn_head")}
-    print(f"{'size':>6} {'activation':>10} {'case':>8} {'base ms':>9} {'head ms':>9} "
+    print(f"{'size':>6} {'activation':>10} {'case':>14} {'base ms':>9} {'head ms':>9} "
           f"{'ratio':>6} {'base flt':>8} {'head flt':>8}  same bits")
-    ratios = {}
+    ratios = {}  # group -> the ratios of its cases, one list for each repeat of the group
 
-    def report(size, act, kind, group, calls, rounds=ROUNDS):
+    def report(size, act, kind, group, calls, rounds=ROUNDS, repeat=0):
         med, flt, same = _compare(calls, rounds)
         ratio = med["head"] / med["base"]
-        ratios.setdefault(group, []).append(ratio)
-        print(f"{size:>6} {act:>10} {kind:>8} "
+        runs = ratios.setdefault(group, [])
+        if repeat == len(runs):
+            runs.append([])
+        runs[repeat].append(ratio)
+        print(f"{size:>6} {act:>10} {kind:>14} "
               f"{1e3 * med['base']:>9.2f} {1e3 * med['head']:>9.2f} {ratio:>6.3f} "
               f"{flt['base']:>8g} {flt['head']:>8g}  {'yes' if same else 'NO'}", flush=True)
 
@@ -253,9 +290,16 @@ def main(argv: list[str]) -> int:
                 group = "batch" if kind == "batch" else "forward, adjoint and paired"
                 report(n_cells, act, kind, group,
                        {side: _case(pkg, n_cells, act, kind) for side, pkg in sides.items()})
-    for act in COST_ACTIVATIONS:
-        report(400, act, "cost", "cost", {side: _cost(pkg, act) for side, pkg in sides.items()},
-               COST_ROUNDS)
+    for repeat in range(GROUP_REPEATS):
+        for act in COST_ACTIVATIONS:
+            report(400, act, "cost", "cost",
+                   {side: _cost(pkg, act) for side, pkg in sides.items()}, COST_ROUNDS, repeat)
+    configs = {name: _config(Path(argv[1]).resolve(), name) for name in TRAIN_CONFIGS}
+    for repeat in range(GROUP_REPEATS):
+        for name, config in configs.items():
+            report(config["run"]["n_cells"], config["activation"], name, "training",
+                   {side: _train(pkg, config) for side, pkg in sides.items()}, TRAIN_ROUNDS,
+                   repeat)
     for n_cells in SWEEP_CELLS:
         for kind in ("forward", "reversed"):
             report(n_cells, "identity", kind, "sweep",
@@ -265,12 +309,16 @@ def main(argv: list[str]) -> int:
         for act in ACTIVATIONS:
             report(size, act, "ensemble", "ensemble and study",
                    {side: _ensemble(pkg, size, act) for side, pkg in sides.items()})
-    config = _study_config(Path(argv[1]).resolve())
+    config = _config(Path(argv[1]).resolve(), "convergence")
     report("1e5", config["activation"], "study", "ensemble and study",
            {side: _study(pkg, config) for side, pkg in sides.items()}, STUDY_ROUNDS)
-    for group, some in ratios.items():
-        geo = math.exp(sum(map(math.log, some)) / len(some))
-        print(f"geometric mean ratio head / base over {len(some)} {group} cases: {geo:.3f}")
+    for group, runs in ratios.items():
+        means = [math.exp(sum(map(math.log, some)) / len(some)) for some in runs]
+        line = (f"geometric mean ratio head / base over {len(runs[0])} {group} cases: "
+                f"{statistics.median(means):.3f}")
+        if len(runs) > 1:
+            line += f" (median of {len(runs)} repeats: {', '.join(f'{m:.3f}' for m in means)})"
+        print(line)
     return 0
 
 
