@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -27,21 +28,12 @@ class ConfigValueError(ValueError):
 
 
 def is_number(v, integer: bool = False) -> bool:
-    """A finite int or float (an int if integer) in float range, not a bool."""
+    """A finite real (an integer if integer), numpy's included, in float range, not a bool."""
     try:
-        return (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v))
+        return (isinstance(v, numbers.Integral if integer else numbers.Real)
+                and not isinstance(v, bool) and math.isfinite(v))
     except OverflowError:  # an int beyond float range
         return False
-
-
-def read_number(section: dict, key: str, integer: bool = False, prefix: str = ""):
-    """section[key] as an int (if integer) or a float, by is_number's rule."""
-    v = section[key]
-    if not is_number(v, integer):
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigValueError(prefix + key, f"must be {kind}, got {v!r}")
-    return v if integer else float(v)
 
 
 def reject_unknown(section: dict, allowed, prefix: str = "") -> None:
@@ -152,7 +144,10 @@ class TimeGrid:
             raise ConfigValueError("dt", f"must be finite and > 0, got {dt!r}")
         if not (is_number(t_final) and t_final > 0):
             raise ConfigValueError("t_final", f"must be finite and > 0, got {t_final!r}")
-        return cls(t_final=t_final, dt=dt, n_steps=round(t_final / dt))
+        n = t_final / dt
+        if not math.isfinite(n):  # round() would raise OverflowError
+            raise ConfigValueError("dt", f"= {dt!r} gives t_final / dt = {n!r} steps")
+        return cls(t_final=t_final, dt=dt, n_steps=round(n))
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
@@ -287,33 +282,39 @@ class RunConfig:
     dimension: int          # state dimension; only 1 is accepted
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
+        # the types first, as the file reader names them, then the ranges
+        dom = self.domain
+        if not (isinstance(dom, (list, tuple)) and len(dom) == 2 and all(map(is_number, dom))):
+            raise ConfigValueError("run.domain",
+                                   f"must be a list of two finite numbers, got {dom!r}")
+        object.__setattr__(self, "domain", (float(dom[0]), float(dom[1])))
+        for f in fields(self):
+            if f.name == "domain":
+                continue
+            v, integer = getattr(self, f.name), f.type == "int"
+            if not is_number(v, integer):
+                kind = "an integer" if integer else "a finite number"
+                raise ConfigValueError(f"run.{f.name}", f"must be {kind}, got {v!r}")
+            object.__setattr__(self, f.name, int(v) if integer else float(v))
         a, b = self.domain
         for key, ok, rule in (
                 ("tol", self.tol > 0, "> 0"), ("max_armijo", self.max_armijo >= 1, ">= 1"),
                 ("cfl", 0 < self.cfl <= 1, "in (0, 1]"), ("gamma_w", self.gamma_w >= 0, ">= 0"),
                 ("n_cells", self.n_cells >= 8, ">= 8"), ("gamma_b", self.gamma_b >= 0, ">= 0"),
                 ("dimension", self.dimension == 1, "1 (the grid solver is 1-d)"),
-                ("domain", math.isfinite(a) and math.isfinite(b) and a < b,
-                 "a finite interval [a, b] with a < b")):
+                ("domain", a < b, "a finite interval [a, b] with a < b")):
             if not ok:
                 raise ConfigValueError(f"run.{key}", f"must be {rule}, got {getattr(self, key)!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Every field once and no other key, numbers by read_number's rule."""
+        """Every field once and no other key; __post_init__ checks the values."""
         names = [f.name for f in fields(cls)]
         missing = [k for k in names if k not in data]
         if missing:
             raise ConfigValueError("run", f"is missing field(s): {', '.join(missing)}")
         reject_unknown(data, names, "run.")
-        dom = data["domain"]
-        if not (isinstance(dom, list) and len(dom) == 2 and all(map(is_number, dom))):
-            raise ConfigValueError("run.domain",
-                                   f"must be a list of two finite numbers, got {dom!r}")
-        return cls(domain=(float(dom[0]), float(dom[1])), **{
-            f.name: read_number(data, f.name, integer=f.type == "int", prefix="run.")
-            for f in fields(cls) if f.name != "domain"})
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return {f.name: list(self.domain) if f.name == "domain" else getattr(self, f.name)

@@ -25,7 +25,9 @@ serves every row and the stencil's shifted views stay contiguous.  Rows do
 not interact, so each is bitwise its own solve.  The adjoint row's drift is
 the first row's read in reversed time.  Each row has its own CFL check and
 warning, the positivity limiter and the mass and sign checks apply to each
-forward row, and a row past the hard margin fails the whole sweep.
+forward row, and a row past the hard margin fails the whole sweep.  The
+forward rows lead, so the sweep counts them from its drifts, and it takes
+the limiter's ratio dt / dx from its grids.
 
 A sweep allocates its stage workspace once (_StageWork): every stage writes
 its ghost-padded averages, faces, limiter terms, fluxes and derivative into
@@ -515,24 +517,25 @@ def _step(avg: np.ndarray, dt: float, stages, work: _StageWork, out: np.ndarray)
 
 
 def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, cfl: float,
-           lead: int, lam: float | None,
+           limit: bool = True,
            keep: bool = False) -> list[DensityField] | list[list[DensityField]]:
     """Advance row r from starts[r] under drifts[r], all rows in one SSP-RK3
-    loop.  Return the final fields of the first `lead` rows: every row, or
-    the forward row of a paired sweep, whose second row is its adjoint.
-    With keep, return instead every row's fields at every node, start field
-    first, one list a row; a step's fields are views of one fresh array.
-    The lead rows are limited with lam, and checked when drifts[0] is forward
-    (a sweep's lead rows all run one way).  Each row's CFL number is its
-    schedule peak times dt / dx, a block at a time, and a block that takes
-    any row past the hard CFL margin raises before its first step, naming
-    that row's speed.
+    loop.  The forward rows lead: every row, or the first of a paired sweep,
+    whose second row is its adjoint; a lone reversed row has none.  Return
+    the forward rows' final fields.  With keep, return instead every row's
+    fields at every node, start field first, one list a row; a step's fields
+    are views of one fresh array.  The forward rows are checked, and with
+    limit they are limited with the ratio dt / dx of the sweep's grids.
+    Each row's CFL number is its schedule peak times dt / dx, a block at a
+    time, and a block that takes any row past the hard CFL margin raises
+    before its first step, naming that row's speed.
 
     The stages compute in one _StageWork, allocated here, and the state
     alternates between two arrays, so the loop's allocations per step are
     the kept fields' array and the rows' outflow rates."""
     space, dt = starts[0].grid, grid.dt
-    check = not drifts[0].time_reversed
+    lead = sum(not d.time_reversed for d in drifts)
+    lam = dt / space.dx if limit and lead else None
     # the states alternate between two arrays, cells x rows
     state, spare = _slots(2, (space.n_cells, len(starts)))
     for r, f in enumerate(starts):
@@ -562,10 +565,10 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
                 # one fresh array of the step's rows, each row contiguous
                 for averages, fields in zip(state.T.copy(), rows):
                     fields.append(DensityField(space, averages, t))
-            if check:
+            if lead:
                 rates.append(rate)
                 np.minimum(low, state[:, :lead], out=low)
-        if check:
+        if lead:
             o = np.array(rates)[..., :lead]
             # each step's outflow by the stepper's weights, added in step order
             outflow = sum(dt * (o[:, 0] / 6.0 + o[:, 1] / 6.0 + 2.0 * o[:, 2] / 3.0), outflow)
@@ -579,16 +582,14 @@ def _sweep(starts: list[DensityField], drifts: list[DriftSpec], grid: TimeGrid, 
                 cfl, nu, _CFL_HARD,
             )
     finals = [DensityField(space, row, t) for row in np.ascontiguousarray(state[:, :lead].T)]
-    if check:
-        for f0, f_T, out, worst in zip(starts, finals, outflow.tolist(),
-                                       np.min(low, axis=0).tolist()):
-            # mass carried out through the zero-inflow boundary is not drift
-            drift_mass = abs(f_T.mass - f0.mass + out)
-            if not drift_mass <= 1e-10:  # a NaN fails both tests
-                log.warning("forward solve mass drift %.3e (net of boundary outflow) "
-                            "exceeds 1e-10", drift_mass)
-            if not worst >= -1e-8:
-                log.warning("forward solve produced cell average %.3e below -1e-8", worst)
+    for f0, f_T, out, worst in zip(starts, finals, outflow.tolist(), np.min(low, axis=0).tolist()):
+        # mass carried out through the zero-inflow boundary is not drift
+        drift_mass = abs(f_T.mass - f0.mass + out)
+        if not drift_mass <= 1e-10:  # a NaN fails both tests
+            log.warning("forward solve mass drift %.3e (net of boundary outflow) "
+                        "exceeds 1e-10", drift_mass)
+        if not worst >= -1e-8:
+            log.warning("forward solve produced cell average %.3e below -1e-8", worst)
     return rows if keep else finals
 
 
@@ -630,8 +631,7 @@ def solve_transport(
             raise ValueError("the adjoint row reverses drift, which must be forward")
         starts.append(adjoint)
         drifts.append(DriftSpec(drift.control, drift.activation, time_reversed=True))
-    lam = grid.dt / f0.grid.dx if limit_positive and not drift.time_reversed else None
-    rows = _sweep(starts, drifts, grid, cfl, 1, lam, keep=True)
+    rows = _sweep(starts, drifts, grid, cfl, limit_positive, keep=True)
     return rows[0] if adjoint is None else tuple(rows)
 
 
@@ -649,8 +649,7 @@ def solve_final_fields(f0: DensityField, drifts: list[DriftSpec], grid: TimeGrid
         raise ValueError("every row of a final-field sweep is a forward solve")
     if not drifts:
         return []
-    return _sweep([f0] * len(drifts), list(drifts), grid, cfl, len(drifts),
-                  grid.dt / f0.grid.dx)
+    return _sweep([f0] * len(drifts), list(drifts), grid, cfl)
 
 
 def project_initial(density, grid: Grid1D, renormalize: bool = True) -> DensityField:

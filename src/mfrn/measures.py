@@ -52,8 +52,9 @@ def moments(f: DensityField, k: int) -> float:
 
 
 def variance(f: DensityField) -> float:
+    """Second moment less squared mean, floored at the 0 roundoff can undershoot."""
     m1 = moments(f, 1)
-    return moments(f, 2) - m1 * m1
+    return max(moments(f, 2) - m1 * m1, 0.0)
 
 
 def particles_to_density(x: np.ndarray, grid: Grid1D) -> DensityField:

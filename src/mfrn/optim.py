@@ -96,10 +96,6 @@ class TargetMeasure:
                 f"second moment {self.second_moment!r} below mean^2 {self.mean * self.mean!r}"
             )
 
-    @property
-    def variance(self) -> float:
-        return max(self.second_moment - self.mean**2, 0.0)
-
     @classmethod
     def from_density(cls, g: DensityField) -> "TargetMeasure":
         if abs(g.mass - 1.0) > 1e-8:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGrid, activation,
-                   bisect, is_number, read_number, reject_unknown)
+                   bisect, is_number, reject_unknown)
 from .fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from .measures import _MASS_TOL, moments, particles_to_density, variance, wasserstein1
 from .optim import OptimState, TargetMeasure, _bounded_step_excess, gauss_seidel_train
@@ -99,6 +99,8 @@ class Scenario:
         # validates the kind and keeps its normalized name, which runs echo
         object.__setattr__(self, "activation", activation(self.activation).kind)
         TimeGrid.from_step(self.t_final, self.dt)  # validates t_final and dt
+        object.__setattr__(self, "t_final", float(self.t_final))
+        object.__setattr__(self, "dt", float(self.dt))
         if not (is_number(self.seed, integer=True) and self.seed >= 0):  # numpy's seed rule
             raise ConfigValueError("seed", f"must be an integer >= 0, got {self.seed!r}")
         p = self.params
@@ -265,12 +267,10 @@ def scenario_from_config(data: dict) -> Scenario:
     sc = Scenario(
         name=data["scenario"],
         config=RunConfig.from_dict(data["run"]),
-        t_final=read_number(data, "t_final"),
-        dt=read_number(data, "dt"),
+        t_final=data["t_final"],
+        dt=data["dt"],
         activation=data["activation"],
-        seed=data.get("seed", 42),
-        params=dict(data.get("params", {})),
-        initial_guess=data.get("initial_guess", "zero"),
+        **{k: data[k] for k in ("seed", "params", "initial_guess") if k in data},
     )
     reject_unknown(data, scenario_to_config(sc))
     return sc
@@ -377,7 +377,7 @@ def run_training(sc: Scenario) -> TrainingReport:
         mean_f_T=moments(f_T, 1),
         var_f_T=variance(f_T),
         mean_target=g.mean,
-        var_target=g.variance,
+        var_target=variance(g_field),
         timings={"setup": t1 - t0, "train": t2 - t1, "finalize": time.perf_counter() - t2},
     )
     log.info(

@@ -269,6 +269,20 @@ class TestRunFailures:
             "positive integers, got [100]\n")
         assert not out.exists()
 
+    def test_a_step_count_that_overflows_exits_two_at_the_dt_line(self, tmp_path, capsys):
+        # t_final / dt = inf once ended in an OverflowError traceback, exit 1
+        data = json.loads((SCENARIO_DIR / "test1_identity.json").read_text())
+        data.update(t_final=1e308, dt=1e-308)
+        text = json.dumps(data, indent=2, sort_keys=True)
+        cfgp = tmp_path / "overflow.json"
+        cfgp.write_text(text)
+        rc, out = cli_run(cfgp, tmp_path / "o")
+        assert rc == 2
+        line = 1 + next(i for i, r in enumerate(text.splitlines()) if '"dt":' in r)
+        assert capsys.readouterr().err == (
+            f"{cfgp}:{line}: dt = 1e-308 gives t_final / dt = inf steps\n")
+        assert not out.exists()
+
     def test_a_seed_override_beyond_float_range_exits_two_at_the_seed_line(self, tmp_path,
                                                                             capsys):
         cfgp = SCENARIO_DIR / "test1_identity.json"

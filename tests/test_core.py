@@ -1,14 +1,16 @@
 """Activation functions, time grids, control paths, run configuration."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from mfrn.core import (Activation, ControlPath, RunConfig, TimeGrid, activation, bisect,
-                       is_number)
+from mfrn.core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGrid,
+                       activation, bisect, is_number)
 from mfrn.fvm import DriftSpec
 
 ALL_KINDS = ("identity", "relu", "sigmoid", "tanh", "gcu")
@@ -160,6 +162,12 @@ class TestTimeGrid:
     def test_from_step_names_a_bad_value(self, t_final, dt, key):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             TimeGrid.from_step(t_final, dt)
+
+    def test_from_step_names_a_step_count_that_overflows(self):
+        # t_final / dt = inf once made round() raise OverflowError
+        with pytest.raises(ConfigValueError,
+                           match=r"^dt = 1e-308 gives t_final / dt = inf steps$"):
+            TimeGrid.from_step(1e308, 1e-308)
 
     def test_nodes_span_the_horizon(self):
         tg = TimeGrid.from_step(0.5, 0.05)
@@ -383,6 +391,28 @@ class TestRunConfig:
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ValueError):
             RunConfig(**self.good(**bad))
+
+    @pytest.mark.parametrize("key, value, says", [
+        ("max_armijo", 2.5, "an integer"), ("max_armijo", True, "an integer"),
+        ("n_cells", 40.0, "an integer"), ("dimension", 1.0, "an integer"),
+        ("tol", "1e-4", "a finite number"), ("cfl", None, "a finite number"),
+    ])
+    def test_a_value_of_the_wrong_type_is_named_as_the_file_reader_names_it(self, key, value,
+                                                                            says):
+        # a directly built config is checked as one read from a file
+        with pytest.raises(ConfigValueError, match=rf"^run\.{key} must be {says}, got "
+                                                   rf"{re.escape(repr(value))}$"):
+            RunConfig(**self.good(**{key: value}))
+        with pytest.raises(ConfigValueError, match=rf"^run\.{key} must be {says}, got "):
+            RunConfig.from_dict({**RunConfig(**self.good()).to_dict(), key: value})
+
+    @pytest.mark.parametrize("domain", [(-2, 3), [-2.0, 3]])
+    def test_values_of_the_number_types_are_kept_as_the_fields_types(self, domain):
+        cfg = RunConfig(**self.good(n_cells=np.int64(400), gamma_w=0, domain=domain))
+        assert cfg.n_cells == 400 and type(cfg.n_cells) is int
+        assert cfg.gamma_w == 0.0 and type(cfg.gamma_w) is float
+        assert cfg.domain == (-2.0, 3.0) and all(type(v) is float for v in cfg.domain)
+        assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
 
     def test_dict_round_trip(self):
         cfg = RunConfig(**self.good())

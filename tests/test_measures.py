@@ -128,6 +128,14 @@ class TestMoments:
         f = project_initial(box_density(0.0, 1.0), Grid1D(0.0, 1.0, 10))
         assert_allclose(variance(f), (1.0 - 0.1**2) / 12.0, rtol=1e-13)
 
+    def test_variance_clamps_roundoff(self):
+        # all the mass in one cell: m2 - m1^2 rounds to -5.55e-17, not 0
+        grid = Grid1D(-2.0, 3.0, 8)
+        f = DensityField(grid, np.where(np.arange(8) == 2, 1.0 / grid.dx, 0.0))
+        m1 = moments(f, 1)
+        assert moments(f, 2) - m1 * m1 < 0.0
+        assert variance(f) == 0.0
+
 
 class TestParticleHistogram:
     def test_single_particle_fills_one_cell(self):

@@ -1,4 +1,4 @@
-"""The stderr line counts of tools/same_outputs.py."""
+"""The stderr line counts and the package line report of tools/same_outputs.py."""
 
 import importlib.util
 import subprocess
@@ -37,3 +37,15 @@ def test_a_warning_python_prints_is_counted():
         capture_output=True, text=True, check=True)
     assert same_outputs.stderr_counts(proc.stderr) == (0, 0, 1)
     assert same_outputs.stderr_counts("") == (0, 0, 0)
+
+
+def test_line_report_gives_the_totals_and_each_module(tmp_path):
+    modules = {"base": {"__init__": "a\n", "core": "a\nb\nc\n", "gone": "a\n"},
+               "head": {"__init__": "a\n", "core": "a\n", "new": "a\nb\n"}}
+    for side, files in modules.items():
+        (tmp_path / side / "mfrn").mkdir(parents=True)
+        for name, text in files.items():
+            (tmp_path / side / "mfrn" / f"{name}.py").write_text(text)
+    (tmp_path / "base" / "mfrn" / "notes.txt").write_text("not\ncounted\n")
+    assert same_outputs.line_report(tmp_path / "base", tmp_path / "head") == (
+        "mfrn lines: base 5, head 4 (__init__ 1 -> 1, core 3 -> 1, gone 1 -> 0, new 0 -> 2)")

@@ -20,7 +20,8 @@ what a change gated on a tolerance moved.  It exits 1 on any difference,
 failed run, or config for which HEAD prints more of any of the three kinds
 of line than BASE; 0 otherwise.  It also prints the line count of each tree's ``mfrn``
 package (``wc -l`` summed over its ``*.py``), the other gate of a change that
-should only simplify.  Standard library only.
+should only simplify, and each module's base -> head beside it.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -49,9 +50,18 @@ def _package_dir(tree: Path) -> Path:
     raise SystemExit(f"{tree}: no mfrn package in it or in its src/")
 
 
-def _line_count(src: Path) -> int:
-    """Lines of the package's modules, as ``wc -l src/mfrn/*.py`` totals them."""
-    return sum(p.read_bytes().count(b"\n") for p in (src / "mfrn").glob("*.py"))
+def _line_counts(src: Path) -> dict[str, int]:
+    """Lines of each of the package's modules, as ``wc -l src/mfrn/*.py`` counts them."""
+    return {p.stem: p.read_bytes().count(b"\n") for p in (src / "mfrn").glob("*.py")}
+
+
+def line_report(base: Path, head: Path) -> str:
+    """The two trees' package line totals, then each module's base -> head,
+    a module only one tree has counting 0 lines in the other."""
+    old, new = _line_counts(base), _line_counts(head)
+    modules = ", ".join(f"{m} {old.get(m, 0)} -> {new.get(m, 0)}"
+                        for m in sorted(old.keys() | new.keys()))
+    return f"mfrn lines: base {sum(old.values())}, head {sum(new.values())} ({modules})"
 
 
 def _start(src: Path, *args) -> subprocess.Popen:
@@ -105,8 +115,7 @@ def _artifacts(out: Path) -> set[str]:
 def compare(base: Path, head: Path, configs: list[Path], work: Path) -> int:
     """Run every config under both trees; returns the number of differences."""
     srcs = {"base": _package_dir(base), "head": _package_dir(head)}
-    print("mfrn lines: " + ", ".join(f"{side} {_line_count(src)}" for side, src in srcs.items()),
-          flush=True)
+    print(line_report(srcs["base"], srcs["head"]), flush=True)
     bad = 0
     for config in configs:
         outs = {side: work / side / config.stem for side in srcs}
