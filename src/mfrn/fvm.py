@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Activation, ControlPath, TimeGrid
+from .core import Activation, ControlPath, TimeGrid, is_number
 
 log = logging.getLogger(__name__)
 
@@ -111,11 +111,10 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
+        if not (is_number(self.a) and is_number(self.b) and self.a < self.b):
             raise ValueError(f"need finite bounds a < b, got [{self.a}, {self.b}]")
-        n = self.n_cells
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 8:
-            raise ValueError(f"n_cells must be an integer >= 8, got {n!r}")
+        if not (is_number(self.n_cells, integer=True) and self.n_cells >= 8):
+            raise ValueError(f"n_cells must be an integer >= 8, got {self.n_cells!r}")
 
     @property
     def dx(self) -> float:

@@ -1278,10 +1278,12 @@ class TestContainers:
         with pytest.raises(ValueError, match="n_cells"):
             Grid1D(0.0, 1.0, 7)
         # a grid that cannot be represented names the value at fault
-        for a, b in [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)]:
+        for a, b in [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan),
+                     ("a", 3.0), (None, 3.0)]:
             with pytest.raises(ValueError, match="finite bounds"):
                 Grid1D(a, b, 10)
-        for n in [10.5, 10.0, np.float64(10.0), True, "10", None]:
+        # an integer beyond float range would make dx overflow
+        for n in [10.5, 10.0, np.float64(10.0), True, "10", None, 10**400]:
             with pytest.raises(ValueError, match=re.escape(f"integer >= 8, got {n!r}")):
                 Grid1D(0.0, 1.0, n)
         for n in [10, np.int64(10), np.int32(10), np.uint16(10)]:

@@ -9,6 +9,10 @@ argument of ``isinstance`` is not a caller: a branch for a type that nothing
 builds is dead code.  Tests do not count: code that only tests reach belongs
 in the tests.  The few objects kept for the paper's sake
 without a caller are listed below with their reason.
+
+The package root holds no names of its own: ``__init__.py`` imports the
+submodules and sets ``__version__``, and every other name is imported from
+the module that defines it.
 """
 
 import ast
@@ -88,3 +92,20 @@ def test_kept_list_is_current():
     refs = _referenced_names()
     assert sorted(set(KEPT_WITHOUT_CALLER) - defined) == []
     assert sorted(n for n in KEPT_WITHOUT_CALLER if n.rsplit(".", 1)[-1] in refs) == []
+
+
+def test_the_root_imports_only_its_submodules_and_sets_only_the_version():
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]  # the docstring
+    imports = [n for n in body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assigns = [n for n in body if n not in imports]
+    assert len(imports) == 1, "the root has one import, the submodule line"
+    line = imports[0]
+    assert isinstance(line, ast.ImportFrom) and line.level == 1 and line.module is None
+    names = [alias.name for alias in line.names]
+    assert all(alias.asname is None for alias in line.names)
+    assert [n for n in names if not (PACKAGE / f"{n}.py").is_file()] == []
+    assert len(assigns) == 1 and isinstance(assigns[0], ast.Assign), \
+        f"the root assigns only __version__, got {[ast.unparse(n) for n in assigns]}"
+    assert [ast.unparse(t) for t in assigns[0].targets] == ["__version__"]
