@@ -98,9 +98,8 @@ def test_parse_added_collects_each_files_keys():
                                       "iteration_log.csv:worst_cfl"])
     assert added == {"summary.json": ["a", "b.c", "d"], "trace.jsonl": [],
                      "iteration_log.csv": ["worst_cfl"]}
-    assert same_outputs.declarations(added) == [
-        "summary.json:a", "summary.json:b.c", "summary.json:d", "iteration_log.csv:worst_cfl",
-        "trace.jsonl"]
+    assert same_outputs.unproduced(added, {"summary.json:b.c"}) == [
+        "summary.json:a", "summary.json:d", "iteration_log.csv:worst_cfl", "trace.jsonl"]
     for bad in [[""], [":a"], ["summary.json:"], ["summary.json:a,,b"], ["trace.jsonl:key"],
                 ["summary.json", "summary.json:a"], ["summary.json:a", "summary.json"]]:
         with pytest.raises(ValueError, match="--added"):

@@ -130,15 +130,11 @@ def parse_added(specs: list[str]) -> dict[str, list[str]]:
     return added
 
 
-def declarations(added: dict[str, list[str]]) -> list[str]:
-    """Each declared addition as it is printed: NAME:KEY, or NAME for a file."""
-    return [f"{name}:{key}" for name, keys in added.items() for key in keys] + [
-        name for name, keys in added.items() if not keys]
-
-
 def unproduced(added: dict[str, list[str]], produced) -> list[str]:
-    """The declared additions that no config produced."""
-    return [decl for decl in declarations(added) if decl not in produced]
+    """The declared additions, as NAME:KEY or a bare NAME, that no config produced."""
+    declared = [f"{name}:{key}" for name, keys in added.items() for key in keys]
+    declared += [name for name, keys in added.items() if not keys]
+    return [decl for decl in declared if decl not in produced]
 
 
 def _shown(value) -> str:
