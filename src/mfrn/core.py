@@ -71,9 +71,12 @@ class Activation:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in _ACTIVATION_KINDS:
+        # a name is read without case or surrounding space, and kept normalized
+        kind = self.kind.strip().lower() if isinstance(self.kind, str) else self.kind
+        if kind not in _ACTIVATION_KINDS:
             raise ConfigValueError("activation",
-                                   f"must be one of {_ACTIVATION_KINDS}, got {self.kind!r}")
+                                   f"must be one of {_ACTIVATION_KINDS}, got {kind!r}")
+        object.__setattr__(self, "kind", kind)
 
     @property
     def bounded(self) -> bool:
@@ -110,10 +113,6 @@ class Activation:
             t = np.tanh(x)
             return 1.0 - t * t
         return np.cos(x) - x * np.sin(x)
-
-
-def activation(name: str) -> Activation:
-    return Activation(name.strip().lower() if isinstance(name, str) else name)
 
 
 @dataclass(frozen=True)
@@ -302,7 +301,8 @@ class RunConfig:
                 ("cfl", 0 < self.cfl <= 1, "in (0, 1]"), ("gamma_w", self.gamma_w >= 0, ">= 0"),
                 ("n_cells", self.n_cells >= 8, ">= 8"), ("gamma_b", self.gamma_b >= 0, ">= 0"),
                 ("dimension", self.dimension == 1, "1 (the grid solver is 1-d)"),
-                ("domain", a < b, "a finite interval [a, b] with a < b")):
+                ("domain", a < b and math.isfinite(b - a),
+                 "a finite interval [a, b] with a < b and a finite width b - a")):
             if not ok:
                 raise ConfigValueError(f"run.{key}", f"must be {rule}, got {getattr(self, key)!r}")
 

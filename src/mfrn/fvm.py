@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,8 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not (is_number(self.a) and is_number(self.b) and self.a < self.b):
             raise ValueError(f"need finite bounds a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):  # dx would be inf
+            raise ValueError(f"need a finite width b - a, got [{self.a}, {self.b}]")
         if not (is_number(self.n_cells, integer=True) and self.n_cells >= 8):
             raise ValueError(f"n_cells must be an integer >= 8, got {self.n_cells!r}")
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGrid, activation,
-                   bisect, is_number, reject_unknown)
+from .core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGrid, bisect,
+                   is_number, reject_unknown)
 from .fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from .measures import _MASS_TOL, moments, particles_to_density, variance, wasserstein1
 from .optim import OptimState, TargetMeasure, _bounded_step_excess, gauss_seidel_train
@@ -26,7 +26,6 @@ from .particle import ode_integrate
 
 log = logging.getLogger(__name__)
 
-SCENARIO_NAMES = ("test1", "test2", "test3", "convergence", "shift_control", "scale_control")
 TRAINING_NAMES = ("test1", "test2", "test3")
 INITIAL_GUESSES = ("zero", "linear")
 
@@ -71,9 +70,10 @@ def _normal_mass_outside(mu: float, sd: float, a: float, b: float) -> float:
 
 # the numeric params each family reads (convergence also reads the integers
 # n_seeds and M_list); s, a1 and a2 must also be positive
-_PARAMS = {"test1": ("beta",), "shift_control": ("beta",), "test3": ("a1", "a2"),
-           "test2": ("mu", "s", "alpha"), "scale_control": ("mu", "s", "alpha"),
-           "convergence": ("mu", "s")}
+_PARAMS = {"test1": ("beta",), "test2": ("mu", "s", "alpha"), "test3": ("a1", "a2"),
+           "convergence": ("mu", "s"), "shift_control": ("beta",),
+           "scale_control": ("mu", "s", "alpha")}
+SCENARIO_NAMES = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class Scenario:
             raise ConfigValueError(
                 "initial_guess", f"must be one of {INITIAL_GUESSES}, got {self.initial_guess!r}")
         # validates the kind and keeps its normalized name, which runs echo
-        object.__setattr__(self, "activation", activation(self.activation).kind)
+        object.__setattr__(self, "activation", Activation(self.activation).kind)
         TimeGrid.from_step(self.t_final, self.dt)  # validates t_final and dt
         object.__setattr__(self, "t_final", float(self.t_final))
         object.__setattr__(self, "dt", float(self.dt))
@@ -119,58 +119,86 @@ class Scenario:
                 and all(lo < hi for lo, hi in zip([0, *M], M))):
             raise ConfigValueError("params.M_list", "must increase and hold at least two "
                                                     f"positive integers, got {M!r}")
-        if self.name == "shift_control":
-            # the exact control needs a bias b0 with act(b0) = beta / t_final
-            try:
-                activation_preimage(self.act, p["beta"] / self.t_final)
-            except ValueError as e:
-                raise ConfigValueError("params.beta", f"/ t_final: {e}") from None
-        beta = p.get("beta", 0.0)
-        if not (0.5 + beta) - (-0.5 + beta) > 0:  # target_field's indicator has no width
-            raise ConfigValueError("params.beta", f"= {beta!r} leaves the target indicator "
-                                                  "[beta - 1/2, beta + 1/2] no width")
-        self._check_mass_inside()
+        grid = self.space_grid
+        for what, pdf in zip(("initial density", "target"), self._family()[:2]):
+            with np.errstate(over="ignore"):  # a law far narrower than a cell overflows to 0
+                if pdf is not None and not project_initial(pdf, grid, renormalize=False).mass > 0:
+                    raise ConfigValueError("run.n_cells", f"= {grid.n_cells}: cells of width "
+                                           f"{grid.dx:.6g} hold none of the {what}'s mass")
         if self.name in TRAINING_NAMES:
             # refused here too, so a run reports it at the dt line before it
             # writes anything
-            excess = _bounded_step_excess(self.act, self.dt, self.space_grid.dx)
+            excess = _bounded_step_excess(self.act, self.dt, grid.dx)
             if excess:
                 raise ConfigValueError("dt", f"= {excess}")
 
-    def _check_mass_inside(self) -> None:
-        """Refuse an initial density or fixed target with mass outside
-        run.domain, which projection would cut off and renormalize: an
-        indicator or the beta density must lie inside, a Gaussian may put at
-        most _MASS_TOL of its mass outside (the tolerance to which W1 takes
-        a density as normalized)."""
-        p, (a, b) = self.params, self.config.domain
+    def _family(self) -> tuple:
+        """The family's starting law and fixed target as pdfs, the target None
+        where test3's solve makes it or the study has none, and its exact
+        controls, None for test1 and test2.  Refuses a law that has no float
+        form (a beta normalization that overflows, an s^2 that underflows) or
+        has mass outside run.domain, which projection would cut off and
+        renormalize: an indicator or the beta density must lie inside, a
+        Gaussian may put at most _MASS_TOL of its mass outside (the tolerance
+        to which W1 takes a density as normalized)."""
+        p, tg, (a, b) = self.params, self.time_grid, self.config.domain
         where = f"run.domain [{a!r}, {b!r}]"
         if self.name in ("test1", "shift_control", "test3"):
+            controls = None
+            if self.name == "shift_control":
+                # the exact control needs a bias b0 with act(b0) = beta / t_final
+                try:
+                    b0 = activation_preimage(self.act, p["beta"] / self.t_final)
+                except ValueError as e:
+                    raise ConfigValueError("params.beta", f"/ t_final: {e}") from None
+                controls = ControlPath.constant(tg, 0.0, b0)
             lo, hi = (0.0, 1.0) if self.name == "test3" else (-0.5, 0.5)
             if not a <= lo < hi <= b:
                 raise ConfigValueError("run.domain", f"[{a!r}, {b!r}] does not hold the initial "
                                                      f"density's support [{lo!r}, {hi!r}]")
             if self.name == "test3":
-                return
+                try:
+                    f0 = beta_density(p["a1"], p["a2"])
+                except OverflowError:  # Γ(a1 + a2) past float range, or Γ of a tiny a
+                    key = max(("a1", "a2"), key=lambda k: abs(math.log(p[k])))  # further from 1
+                    raise ConfigValueError(f"params.{key}", f"= {p[key]!r} overflows the beta "
+                                           "density's Γ(a1 + a2) / (Γ(a1) Γ(a2))") from None
+                return f0, None, ControlPath.from_functions(
+                    tg, lambda t: np.exp(t) - 1.0, lambda t: -5.0 * t**2 + t)
             lo, hi = -0.5 + p["beta"], 0.5 + p["beta"]
             if not a <= lo < hi <= b:
                 raise ConfigValueError("params.beta", f"= {p['beta']!r} puts the target "
                                                       f"indicator [{lo!r}, {hi!r}] outside {where}")
-            return
-        spreads = {"initial density": p["s"]}
-        if self.name != "convergence":  # the target N(mu, (s e^-alpha)^2)
+            return indicator_density(-0.5, 0.5), indicator_density(lo, hi), controls
+        # test2, scale_control and convergence start from N(mu, s^2)
+        mu, s = p["mu"], p["s"]
+        if s * s == 0.0:  # the pdf divides by s^2
+            raise ConfigValueError("params.s", f"= {s!r} is too small: s^2 underflows to 0")
+        f0, target, spreads = gaussian_density(mu, s), None, {"initial density": s}
+        if self.name == "convergence":
+            controls = ControlPath.from_functions(
+                tg, lambda t: 0.4 * np.sin(math.pi * t), lambda t: 0.3 * t)
+        else:  # the target N(mu, (s e^-alpha)^2)
             alpha = p["alpha"]
-            sd = p["s"] * math.exp(-alpha) if abs(alpha) < _LOG_FLOAT_MAX else 0.0
-            if sd == 0.0:  # target_field scales by e^alpha
+            sd = s * math.exp(-alpha) if abs(alpha) < _LOG_FLOAT_MAX else 0.0
+            if sd == 0.0:  # the target scales by e^alpha
                 raise ConfigValueError("params.alpha", f"= {alpha!r} leaves the target "
                                                        "N(mu, (s e^-alpha)^2) no float spread")
-            spreads["target"] = sd
+            spreads["target"], ea = sd, math.exp(alpha)
+
+            def target(x):
+                x = np.asarray(x, dtype=float)
+                return f0(x * ea + (1.0 - ea) * mu) * ea
+
+            controls = (ControlPath.constant(tg, -alpha / self.t_final, alpha * mu / self.t_final)
+                        if self.name == "scale_control" else None)
         for what, sd in spreads.items():
-            outside = _normal_mass_outside(p["mu"], sd, a, b)
+            outside = _normal_mass_outside(mu, sd, a, b)
             if not outside <= _MASS_TOL:
-                raise ConfigValueError("params.mu", f"= {p['mu']!r} puts {outside:.3g} of the "
+                raise ConfigValueError("params.mu", f"= {mu!r} puts {outside:.3g} of the "
                                                     f"{what} N(mu, {sd:.6g}^2) outside {where}, "
                                                     f"more than {_MASS_TOL:g}")
+        return f0, target, controls
 
     @property
     def time_grid(self) -> TimeGrid:
@@ -183,55 +211,22 @@ class Scenario:
 
     @property
     def act(self) -> Activation:
-        return activation(self.activation)
+        return Activation(self.activation)
 
     def initial_density(self) -> DensityField:
-        p = self.params
-        if self.name in ("test1", "shift_control"):
-            fn = indicator_density(-0.5, 0.5)
-        elif self.name == "test3":
-            fn = beta_density(p["a1"], p["a2"])
-        else:  # test2, scale_control and convergence start from a Gaussian
-            fn = gaussian_density(p["mu"], p["s"])
-        return project_initial(fn, self.space_grid)
+        return project_initial(self._family()[0], self.space_grid)
 
     def target_field(self) -> DensityField:
         """The target as cell averages; test3 manufactures it numerically."""
-        p = self.params
-        if self.name in ("test1", "shift_control"):
-            beta = p["beta"]
-            fn = indicator_density(-0.5 + beta, 0.5 + beta)
-        elif self.name in ("test2", "scale_control"):
-            f0 = gaussian_density(p["mu"], p["s"])
-            ea = math.exp(p["alpha"])
-
-            def fn(x):
-                x = np.asarray(x, dtype=float)
-                return f0(x * ea + (1.0 - ea) * p["mu"]) * ea
-
-        elif self.name == "test3":
-            return _push_forward(self, self.initial_density(), self.exact_controls())
-        else:
-            raise ValueError(f"scenario {self.name!r} has no fixed target density")
-        return project_initial(fn, self.space_grid)
+        _, target, controls = self._family()
+        if target is not None:
+            return project_initial(target, self.space_grid)
+        if self.name == "test3":
+            return _push_forward(self, self.initial_density(), controls)
+        raise ValueError(f"scenario {self.name!r} has no fixed target density")
 
     def exact_controls(self) -> ControlPath | None:
-        grid = self.time_grid
-        if self.name == "test3":
-            return ControlPath.from_functions(
-                grid, lambda t: np.exp(t) - 1.0, lambda t: -5.0 * t**2 + t
-            )
-        if self.name == "shift_control":
-            b0 = activation_preimage(self.act, self.params["beta"] / self.t_final)
-            return ControlPath.constant(grid, 0.0, b0)
-        if self.name == "scale_control":
-            alpha, mu = self.params["alpha"], self.params["mu"]
-            return ControlPath.constant(grid, -alpha / self.t_final, alpha * mu / self.t_final)
-        if self.name == "convergence":
-            return ControlPath.from_functions(
-                grid, lambda t: 0.4 * np.sin(math.pi * t), lambda t: 0.3 * t
-            )
-        return None
+        return self._family()[2]
 
     def initial_controls(self) -> ControlPath:
         grid = self.time_grid

@@ -10,6 +10,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -209,6 +210,8 @@ class TestRunFailures:
         ("run.gamma_w", True), ("run.cfl", float("nan")), ("run.tol", float("inf")),
         ("seed", 3.7), ("seed", -1), ("dt", "0.01"), ("t_final", None), ("run", 5),
         ("params", [1.0]), ("activation", 5),
+        # finite bounds whose width b - a overflows: dx = inf, every artifact NaN
+        ("run.domain", [-1e308, 1e308]),
         # integers beyond float range
         pytest.param("seed", 10**400, id="seed-10**400"),
         pytest.param("run.n_cells", 10**400, id="run.n_cells-10**400"),
@@ -385,8 +388,9 @@ class TestRunFailures:
     @pytest.mark.parametrize("config", ["test1_identity", "shift_identity"])
     def test_a_shift_too_large_for_the_indicator_exits_two_at_the_beta_line(self, tmp_path,
                                                                             capsys, config):
-        # at 1e16 both ends of [beta - 1/2, beta + 1/2] round to beta; the
-        # target's density 1 / (hi - lo) once divided by zero mid-run
+        # at 1e16 both ends of [beta - 1/2, beta + 1/2] round to beta, so the
+        # support check refuses it; the target's density 1 / (hi - lo) once
+        # divided by zero mid-run
         data = json.loads((SCENARIO_DIR / f"{config}.json").read_text())
         data["params"]["beta"] = 1e16
         text = json.dumps(data, indent=2, sort_keys=True)
@@ -396,9 +400,36 @@ class TestRunFailures:
         assert rc == 2
         line = 1 + next(i for i, r in enumerate(text.splitlines()) if '"beta":' in r)
         assert capsys.readouterr().err == (
-            f"{cfgp}:{line}: params.beta = 1e+16 leaves the target indicator "
-            "[beta - 1/2, beta + 1/2] no width\n")
+            f"{cfgp}:{line}: params.beta = 1e+16 puts the target indicator "
+            "[1e+16, 1e+16] outside run.domain [-2.0, 3.0]\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, path, value, key", [
+        # Γ(205) raised OverflowError: a traceback, exit 1, the manifest left
+        ("test3_zero", "params.a1", 200, "params.a1"),
+        # s^2 underflowed: two numpy warnings, then a refusal after the manifest
+        ("test2", "params.s", 1e-200, "params.s"),
+        # the cells are too wide for the law: its projected mass was 0 mid-run
+        ("test2", "params.s", 1e-6, "run.n_cells"),
+        ("test2", "params.alpha", 20.0, "run.n_cells"),
+        ("shift_identity", "run.domain", [-1e300, 1e300], "run.n_cells"),
+    ])
+    def test_a_law_the_grid_cannot_hold_exits_two_at_its_line(self, tmp_path, capsys, config,
+                                                              path, value, key):
+        data = json.loads((SCENARIO_DIR / f"{config}.json").read_text())
+        section, name = path.split(".")
+        data[section][name] = value
+        text = json.dumps(data, indent=2, sort_keys=True)
+        cfgp = tmp_path / "unheld.json"
+        cfgp.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out = cli_run(cfgp, tmp_path / "o")
+        assert rc == 2 and not out.exists()
+        assert [str(w.message) for w in caught] == []
+        line = 1 + next(i for i, r in enumerate(text.splitlines())
+                        if f'"{key.split(".")[1]}":' in r)
+        assert capsys.readouterr().err.startswith(f"{cfgp}:{line}: {key} = ")
 
     @pytest.mark.parametrize("config, key, value", [
         ("test1_identity", "beta", 2.8), ("test2", "mu", 2.9),

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from mfrn.core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGrid,
-                       activation, bisect, is_number)
+from mfrn.core import (Activation, ConfigValueError, ControlPath, RunConfig, TimeGrid, bisect,
+                       is_number)
 from mfrn.fvm import DriftSpec
 
 ALL_KINDS = ("identity", "relu", "sigmoid", "tanh", "gcu")
@@ -64,9 +64,10 @@ class TestActivation:
             assert not Activation(kind).bounded
 
     def test_parse_normalizes_case_and_space(self):
-        assert activation("  TANH ").kind == "tanh"
-        with pytest.raises(ValueError):
-            activation("softplus")
+        assert Activation("  TANH ").kind == "tanh"
+        assert Activation(" Relu") == Activation("relu")
+        with pytest.raises(ConfigValueError, match="^activation must be one of .* got 'softplus'"):
+            Activation(" SoftPlus")
 
 
 def masked_sigmoid(x):
@@ -413,6 +414,13 @@ class TestRunConfig:
         assert cfg.gamma_w == 0.0 and type(cfg.gamma_w) is float
         assert cfg.domain == (-2.0, 3.0) and all(type(v) is float for v in cfg.domain)
         assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
+
+    def test_a_domain_whose_width_overflows_is_refused(self):
+        # b - a = inf made dx inf: a run wrote every artifact full of NaN and exited 0
+        with pytest.raises(ConfigValueError, match=r"^run\.domain must be a finite interval "
+                                                   r"\[a, b\] with a < b and a finite width"):
+            RunConfig(**self.good(domain=(-1e308, 1e308)))
+        RunConfig(**self.good(domain=(-1e308, 0.0)))
 
     def test_dict_round_trip(self):
         cfg = RunConfig(**self.good())

@@ -1282,6 +1282,9 @@ class TestContainers:
                      ("a", 3.0), (None, 3.0)]:
             with pytest.raises(ValueError, match="finite bounds"):
                 Grid1D(a, b, 10)
+        # finite bounds whose width overflows would make dx inf
+        with pytest.raises(ValueError, match=re.escape("width b - a, got [-1e+308, 1e+308]")):
+            Grid1D(-1e308, 1e308, 10)
         # an integer beyond float range would make dx overflow
         for n in [10.5, 10.0, np.float64(10.0), True, "10", None, 10**400]:
             with pytest.raises(ValueError, match=re.escape(f"integer >= 8, got {n!r}")):

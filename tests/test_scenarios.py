@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfrn import optim, particle, scenarios
-from mfrn.core import Activation, ConfigValueError, ControlPath, TimeGrid, activation
+from mfrn.core import Activation, ConfigValueError, ControlPath, TimeGrid
 from mfrn.fvm import DensityField, DriftSpec, Grid1D, project_initial, solve_transport
 from mfrn.measures import moments, particles_to_density, wasserstein1
 from mfrn.particle import ode_integrate
@@ -48,7 +48,7 @@ def shift_quadratic_companion(
     """Terminal gap between two identity-activation controls with the same
     accumulated rate: constant b, and b(t) = t^2 + 1 over the horizon where
     its integral first reaches beta.  Distinct paths, same terminal measure."""
-    act = activation("identity")
+    act = Activation("identity")
     # solve T^3/3 + T = beta for the quadratic path's horizon
     roots = np.roots([1.0 / 3.0, 0.0, 1.0, -float(beta)])
     real = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and r.real > 0]
@@ -146,6 +146,29 @@ class TestBuildersAndConfigs:
         with pytest.raises(ConfigValueError, match=rf"^{key} ") as exc:
             scenario_from_config(data)
         assert exc.value.key == key
+
+    @pytest.mark.parametrize("config, change, says", [
+        ("shift_identity", {"activation": "sigmoid", "params": {"beta": 5.0}},
+         "params.beta / t_final: rate 5.0 is outside the sigmoid image (0, 1)"),
+        ("test1_identity", {"run": {"domain": [-0.4, 3.0]}, "params": {"beta": 2.8}},
+         "run.domain [-0.4, 3.0] does not hold the initial density's support [-0.5, 0.5]"),
+        ("test2", {"params": {"alpha": 800.0, "mu": 2.9}},
+         "params.alpha = 800.0 leaves the target N(mu, (s e^-alpha)^2) no float spread"),
+    ])
+    def test_of_two_refusals_the_first_in_the_family_order_wins(self, config, change, says):
+        # each config breaks two rules: the target's support with the shift
+        # rate's preimage or the initial support, the normal law's mass with
+        # alpha's float spread; the order is the shift rate's preimage, the
+        # initial support, the target's support, alpha's spread, the mass
+        data = json.loads((SCENARIO_DIR / f"{config}.json").read_text())
+        for key, value in change.items():
+            if isinstance(value, dict):
+                data[key].update(value)
+            else:
+                data[key] = value
+        with pytest.raises(ConfigValueError) as exc:
+            scenario_from_config(data)
+        assert str(exc.value) == says
 
     @pytest.mark.parametrize("config, params", [
         ("test1_identity", {"beta": 2.5}),  # the target fills [2, 3]
